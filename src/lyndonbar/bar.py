@@ -32,10 +32,6 @@ def bar_degree(word: BarWord, p: CdgaPresentation) -> int:
     return sum(p.monomial_degree(m) - 1 for m in word)
 
 
-def bar_weight(word: BarWord, p: CdgaPresentation) -> int:
-    return sum(p.monomial_weight(m) for m in word)
-
-
 def check_element(b: BarElement) -> BarElement:
     for word in b:
         if any(len(m) == 0 for m in word):
@@ -137,6 +133,22 @@ def shuffle(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarElement:
     return out
 
 
+def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTensor:
+    """The shuffle product on the tensor square, legwise with the Koszul sign.
+
+    (x1 @ x2)(y1 @ y2) = (-1)^(|x2||y1|) (x1 sh y1) @ (x2 sh y2), so that the
+    coproduct is an algebra map: coproduct(a sh b) = coproduct(a) * coproduct(b).
+    """
+    out: BarTensor = {}
+    for (x1, x2), c1 in t1.items():
+        for (y1, y2), c2 in t2.items():
+            sign = -1 if (bar_degree(x2, p) * bar_degree(y1, p)) % 2 else 1
+            for u, cu in shuffle({x1: ONE}, {y1: ONE}, p).items():
+                for v, cv in shuffle({x2: ONE}, {y2: ONE}, p).items():
+                    add_term(out, (u, v), sign * c1 * c2 * cu * cv)
+    return out
+
+
 def multi_shuffle(words: tuple, p: CdgaPresentation) -> BarElement:
     out: BarElement = {words[0]: ONE}
     for w in words[1:]:
@@ -214,14 +226,6 @@ def wedge_pair(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarTensor
             sign = -1 if (bar_degree(w1, p) * bar_degree(w2, p)) % 2 else 1
             add_term(out, (w1, w2), HALF * c1 * c2)
             add_term(out, (w2, w1), -sign * HALF * c1 * c2)
-    return out
-
-
-def tensor_product_element(b1: BarElement, b2: BarElement) -> BarTensor:
-    out: BarTensor = {}
-    for w1, c1 in b1.items():
-        for w2, c2 in b2.items():
-            add_term(out, (w1, w2), c1 * c2)
     return out
 
 

@@ -14,15 +14,21 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .colie import ab_tables, basis_of, change_basis, cobracket
+from .colie import basis_of, change_basis, cobracket, coefficient_table
 from .dgcore import model_a1, model_point, model_x
-from .freelie import alpha_table
-from .ihara import beta_gamma_tables
-from .lifts import enumerate_trees, lift_LB
+from .lifts import VARIANTS, enumerate_trees, lift_LB
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suites
 from .words import InvalidWordError, is_lyndon, lyndon_words
 
 HARD_CAP = 8
+# the smallest value each subcommand's size argument accepts
+_MINIMUMS = {
+    "lyndon": ("max_length", 1),
+    "coeffs": ("max_weight", 2),
+    "model": ("max_weight", 1),
+    "trees": ("leaves", 1),
+    "verify": ("max_weight", 2),
+}
 
 _TAG_SYNTAX = {"T0": "t0", "T1": "t1", "Tx": "x", "T@1": "one"}
 _TAG_NAMES = {v: k for k, v in _TAG_SYNTAX.items()}
@@ -61,19 +67,9 @@ def cmd_lyndon(args, parser) -> int:
 _FAMILIES = ("alpha", "beta", "gamma", "a", "b", "aprime", "bprime")
 
 
-def _coefficient_table(family: str, max_weight: int) -> dict:
-    if family == "alpha":
-        return alpha_table(max_weight)
-    if family in ("beta", "gamma"):
-        beta, gamma = beta_gamma_tables(max_weight)
-        return beta if family == "beta" else gamma
-    a, b, ap, bp = ab_tables(max_weight)
-    return {"a": a, "b": b, "aprime": ap, "bprime": bp}[family]
-
-
 def cmd_coeffs(args, parser) -> int:
     mw = _check_weight(args, parser)
-    table = _coefficient_table(args.family, mw)
+    table = coefficient_table(args.family, mw)
     rows = [
         {"W": w, "U": u, "V": v, "value": _frac(c)}
         for (w, u, v), c in sorted(table.items())
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lifted closed bar element for a Lyndon word")
     p.add_argument("word")
-    p.add_argument("--variant", choices=("plain", "one", "diff", "const"), default="plain")
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="plain")
     p.add_argument("--method", choices=("auto", "claim", "oracle"), default="auto")
     p.add_argument("--check", action="store_true", help="exit 1 unless all properties hold")
     p.add_argument("--format", choices=("json",), default="json")
@@ -291,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _MINIMUMS:
+        dest, low = _MINIMUMS[args.command]
+        if getattr(args, dest) < low:
+            parser.error(f"--{dest.replace('_', '-')} must be at least {low}")
     return args.func(args, parser)
 
 

@@ -299,3 +299,14 @@ def ab_tables(max_weight: int):
                 f"disagree at {sorted(diff)[:5]}"
             )
     return closed
+
+
+def coefficient_table(family: str, max_weight: int) -> dict:
+    """One structure-constant table by name: alpha, beta, gamma, a, b, aprime or bprime."""
+    if family == "alpha":
+        return alpha_table(max_weight)
+    if family in ("beta", "gamma"):
+        beta, gamma = beta_gamma_tables(max_weight)
+        return beta if family == "beta" else gamma
+    a, b, ap, bp = ab_tables(max_weight)
+    return {"a": a, "b": b, "aprime": ap, "bprime": bp}[family]

@@ -4,8 +4,8 @@ A presentation carries weighted graded generators and a differential table;
 elements are dicts mapping canonically sorted monomials (tuples of generator
 names) to Fraction coefficients, with the sorting sign absorbed.  The cobar
 construction turns a finite Lie-coalgebra presentation into such a cdga; the
-three concrete models (over the punctured line, the affine line, and the
-point) are generated from the structure-constant tables.
+four concrete models (over the punctured line, the affine line and the point,
+and the geometric quotient) are built by one table-driven builder.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .colie import ab_tables
 from .colie import cobracket as colie_cobracket
-from .freelie import TableInconsistencyError, alpha_table
+from .colie import coefficient_table
+from .freelie import TableInconsistencyError
 from .linalg import add_term
-from .words import lyndon_words
+from .words import lyndon_words, lyndon_words_of_length
 
 Monomial = tuple  # tuple[str, ...], sorted by generator order
 CdgaElement = dict  # Monomial -> Fraction
@@ -51,14 +51,6 @@ def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
             if sigma[i] > sigma[j] and degrees[i] % 2 and degrees[j] % 2:
                 sign = -sign
     return sign
-
-
-def apply_permutation(sigma: Sequence[int], slots: Sequence, degrees: Sequence[int]):
-    """(signed permutation action): returns (sign, permuted slots)."""
-    out = [None] * len(slots)
-    for i, s in enumerate(slots):
-        out[sigma[i]] = s
-    return koszul_sign(sigma, degrees), tuple(out)
 
 
 @dataclass(frozen=True)
@@ -184,13 +176,6 @@ class CdgaPresentation:
                 add_term(out, dm, c * dc)
         return out
 
-    def sort_key(self, m: Monomial):
-        return tuple(self.index[g] for g in m)
-
-
-def cdga_multiply(a: CdgaElement, b: CdgaElement, p: CdgaPresentation) -> CdgaElement:
-    return p.multiply(a, b)
-
 
 @dataclass(frozen=True)
 class CoLiePresentation:
@@ -282,33 +267,65 @@ def colie_presentation(max_weight: int, which: str = "t01") -> CoLiePresentation
 _TAG_PREFIX = {"t0": "T0", "t1": "T1", "x": "Tx", "one": "T@1"}
 
 
-def _quadratic(
-    p_index: dict[str, int],
-    terms: Iterable[tuple[str, str, Fraction]],
-    known: set[str],
-    what: str,
-) -> CdgaElement:
-    out: CdgaElement = {}
-    for u, v, c in terms:
-        if u not in known or v not in known:
-            if c:
-                raise TableInconsistencyError(
-                    f"{what}: nonzero coefficient {c} on removed generator in {u}*{v}"
-                )
-            continue
-        if u == v:
-            continue
-        if p_index[u] <= p_index[v]:
-            add_term(out, (u, v), c)
-        else:
-            add_term(out, (v, u), -c)
-    return out
+# The quadratic differential of each generator family: (table, left family,
+# right family) triples, each adding -table[W, U, V] * left_U right_V to
+# d(family_W).  Tables are named as in colie.coefficient_table.
+QUADRATIC_TERMS = {
+    "L0": (("a", "L0", "L0"), ("b", "L1", "L0")),
+    "L1": (("aprime", "L1", "L1"), ("bprime", "L1", "L0")),
+    "K": (("a", "K", "K"),),
+    "M": (("a", "M", "M"),),
+    "N": (("a", "N", "N"),),
+    "G": (("alpha", "G", "G"),),
+}
 
 
-def _pairs(table: Mapping, w: str):
-    for (tw, u, v), c in table.items():
-        if tw == w:
-            yield u, v, c
+def _table_model(families, max_weight: int, name: str) -> CdgaPresentation:
+    """Free cdga on degree-1 generators FAM_W, W Lyndon, d from QUADRATIC_TERMS.
+
+    ``families`` lists (family, killed words) in generator order within each
+    weight; a killed word has no generator, and a nonzero table entry on one
+    raises TableInconsistencyError.
+    """
+    if max_weight < 1:
+        raise ValueError("max_weight must be >= 1")
+    gens = [
+        GradedGenerator(f"{fam}_{w}", 1, n)
+        for n in range(1, max_weight + 1)
+        for fam, killed in families
+        for w in lyndon_words_of_length(n)
+        if w not in killed
+    ]
+    index = {g.name: i for i, g in enumerate(gens)}
+    by_word: dict[str, dict[str, list]] = {}  # table -> W -> [(U, V, c)]
+    for fam, _ in families:
+        for table, _, _ in QUADRATIC_TERMS[fam]:
+            if max_weight >= 2 and table not in by_word:
+                grouped = by_word[table] = {}
+                for (w, u, v), c in coefficient_table(table, max_weight).items():
+                    grouped.setdefault(w, []).append((u, v, c))
+    differential: dict[str, CdgaElement] = {}
+    for g in gens:
+        fam, w = g.name.split("_", 1)
+        image: CdgaElement = {}
+        for table, left, right in QUADRATIC_TERMS[fam]:
+            for u, v, c in by_word.get(table, {}).get(w, ()):
+                x, y = f"{left}_{u}", f"{right}_{v}"
+                if x not in index or y not in index:
+                    raise TableInconsistencyError(
+                        f"d({g.name}): nonzero coefficient {c} on removed generator in {x}*{y}"
+                    )
+                if x == y:
+                    continue
+                if index[x] <= index[y]:
+                    add_term(image, (x, y), -c)
+                else:
+                    add_term(image, (y, x), c)
+        differential[g.name] = image
+    try:
+        return CdgaPresentation(gens, differential, name=name)
+    except PresentationError as exc:
+        raise TableInconsistencyError(str(exc)) from exc
 
 
 @lru_cache(maxsize=None)
@@ -320,105 +337,26 @@ def model_x(max_weight: int) -> CdgaPresentation:
     quadratic differentials read off the a/b/a'/b' tables (leading minus
     sign included).
     """
-    if max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
-    gens: list[GradedGenerator] = []
-    for n in range(1, max_weight + 1):
-        for fam in ("L0", "L1", "K"):
-            for w in lyndon_words(n):
-                if len(w) != n:
-                    continue
-                if fam == "L0" and w == "0":
-                    continue
-                if fam == "L1" and w == "1":
-                    continue
-                if fam == "K" and n < 2:
-                    continue
-                gens.append(GradedGenerator(f"{fam}_{w}", 1, n))
-    index = {g.name: i for i, g in enumerate(gens)}
-    known = set(index)
-    differential: dict[str, CdgaElement] = {}
-    if max_weight >= 2:
-        a, b, ap, bp = ab_tables(max_weight)
-        for g in gens:
-            fam, w = g.name.split("_", 1)
-            if len(w) < 2:
-                continue
-            if fam == "L0":
-                terms = [(f"L0_{u}", f"L0_{v}", c) for u, v, c in _pairs(a, w)]
-                terms += [(f"L1_{u}", f"L0_{v}", c) for u, v, c in _pairs(b, w)]
-            elif fam == "L1":
-                terms = [(f"L1_{u}", f"L1_{v}", c) for u, v, c in _pairs(ap, w)]
-                terms += [(f"L1_{u}", f"L0_{v}", c) for u, v, c in _pairs(bp, w)]
-            else:
-                terms = [(f"K_{u}", f"K_{v}", c) for u, v, c in _pairs(a, w)]
-            image = _quadratic(index, terms, known, f"model_x d({g.name})")
-            differential[g.name] = {m: -c for m, c in image.items()}
-    try:
-        return CdgaPresentation(gens, differential, name=f"x@{max_weight}")
-    except PresentationError as exc:
-        raise TableInconsistencyError(str(exc)) from exc
-
-
-def _constant_family_model(max_weight: int, prefix: str) -> CdgaPresentation:
-    gens = [
-        GradedGenerator(f"{prefix}_{w}", 1, n)
-        for n in range(1, max_weight + 1)
-        for w in lyndon_words(n)
-        if len(w) == n
-    ]
-    index = {g.name: i for i, g in enumerate(gens)}
-    known = set(index)
-    differential: dict[str, CdgaElement] = {}
-    if max_weight >= 2:
-        a, _, _, _ = ab_tables(max_weight)
-        for g in gens:
-            w = g.name.split("_", 1)[1]
-            if len(w) < 2:
-                continue
-            terms = [(f"{prefix}_{u}", f"{prefix}_{v}", c) for u, v, c in _pairs(a, w)]
-            image = _quadratic(index, terms, known, f"d({g.name})")
-            differential[g.name] = {m: -c for m, c in image.items()}
-    try:
-        return CdgaPresentation(gens, differential, name=f"{prefix}@{max_weight}")
-    except PresentationError as exc:
-        raise TableInconsistencyError(str(exc)) from exc
+    families = (("L0", ("0",)), ("L1", ("1",)), ("K", ("0", "1")))
+    return _table_model(families, max_weight, f"x@{max_weight}")
 
 
 @lru_cache(maxsize=None)
 def model_a1(max_weight: int) -> CdgaPresentation:
     """Model over the affine line: generators M_W for the cycle differences."""
-    return _constant_family_model(max_weight, "M")
+    return _table_model((("M", ()),), max_weight, f"M@{max_weight}")
 
 
 @lru_cache(maxsize=None)
 def model_point(max_weight: int) -> CdgaPresentation:
     """Model over the point: generators N_W, same differential system as M."""
-    return _constant_family_model(max_weight, "N")
+    return _table_model((("N", ()),), max_weight, f"N@{max_weight}")
 
 
 @lru_cache(maxsize=None)
 def model_geom(max_weight: int) -> CdgaPresentation:
     """Quotient model dual to the free Lie algebra alone: the alpha system."""
-    gens = [
-        GradedGenerator(f"G_{w}", 1, n)
-        for n in range(1, max_weight + 1)
-        for w in lyndon_words(n)
-        if len(w) == n
-    ]
-    index = {g.name: i for i, g in enumerate(gens)}
-    known = set(index)
-    differential: dict[str, CdgaElement] = {}
-    if max_weight >= 2:
-        alpha = alpha_table(max_weight)
-        for g in gens:
-            w = g.name.split("_", 1)[1]
-            if len(w) < 2:
-                continue
-            terms = [(f"G_{u}", f"G_{v}", c) for u, v, c in _pairs(alpha, w)]
-            image = _quadratic(index, terms, known, f"d({g.name})")
-            differential[g.name] = {m: -c for m, c in image.items()}
-    return CdgaPresentation(gens, differential, name=f"geom@{max_weight}")
+    return _table_model((("G", ()),), max_weight, f"geom@{max_weight}")
 
 
 def transport(
@@ -495,10 +433,3 @@ def geom_projection_images(max_weight: int) -> dict[str, CdgaElement]:
 def restrict_j(e: CdgaElement, max_weight: int) -> CdgaElement:
     return transport(e, j_restriction_images(max_weight), model_x(max_weight))
 
-
-def fiber_i1(e: CdgaElement, max_weight: int) -> CdgaElement:
-    return transport(e, i1_fiber_images(max_weight), model_point(max_weight))
-
-
-def const_pullback(e: CdgaElement, max_weight: int) -> CdgaElement:
-    return transport(e, p1_pullback_images(max_weight), model_x(max_weight))

@@ -28,8 +28,9 @@ from .bar import (
     tensor_part,
     wedge_pair,
 )
-from .colie import ab_tables, tensor_cobracket
+from .colie import ab_tables, coefficient_table, tensor_cobracket
 from .dgcore import (
+    QUADRATIC_TERMS,
     CdgaPresentation,
     model_a1,
     model_geom,
@@ -78,12 +79,6 @@ def enumerate_trees(n: int) -> tuple:
     return tuple(out)
 
 
-def leaf_count(tree) -> int:
-    if tree is None:
-        return 1
-    return leaf_count(tree[0]) + leaf_count(tree[1])
-
-
 @lru_cache(maxsize=None)
 def _tag_delta_tree(tree, tag) -> tuple:
     if tree is None:
@@ -107,63 +102,6 @@ def delta_tree(tree, t: dict) -> dict:
     for tag, c in t.items():
         for key, d in _tag_delta_tree(tree, tag):
             add_term(out, key, c * d)
-    return out
-
-
-def _cherry_positions(tree, offset=0):
-    """Leaf index (0-based) of each cherry's left leaf, left to right."""
-    if tree is None:
-        return [], 1
-    left, right = tree
-    if left is None and right is None:
-        return [offset], 2
-    lpos, ln = _cherry_positions(left, offset)
-    rpos, rn = _cherry_positions(right, offset + ln)
-    return lpos + rpos, ln + rn
-
-
-def _strip_cherry(tree, target):
-    """Replace the cherry whose left leaf has index ``target`` by a leaf."""
-
-    def rec(node, offset):
-        if node is None:
-            return None, 1, False
-        left, right = node
-        if left is None and right is None and offset == target:
-            return None, 2, True
-        new_left, ln, found = rec(left, offset)
-        if found:
-            return (new_left, right), ln - 1 + leaf_count(right), True
-        new_right, rn, found = rec(right, offset + ln)
-        if found:
-            return (left, new_right), ln + rn - 1, True
-        return (left, right), ln + rn, False
-
-    stripped, _, found = rec(tree, 0)
-    assert found
-    return stripped
-
-
-def delta_tree_by_cherries(tree, t: dict, choose: str = "first") -> dict:
-    """Evaluate the tree cobracket by stripping cherries one at a time.
-
-    Used to confirm independence of the cherry order; ``choose`` picks the
-    first or last cherry at each step.
-    """
-    n = leaf_count(tree)
-    if n == 1:
-        return dict(t)
-    if n == 2:
-        return {key: c for key, c in delta_tree(tree, t).items()}
-    positions, _ = _cherry_positions(tree)
-    pos = positions[0] if choose == "first" else positions[-1]
-    stripped = _strip_cherry(tree, pos)
-    base = delta_tree_by_cherries(stripped, t, choose)
-    out: dict = {}
-    for key, c in base.items():
-        target_tag = key[pos]
-        for (a, b), d in tensor_cobracket({target_tag: ONE}).items():
-            add_term(out, key[:pos] + (a, b) + key[pos + 1 :], c * d)
     return out
 
 
@@ -285,14 +223,13 @@ def adjunction_unit(
 
 
 @lru_cache(maxsize=None)
-def solve_unit_constants(max_weight: int) -> tuple:
+def solve_unit_constants(max_weight: int) -> tuple | None:
     """Per-degree constants making the unit formula closed, solved exactly.
 
     Normalizes c_1 = 1 (forced by the tensor-degree-1 property) and solves
     the linear system expressing d_B(phi(tag)) = 0 for every source tag of
     weight <= max_weight of the principal lift family.  Returns a tuple
-    (c_1, ..., c_max_weight); raises InfeasibleLiftError if no per-degree
-    constants exist.
+    (c_1, ..., c_max_weight), or None if no per-degree constants exist.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
@@ -319,31 +256,8 @@ def solve_unit_constants(max_weight: int) -> tuple:
                 equations.append((byn, rhs))
     solution, _ = solve_affine(equations, variables)
     if solution is None:
-        raise InfeasibleLiftError(
-            "no per-degree constants make the unit formula closed"
-        )
-    return (ONE,) + tuple(solution[n] for n in variables)
-
-
-@lru_cache(maxsize=None)
-def _constants_or_none(max_weight: int):
-    try:
-        return solve_unit_constants(max_weight)
-    except InfeasibleLiftError:
         return None
-
-
-def corrected_constants(max_weight: int):
-    consts = _constants_or_none(max_weight)
-    if consts is None:
-        raise InfeasibleLiftError(
-            f"no per-degree constants close the unit formula at weight {max_weight}"
-        )
-
-    def constants(n: int) -> Fraction:
-        return consts[n - 1]
-
-    return constants
+    return (ONE,) + tuple(solution[n] for n in variables)
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +358,14 @@ class LiftReport:
 
 def prescribed_cobracket_11(W: str, variant: str, model: CdgaPresentation) -> BarTensor:
     """The stated tensor-(1,1) cobracket of the lift: tables without the minus."""
-    spec = VARIANTS[variant]
-    a, b, ap, bp = ab_tables(len(W))
     out: BarTensor = {}
 
     def gen(prefix, w):
         name = f"{prefix}_{w}"
         return {((name,),): ONE} if name in model.index else {}
 
-    if variant == "plain":
-        quads = [(a, "L0", "L0"), (b, "L1", "L0")]
-    elif variant == "one":
-        quads = [(ap, "L1", "L1"), (bp, "L1", "L0")]
-    else:
-        quads = [(a, spec.prefix, spec.prefix)]
-    for table, pu, pv in quads:
-        for (w, u, v), c in table.items():
+    for table, pu, pv in QUADRATIC_TERMS[VARIANTS[variant].prefix]:
+        for (w, u, v), c in coefficient_table(table, len(W)).items():
             if w != W:
                 continue
             lhs, rhs = gen(pu, u), gen(pv, v)
@@ -521,9 +427,10 @@ def lift_LB(W: str, variant: str, method: str = "auto") -> tuple:
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     notes = []
-    if _constants_or_none(len(W)) is not None:
+    consts = solve_unit_constants(len(W))
+    if consts is not None:
         element = adjunction_unit(
-            {source_tag: ONE}, model, gmap, constants=corrected_constants(len(W))
+            {source_tag: ONE}, model, gmap, constants=lambda n: consts[n - 1]
         )
         report = verify_lift(element, W, variant, LiftReport(W, variant, "unit"))
         if report.all_ok:
@@ -717,10 +624,15 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
     """
     max_w = max(weights)
     solved = solve_unit_constants(max_w)
+    if solved is None:
+        raise InfeasibleLiftError(
+            f"no per-degree constants close the unit formula at weight {max_w}"
+        )
     per_weight = []
     for p in weights:
         model = model_x(p)
         gmap = generator_map("plain", p)
+        consts = solve_unit_constants(p)
         closed_published = True
         pi1_published = True
         closed_solved = True
@@ -732,7 +644,7 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
             closed_published &= bar_differential(claim, model) == {}
             pi1_published &= pi1(claim) == {(f"L0_{W}",): 1}
             unit = adjunction_unit(
-                {("t0", W): ONE}, model, gmap, constants=corrected_constants(p)
+                {("t0", W): ONE}, model, gmap, constants=lambda n: consts[n - 1]
             )
             closed_solved &= bar_differential(unit, model) == {}
             oracle, n_free = closed_lift_oracle(W, "plain", model)

@@ -33,12 +33,6 @@ def combine(*parts: tuple[Fraction | int, Mapping]) -> dict:
     return out
 
 
-def scaled(vec: Mapping, c) -> dict:
-    if not c:
-        return {}
-    return {k: c * v for k, v in vec.items()}
-
-
 def solve_affine(
     equations: Iterable[tuple[Mapping[K, Fraction], Fraction]],
     var_order: list[K],
@@ -90,8 +84,3 @@ def solve_affine(
         solution[lead] = prhs
     return solution, len(var_order) - len(pivots)
 
-
-def kernel_dimension(rows: Iterable[Mapping[K, Fraction]], var_order: list[K]) -> int:
-    """Dimension of the solution space of the homogeneous system."""
-    _, n_free = solve_affine(((r, ZERO) for r in rows), var_order)
-    return n_free

@@ -273,6 +273,7 @@ def suite_colie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         ok = a == gamma and ap == {k: -v for k, v in a.items()}
         ok &= all(u != "0" and v != "1" for (_, u, v) in list(a) + list(ap))
         ok &= all(u != "1" and v != "0" for (_, u, v) in list(b) + list(bp))
+        ok &= all(len(u) + len(v) == len(w) for t in (a, b, ap, bp) for (w, u, v) in t)
         out.append(_result("basis-change-tables-double-sourced", ok, mw))
     except freelie.TableInconsistencyError as exc:
         out.append(_result("basis-change-tables-double-sourced", False, mw, str(exc)))
@@ -448,7 +449,7 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
             a, bar.shuffle(b, c, p), p
         )
         lhs = bar.coproduct(bar.shuffle(a, b, p))
-        rhs = _tensor_shuffle(bar.coproduct(a), bar.coproduct(b), p)
+        rhs = bar.tensor_shuffle(bar.coproduct(a), bar.coproduct(b), p)
         hopf &= lhs == rhs
     out.append(_result("shuffle-associative", ok, 4))
     out.append(_result("hopf-compatibility", hopf, 4))
@@ -470,17 +471,6 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         t = bar.delta_Q(h, p)
         ok &= bar.tensor_swap(t, p) == {k: -v for k, v in t.items()}
     out.append(_result("cobracket-antisymmetric", ok, mw))
-    return out
-
-
-def _tensor_shuffle(t1, t2, p):
-    out: dict = {}
-    for (x1, x2), c1 in t1.items():
-        for (y1, y2), c2 in t2.items():
-            sign = -1 if (bar.bar_degree(x2, p) * bar.bar_degree(y1, p)) % 2 else 1
-            for u, cu in bar.shuffle({x1: ONE}, {y1: ONE}, p).items():
-                for v, cv in bar.shuffle({x2: ONE}, {y2: ONE}, p).items():
-                    add_term(out, (u, v), sign * c1 * c2 * cu * cv)
     return out
 
 
@@ -550,7 +540,7 @@ def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         )
     )
     if max_weight >= 6:
-        feasible = lifts._constants_or_none(6) is not None
+        feasible = lifts.solve_unit_constants(6) is not None
         out.append(
             CheckResult(
                 "per-degree-constants-at-weight-6",

@@ -16,6 +16,7 @@ from lyndonbar.bar import (
     pi1,
     reduced_coproduct,
     shuffle,
+    tensor_shuffle,
     tensor_swap,
 )
 from lyndonbar.dgcore import model_x
@@ -111,26 +112,13 @@ def _graded_flip_shuffle(b, a, p):
     return out
 
 
-def _tensor_shuffle(t1, t2, p):
-    from lyndonbar.bar import bar_degree
-
-    out: dict = {}
-    for (x1, x2), c1 in t1.items():
-        for (y1, y2), c2 in t2.items():
-            sign = -1 if (bar_degree(x2, p) * bar_degree(y1, p)) % 2 else 1
-            for u, cu in shuffle({x1: ONE}, {y1: ONE}, p).items():
-                for v, cv in shuffle({x2: ONE}, {y2: ONE}, p).items():
-                    add_term(out, (u, v), sign * c1 * c2 * cu * cv)
-    return out
-
-
 def test_hopf_compatibility():
     rng = random.Random(42)
     for _ in range(50):
         a = random_bar_element(P4, rng, max_weight=2, n_terms=2)
         b = random_bar_element(P4, rng, max_weight=2, n_terms=2)
         lhs = coproduct(shuffle(a, b, P4))
-        rhs = _tensor_shuffle(coproduct(a), coproduct(b), P4)
+        rhs = tensor_shuffle(coproduct(a), coproduct(b), P4)
         assert lhs == rhs
 
 

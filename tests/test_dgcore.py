@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,11 +14,8 @@ from lyndonbar.dgcore import (
     CoLiePresentation,
     GradedGenerator,
     NotACoLieCoalgebraError,
-    apply_permutation,
     cobar_colie,
     colie_presentation,
-    const_pullback,
-    fiber_i1,
     geom_projection_images,
     i1_fiber_images,
     is_chain_map,
@@ -28,6 +27,7 @@ from lyndonbar.dgcore import (
     model_x,
     p1_pullback_images,
     restrict_j,
+    transport,
 )
 from lyndonbar.words import lyndon_words
 
@@ -46,6 +46,14 @@ def test_koszul_sign_rejects_size_mismatch():
         koszul_sign((0, 1), (1,))
     with pytest.raises(ValueError):
         koszul_sign((0, 0), (1, 1))
+
+
+def apply_permutation(sigma, slots, degrees):
+    """The signed permutation action: (Koszul sign, permuted slots)."""
+    out = [None] * len(slots)
+    for i, s in enumerate(slots):
+        out[sigma[i]] = s
+    return koszul_sign(sigma, degrees), tuple(out)
 
 
 def test_koszul_action_is_multiplicative():
@@ -99,6 +107,9 @@ def test_multiplication_associative_on_random_triples():
 def test_models_construct_to_weight_6():
     for mw in range(1, 7):
         model_x(mw), model_a1(mw), model_point(mw), model_geom(mw)
+    for builder in (model_x, model_a1, model_point, model_geom):
+        with pytest.raises(ValueError):
+            builder(0)
 
 
 def test_model_x_weight_two_differentials():
@@ -226,9 +237,10 @@ def test_morphism_values():
     assert restrict_j({("M_01",): ONE}, mw) == {("L0_01",): 1, ("L1_01",): -1}
     assert restrict_j({("M_0",): ONE}, mw) == {("L1_0",): -1}
     assert restrict_j({("M_1",): ONE}, mw) == {("L0_1",): 1}
-    assert fiber_i1({("M_001",): ONE}, mw) == {("N_001",): 1}
-    assert const_pullback({("N_01",): ONE}, mw) == {("K_01",): 1}
-    assert const_pullback({("N_0",): ONE}, mw) == {}
+    fiber, pullback = i1_fiber_images(mw), p1_pullback_images(mw)
+    assert transport({("M_001",): ONE}, fiber, model_point(mw)) == {("N_001",): 1}
+    assert transport({("N_01",): ONE}, pullback, model_x(mw)) == {("K_01",): 1}
+    assert transport({("N_0",): ONE}, pullback, model_x(mw)) == {}
 
 
 def test_j_restriction_multiplicative():
@@ -246,3 +258,64 @@ def test_weight_one_models_are_degenerate_but_total():
     p = model_x(1)
     assert [g.name for g in p.generators] == ["L0_1", "L1_0"]
     assert all(p.differential[g.name] == {} for g in p.generators)
+
+
+# sha256 of _canonical(model(n)) for n = 1..6, recorded before the four
+# models shared one table-driven builder
+GOLDEN_MODELS = {
+    model_x: (
+        "86667067b532bb447196d9656f09f24bd1dba3e0808151a5d36e28a9069ccbf0",
+        "a46852c3506166f8d684c612605a8f23bf6cc07d997ed729bec2c42c1bca4ee4",
+        "14c40000d0e9a2da406a9cb93286dcc400b0bd6e7bcc549e70fd38fc1ec8da33",
+        "907fe05110827a8f0af727d5cf4b40a19717add28de79d30d1390ef6f4dd1087",
+        "b631d5e9da6959f25a3340f2e73fecb15d1d4995224a8625ecd790aaa763831f",
+        "93175713febebc26aa89bc0fbbeb6a54d4bf7b4adce30225cdf5a48e3c297c4f",
+    ),
+    model_a1: (
+        "d0c05d446761776b89feccfd15f6cdbacfa17d342488df6c2bb4204773bd82e1",
+        "5f4d5becba598a5d56ad7f624344d93a570cd1fccb1c4f34720b4fcc345d2429",
+        "d60771650f1f46461a70299336b7d823a1aa5ad659e638dc275f0c5c459e0033",
+        "c2379dfee3b539b406592b9ec261e7575075fe7c5e0709de162bcf32a47efca7",
+        "fb71906b118ba8c2d06bd3e277b9ad75cea7c5485d5f5c6532eb62b30f2ddd07",
+        "254ddd89794fd826a33e080aa00e34a0ed8b90bd55015a1154601bc34cc8b6a6",
+    ),
+    model_point: (
+        "b93d0695c003a7031cb11527b43a70002d1675e6a5f12e18b3a52532a1da2fa2",
+        "3e9ffbdde311813eff5194b94a8c2349dd2fe3848c2404f04bcde93c467ea60e",
+        "dde0006092fb4686efbc7ec152f5e2fd29ed9b71e4db3f20b1c2daea56b9e592",
+        "b2eca0bfc528c166a8d222fe45e6d8f3b11170c5fb751e278dedb4686f6e4d23",
+        "01012ec19842776ebb7d015c93d967b39c7ce147996c02f2074469a2706a5585",
+        "cf2860df199f6af5cb21d7b167e8af22d7eb0de294c494ee4b3470270f317d66",
+    ),
+    model_geom: (
+        "5c68398b8a18ad960add1e634cc5357de9537597ee31385e37fef619225e659c",
+        "3d14223e46e761a3a3a0b09c34a60d980c3e2c217533306406700811c8debbeb",
+        "aa1c3ac88fc5a3b617011f98ae8737cf41d453b4cf40416f264ce1783e48a1d2",
+        "68683e67e69ac71c7f5490ebdf47f321479072d122f2c17af90ab4da6e32031b",
+        "b3f113aeede259fe4776d75789256f3623d65c042ff981aa5305bc0e800db554",
+        "984b0c168cb7d3dbd97e158cd95e405c28020a5995197ba3f6f589c92d881fd9",
+    ),
+}
+
+
+def _canonical(p: CdgaPresentation) -> str:
+    """Name, generators in order, and each differential with sorted terms, as JSON."""
+    return json.dumps(
+        {
+            "name": p.name,
+            "generators": [[g.name, g.degree, g.weight] for g in p.generators],
+            "differential": {
+                g.name: [[list(m), str(c)] for m, c in sorted(p.differential[g.name].items())]
+                for g in p.generators
+            },
+        },
+        sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize("builder", list(GOLDEN_MODELS), ids=lambda f: f.__name__)
+def test_models_match_golden_digests(builder):
+    got = tuple(
+        hashlib.sha256(_canonical(builder(n)).encode()).hexdigest() for n in range(1, 7)
+    )
+    assert got == GOLDEN_MODELS[builder]

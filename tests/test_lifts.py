@@ -7,22 +7,19 @@ from fractions import Fraction
 import pytest
 
 from lyndonbar.bar import pi1
+from lyndonbar.colie import tensor_cobracket
 from lyndonbar.dgcore import CdgaPresentation, model_x
 from lyndonbar.lifts import (
     InfeasibleLiftError,
     InvalidMorphismError,
-    _constants_or_none,
     adjunction_unit,
     audit_adjunction_unit,
     catalan,
     check_generator_map,
     closed_lift_oracle,
-    corrected_constants,
     delta_tree,
-    delta_tree_by_cherries,
     enumerate_trees,
     generator_map,
-    leaf_count,
     lift_LB,
     published_constants,
     relate_families,
@@ -31,9 +28,73 @@ from lyndonbar.lifts import (
     verify_fiber_identity,
     verify_geom_basis,
 )
+from lyndonbar.linalg import add_term
 from lyndonbar.words import lyndon_words
 
 ONE = Fraction(1)
+
+
+def leaf_count(tree) -> int:
+    if tree is None:
+        return 1
+    return leaf_count(tree[0]) + leaf_count(tree[1])
+
+
+def _cherry_positions(tree, offset=0):
+    """Leaf index (0-based) of each cherry's left leaf, left to right."""
+    if tree is None:
+        return [], 1
+    left, right = tree
+    if left is None and right is None:
+        return [offset], 2
+    lpos, ln = _cherry_positions(left, offset)
+    rpos, rn = _cherry_positions(right, offset + ln)
+    return lpos + rpos, ln + rn
+
+
+def _strip_cherry(tree, target):
+    """Replace the cherry whose left leaf has index ``target`` by a leaf."""
+
+    def rec(node, offset):
+        if node is None:
+            return None, 1, False
+        left, right = node
+        if left is None and right is None and offset == target:
+            return None, 2, True
+        new_left, ln, found = rec(left, offset)
+        if found:
+            return (new_left, right), ln - 1 + leaf_count(right), True
+        new_right, rn, found = rec(right, offset + ln)
+        if found:
+            return (left, new_right), ln + rn - 1, True
+        return (left, right), ln + rn, False
+
+    stripped, _, found = rec(tree, 0)
+    assert found
+    return stripped
+
+
+def delta_tree_by_cherries(tree, t: dict, choose: str = "first") -> dict:
+    """Evaluate the tree cobracket by stripping cherries one at a time.
+
+    The reference that confirms independence of the cherry order; ``choose``
+    picks the first or last cherry at each step.
+    """
+    n = leaf_count(tree)
+    if n == 1:
+        return dict(t)
+    if n == 2:
+        return {key: c for key, c in delta_tree(tree, t).items()}
+    positions, _ = _cherry_positions(tree)
+    pos = positions[0] if choose == "first" else positions[-1]
+    stripped = _strip_cherry(tree, pos)
+    base = delta_tree_by_cherries(stripped, t, choose)
+    out: dict = {}
+    for key, c in base.items():
+        target_tag = key[pos]
+        for (a, b), d in tensor_cobracket({target_tag: ONE}).items():
+            add_term(out, key[:pos] + (a, b) + key[pos + 1 :], c * d)
+    return out
 
 
 def test_tree_counts_are_catalan():
@@ -104,7 +165,7 @@ def test_solved_constants_drop_the_power_of_two():
 
 
 def test_no_per_degree_constants_at_weight_6():
-    assert _constants_or_none(6) is None
+    assert solve_unit_constants(6) is None
 
 
 def test_unit_on_weight_one_tag():
@@ -113,7 +174,7 @@ def test_unit_on_weight_one_tag():
         {("t0", "1"): ONE},
         model,
         generator_map("plain", 2),
-        constants=corrected_constants(2),
+        constants=lambda n: solve_unit_constants(2)[n - 1],
     )
     assert unit == {(("L0_1",),): 1}
 
@@ -209,10 +270,10 @@ def test_adjunction_audit():
 def test_unit_degree_one_part_is_the_generator_map():
     model = model_x(4)
     gmap = generator_map("plain", 4)
-    consts = corrected_constants(4)
+    consts = solve_unit_constants(4)
     for tag, gen in gmap.items():
         if len(tag[1]) > 4:
             continue
-        unit = adjunction_unit({tag: ONE}, model, gmap, constants=consts)
+        unit = adjunction_unit({tag: ONE}, model, gmap, constants=lambda n: consts[n - 1])
         expected = {} if gen is None else {(gen,): 1}
         assert pi1(unit) == expected, tag

@@ -92,6 +92,11 @@ def test_lift_check_exit_codes(capsys):
     assert code == 1 and not payload["properties"]["closed"]
 
 
+def test_lift_point_variant(capsys):
+    code, out = run_cli(capsys, "lift", "01", "--variant", "point", "--check")
+    assert code == 0 and json.loads(out)["variant"] == "point"
+
+
 def test_verify_exit_zero(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "words", "--max-weight", "4", "--format", "json"
@@ -115,13 +120,23 @@ def test_weight_cap(capsys):
     assert exc.value.code == 2
 
 
+USAGE_ERRORS = [
+    ["cobracket", "T9:01"],
+    ["lift", "10"],
+    ["lyndon", "--max-length", "0"],
+    ["coeffs", "--family", "alpha", "--max-weight", "1"],
+    ["trees", "--leaves", "0"],
+    ["model", "--space", "a1", "--max-weight", "0"],
+    ["verify", "--suite", "models", "--max-weight", "1"],
+]
+
+
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["cobracket", "T9:01"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["lift", "10"])
-    assert exc.value.code == 2
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_out_file(tmp_path, capsys):
