@@ -21,13 +21,15 @@ from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suites
 from .words import InvalidWordError, is_lyndon, lyndon_words
 
 HARD_CAP = 8
-# the smallest value each subcommand's size argument accepts
-_MINIMUMS = {
-    "lyndon": ("max_length", 1),
-    "coeffs": ("max_weight", 2),
-    "model": ("max_weight", 1),
-    "trees": ("leaves", 1),
-    "verify": ("max_weight", 2),
+# each subcommand's size argument: (dest, smallest value, cap without --force);
+# the work grows about as 2^n Lyndon candidates, Catalan(n-1) trees, and
+# exponentially in the weight for tables, models and lifts
+_BOUNDS = {
+    "lyndon": ("max_length", 1, 16),
+    "coeffs": ("max_weight", 2, HARD_CAP),
+    "model": ("max_weight", 1, HARD_CAP),
+    "trees": ("leaves", 1, 12),
+    "verify": ("max_weight", 2, HARD_CAP),
 }
 
 _TAG_SYNTAX = {"T0": "t0", "T1": "t1", "Tx": "x", "T@1": "one"}
@@ -46,15 +48,6 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _check_weight(args, parser) -> int:
-    mw = args.max_weight
-    if mw > HARD_CAP and not getattr(args, "force", False):
-        parser.error(
-            f"max weight {mw} exceeds the cap {HARD_CAP}; pass --force to override"
-        )
-    return mw
-
-
 def cmd_lyndon(args, parser) -> int:
     ws = list(lyndon_words(args.max_length))
     if args.format == "json":
@@ -68,8 +61,7 @@ _FAMILIES = ("alpha", "beta", "gamma", "a", "b", "aprime", "bprime")
 
 
 def cmd_coeffs(args, parser) -> int:
-    mw = _check_weight(args, parser)
-    table = coefficient_table(args.family, mw)
+    table = coefficient_table(args.family, args.max_weight)
     rows = [
         {"W": w, "U": u, "V": v, "value": _frac(c)}
         for (w, u, v), c in sorted(table.items())
@@ -124,9 +116,8 @@ def cmd_cobracket(args, parser) -> int:
 
 
 def cmd_model(args, parser) -> int:
-    mw = _check_weight(args, parser)
     builder = {"x": model_x, "a1": model_a1, "point": model_point}[args.space]
-    p = builder(mw)
+    p = builder(args.max_weight)
     payload = {
         "generators": [
             {"name": g.name, "degree": g.degree, "weight": g.weight}
@@ -192,9 +183,10 @@ def cmd_lift(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    mw = _check_weight(args, parser)
     try:
-        results = run_suites(args.suite, max_weight=mw, seed=args.seed, samples=args.samples)
+        results = run_suites(
+            args.suite, max_weight=args.max_weight, seed=args.seed, samples=args.samples
+        )
     except ValueError as exc:
         parser.error(str(exc))
     failures = [r for r in results if r.status == "fail"]
@@ -224,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lyndon", help="enumerate Lyndon words")
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--format", choices=("json", "lines"), default="lines")
+    p.add_argument("--force", action="store_true", help="override the length cap")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lyndon)
 
@@ -253,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trees", help="enumerate planar rooted trivalent trees")
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--format", choices=("json", "lines"), default="lines")
+    p.add_argument("--force", action="store_true", help="override the leaf cap")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_trees)
 
@@ -287,10 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _MINIMUMS:
-        dest, low = _MINIMUMS[args.command]
-        if getattr(args, dest) < low:
-            parser.error(f"--{dest.replace('_', '-')} must be at least {low}")
+    if args.command in _BOUNDS:
+        dest, low, cap = _BOUNDS[args.command]
+        flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
+        if value < low:
+            parser.error(f"{flag} must be at least {low}")
+        if value > cap and not args.force:
+            parser.error(f"{flag} {value} exceeds the cap {cap}; pass --force to override")
     return args.func(args, parser)
 
 

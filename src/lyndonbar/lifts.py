@@ -40,7 +40,7 @@ from .dgcore import (
 from .freelie import alpha_table
 from .ihara import beta_gamma_tables
 from .linalg import add_term, combine, solve_affine
-from .words import lyndon_words
+from .words import is_lyndon_sequence, lyndon_words
 
 ONE = Fraction(1)
 
@@ -252,11 +252,11 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
                 for word, c in db.items():
                     rows.setdefault(word, {})[n] = c
             for word, byn in rows.items():
-                rhs = -byn.pop(1, Fraction(0))
-                equations.append((byn, rhs))
-    solution, _ = solve_affine(equations, variables)
-    if solution is None:
+                equations.append((byn, {"closed": -byn.pop(1, Fraction(0))}))
+    solutions, _ = solve_affine(equations, variables)
+    if solutions is None:
         return None
+    solution = solutions.get("closed", {})  # no equations below weight 2
     return (ONE,) + tuple(solution[n] for n in variables)
 
 
@@ -283,7 +283,40 @@ def _degree_zero_words(model: CdgaPresentation, weight: int) -> list:
     for comp in compositions(weight):
         for choice in product(*(by_weight[p] for p in comp)):
             words.append(tuple((g,) for g in choice))
-    return sorted(words, key=lambda w: (len(w), w))
+    return sorted(words, key=_slice_order)
+
+
+def _slice_order(word) -> tuple:
+    """Bar words by tensor length, then lexicographically."""
+    return len(word), word
+
+
+@lru_cache(maxsize=None)
+def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
+    """One exact solve for every closed lift of the given weight over ``model``.
+
+    The unknowns are the coefficients c_l of p(l), for l the Lyndon words
+    among the weight-``weight`` bar words of single-generator slots: every
+    such slot has desuspended degree 0, so the shuffle there carries no signs,
+    the shuffle algebra is free on Lyndon words (Radford), and the p(l) form a
+    basis of the image of Hain's projector p.  So only the tensor-degree-1
+    rows (one label per generator of this weight, c_g = 1 for its own label)
+    and the closedness rows d_B(sum c_l p(l)) = 0 remain.
+
+    Returns ``(images, solutions, n_free)``: p(l) for each Lyndon word l, the
+    coefficients per generator name from :func:`solve_affine` (None where
+    that generator has no lift), and the dimension of each solution space.
+    """
+    lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
+    images = {w: hain_projector({w: ONE}, model) for w in lyndon}
+    equations = [({w: ONE}, {w[0][0]: ONE}) for w in lyndon if len(w) == 1]
+    rows: dict = {}
+    for w in lyndon:
+        for iw, c in bar_differential(images[w], model).items():
+            rows.setdefault(iw, {})[w] = c
+    equations.extend((row, {}) for row in rows.values())
+    solutions, n_free = solve_affine(equations, lyndon)
+    return images, solutions or {}, n_free
 
 
 def closed_lift_oracle(
@@ -294,6 +327,8 @@ def closed_lift_oracle(
     Works in the finite weight-|W|, bar-degree-0 slice of the bar construction
     over the variant's model; returns one solution (free variables zeroed, so
     deterministic) together with the dimension of the solution affine space.
+    The solve is shared by every target of that weight and model; each call
+    returns a new dict.
     """
     spec = VARIANTS[variant]
     if len(W) < 2:
@@ -301,31 +336,16 @@ def closed_lift_oracle(
     if model is None:
         model = spec.model(len(W))
     target = f"{spec.prefix}_{W}"
-    words = _degree_zero_words(model, len(W))
-    equations = []
-    for word in words:
-        if len(word) == 1:
-            rhs = ONE if word == ((target,),) else Fraction(0)
-            equations.append(({word: ONE}, rhs))
-    image_rows: dict = {}
-    fixed_rows: dict = {}
-    for word in words:
-        for iw, c in bar_differential({word: ONE}, model).items():
-            image_rows.setdefault(iw, {})[word] = c
-        proj = hain_projector({word: ONE}, model)
-        for pw, c in proj.items():
-            fixed_rows.setdefault(pw, {})[word] = c
-        add_term(fixed_rows.setdefault(word, {}), word, -ONE)
-    for row in image_rows.values():
-        equations.append((row, Fraction(0)))
-    for row in fixed_rows.values():
-        equations.append((row, Fraction(0)))
-    solution, n_free = solve_affine(equations, words)
-    if solution is None:
+    if model.weight.get(target) != len(W):
+        raise ValueError(f"{target} is not a generator of {model.name}")
+    images, solutions, n_free = _oracle_solve(model, len(W))
+    coefficients = solutions.get(target)
+    if coefficients is None:
         raise InfeasibleLiftError(
             f"no closed projector-fixed lift of {target} exists"
         )
-    return {w: c for w, c in solution.items() if c}, n_free
+    element = combine(*((c, images[w]) for w, c in coefficients.items()))
+    return {w: element[w] for w in sorted(element, key=_slice_order)}, n_free
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, TypeVar
 
 K = TypeVar("K", bound=Hashable)
+L = TypeVar("L", bound=Hashable)
 
 Vec = dict
 ZERO = Fraction(0)
@@ -34,20 +35,31 @@ def combine(*parts: tuple[Fraction | int, Mapping]) -> dict:
 
 
 def solve_affine(
-    equations: Iterable[tuple[Mapping[K, Fraction], Fraction]],
+    equations: Iterable[tuple[Mapping[K, Fraction], Mapping[L, Fraction]]],
     var_order: list[K],
-) -> tuple[dict[K, Fraction] | None, int]:
-    """Solve a sparse affine system ``sum(row[k] * x[k]) = rhs`` exactly.
+) -> tuple[dict[L, dict[K, Fraction] | None] | None, int]:
+    """Solve sparse affine systems ``sum(row[k] * x[k]) = rhs[label]`` exactly.
 
-    Returns ``(solution, n_free)`` where the solution sets every free variable
-    to 0, or ``(None, 0)`` if the system is inconsistent.  Pivots are chosen as
-    the smallest variable (in ``var_order`` position) of each reduced row, so
-    the result is deterministic.
+    Each equation's right-hand side is a sparse dict from label to value; the
+    labels are the keys of all right-hand sides (zero values included), and
+    the system of a label reads ``rhs.get(label, 0)`` in every row.  Pivots are
+    chosen from the rows alone, as the smallest variable (in ``var_order``
+    position) of each reduced row, so all labels share one elimination and
+    each gets exactly the solution a solve for that label alone would give.
+
+    Returns ``(solutions, n_free)``: ``solutions`` maps each label to its
+    solution, with every free variable set to 0, or to None if that label's
+    system is inconsistent.  If every label's system is inconsistent, returns
+    ``(None, 0)``.
     """
+    equations = list(equations)
+    labels = dict.fromkeys(label for _, rhs in equations for label in rhs)
+    dead: set = set()
     pos = {v: i for i, v in enumerate(var_order)}
-    pivots: dict[K, tuple[dict[K, Fraction], Fraction]] = {}
+    pivots: dict[K, tuple[dict[K, Fraction], dict[L, Fraction]]] = {}
     for row, rhs in equations:
         work = {k: v for k, v in row.items() if v}
+        work_rhs = {k: v for k, v in rhs.items() if v}
         # fully reduce against existing pivots; stored rows reference only
         # their own lead plus free variables, so each pivot variable present
         # in the row needs one subtraction and none reappear
@@ -60,27 +72,37 @@ def solve_affine(
             c = work[var]
             for k, v in prow.items():
                 add_term(work, k, -c * v)
-            rhs -= c * prhs
+            for k, v in prhs.items():
+                add_term(work_rhs, k, -c * v)
         if not work:
-            if rhs:
+            # 0 = rhs: inconsistent for exactly the labels left nonzero
+            dead.update(work_rhs)
+            if work_rhs and len(dead) == len(labels):
                 return None, 0
             continue
         lead = min(work, key=pos.__getitem__)
         inv = 1 / work[lead]
         prow = {k: v * inv for k, v in work.items()}
-        prhs = rhs * inv
+        prhs = {k: v * inv for k, v in work_rhs.items()}
         # eliminate the new lead from every stored row
-        for other, (orow, orhs) in list(pivots.items()):
+        for orow, orhs in pivots.values():
             c = orow.get(lead)
             if c:
                 for k, v in prow.items():
                     add_term(orow, k, -c * v)
-                pivots[other] = (orow, orhs - c * prhs)
+                for k, v in prhs.items():
+                    add_term(orhs, k, -c * v)
         pivots[lead] = (prow, prhs)
     # with fully reduced rows and free variables set to 0, each pivot value
     # is its reduced right-hand side
-    solution: dict[K, Fraction] = {v: ZERO for v in var_order}
-    for lead, (_, prhs) in pivots.items():
-        solution[lead] = prhs
-    return solution, len(var_order) - len(pivots)
+    solutions: dict[L, dict[K, Fraction] | None] = {}
+    for label in labels:
+        if label in dead:
+            solutions[label] = None
+            continue
+        solution: dict[K, Fraction] = {v: ZERO for v in var_order}
+        for lead, (_, prhs) in pivots.items():
+            solution[lead] = prhs.get(label, ZERO)
+        solutions[label] = solution
+    return solutions, len(var_order) - len(pivots)
 

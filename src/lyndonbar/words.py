@@ -2,11 +2,14 @@
 
 Words are plain ASCII strings over the alphabet {'0', '1'}.  Python's string
 comparison is exactly the lexicographic order with 0 < 1 used throughout, with
-a proper prefix smaller than the word itself.
+a proper prefix smaller than the word itself.  Recognition also works for
+tuples over any totally ordered alphabet (:func:`is_lyndon_sequence`), such as
+bar words of generator slots.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 
@@ -22,13 +25,24 @@ def check_word(w: str) -> str:
     return w
 
 
-def is_lyndon(w: str) -> bool:
+def is_lyndon_sequence(w: Sequence) -> bool:
     """True iff ``w`` is strictly smaller than all its nonempty proper right factors.
 
-    Single letters are Lyndon.  Raises :class:`InvalidWordError` on empty input.
+    Works for any sliceable sequence whose comparison is lexicographic with a
+    proper prefix smaller than the word (strings, tuples over any totally
+    ordered alphabet).  Single letters are Lyndon; the caller rules out the
+    empty word.
+    """
+    return all(w < w[i:] for i in range(1, len(w)))
+
+
+def is_lyndon(w: str) -> bool:
+    """True iff the binary word ``w`` is Lyndon.
+
+    Raises :class:`InvalidWordError` on empty input or letters outside {0,1}.
     """
     check_word(w)
-    return all(w < w[i:] for i in range(1, len(w)))
+    return is_lyndon_sequence(w)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from lyndonbar.lifts import (
     verify_geom_basis,
 )
 from lyndonbar.linalg import add_term
-from lyndonbar.words import lyndon_words
+from lyndonbar.words import lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
 
@@ -228,6 +230,75 @@ def test_corrupted_model_detected_at_weight_4():
     bad = CdgaPresentation(base.generators, diff, name="bad", validate=False)
     with pytest.raises(InfeasibleLiftError):
         closed_lift_oracle("0011", "plain", bad)
+
+
+# sha256 of _canonical_lifts(variant, n) for n = 2..6, recorded while every
+# target still had its own solve over all degree-0 words
+GOLDEN_LIFTS = {
+    "plain": (
+        "8b2a1de03861544351599d03dff8f0704398c13c650e66f05a954e66809240d8",
+        "eef65d2974686e7435e1f319833e6251d9b334bdb6080041ad14a0e2a3e0e3bc",
+        "01889182d997be73a0deb94f5a57dac9bdb4b25bce785e599d16543b46f8fb86",
+        "dcf7738d25c91594c301470dc0af319fc8cd61db3e6075e5336670c4d2a98175",
+        "5454a2b0338d954023c9c2186dc88053b9dfcf5e7faafb9da425f38eb7107178",
+    ),
+    "one": (
+        "8bd9c36f7544427489eab345f5e13631d53b482dd754c2dd72ed8e4a40e0b340",
+        "4c7d8c1e9be8c5403b4b631ead01525c5afeb910cdc5fbc68ca6289bdc14cb75",
+        "aa4886bd490aeff6dbc48c4b2d3d97cd3eafa7cc4d102cf0cdf741507bb3d413",
+        "c50f4405e5df2d8e9f60f77477170da28a69d15cddd6606f304916b1bb88fa81",
+        "0566a21c4905fc93ea4d108dda8018a15e35d81250e8c92b590598c5256306b9",
+    ),
+    "diff": (
+        "3ed4e6e8fd2cf77e3bcf721dcf20a2a08769e8dbad817d3d998f9660857e796f",
+        "2f85bd08c21ed27352c13440dcead5639ebb11f55eb45200cea4f5fd25e8d92f",
+        "9d6bf628e7642d38c9e9f65522551c48c84fd7fa7eed52d22618c17b30f1d777",
+        "e3539eca24958c987a95235a22d22d8cb16a0be7102be74c75c6970e02a8888c",
+        "ec9f964ea5e41c4ac239931e74f4c544f2b1565f395108ce2d179d472f7a52d4",
+    ),
+    "const": (
+        "caf77adbe55b203ab9059a5436a55529edd9bcced2f521fa3790802771e9bbfa",
+        "0410118be33430cadb6e0946441fbef74efd35153570e12064221413c99e64f9",
+        "05ea529b4e1c6312a300b5b56df46d0c8973f29b0c1b8fcb492dfbae32fd5a6c",
+        "688f5148d6fab7692944b12b221f029cbfa50d5072a922cd3ed2993e7d84c540",
+        "e0c96ee08a2f0a54b5f7b451e094b0d68558c6d5f5f2b38964c0927799b734ed",
+    ),
+    "point": (
+        "a1e41078ad64cafd0b8ac1a0a12d7efb979289ddb52d4f822925a30528639017",
+        "81504449658db3ab945ad915b8d537a70ee5d2fac1d2acce509f81bbcc13a1dd",
+        "6b5fbb89aa4cd60aab21ebbe67082d5afc45cb5b811be0738d4b2a6e027f6fab",
+        "0fab05a9c93108e5c5bae1e1d705e131cae6ae2275d74fadb141f2a4c14a2af7",
+        "daa5dca284715dd7f1e157369429655bc38cda56c3449b7117e95ef0581298f3",
+    ),
+}
+
+
+def _canonical_lifts(variant: str, n: int) -> str:
+    """Each weight-n oracle lift with sorted terms and its affine dimension, as JSON."""
+    rows = []
+    for W in lyndon_words_of_length(n):
+        element, dim = closed_lift_oracle(W, variant)
+        terms = [[[list(m) for m in word], str(c)] for word, c in sorted(element.items())]
+        rows.append([W, terms, dim])
+    return json.dumps(rows)
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_LIFTS))
+def test_oracle_lifts_match_golden_digests(variant):
+    got = tuple(
+        hashlib.sha256(_canonical_lifts(variant, n).encode()).hexdigest() for n in range(2, 7)
+    )
+    assert got == GOLDEN_LIFTS[variant]
+
+
+def test_oracle_returns_a_fresh_lift_each_call():
+    first, dim = closed_lift_oracle("0011", "plain")
+    expected = dict(first)
+    first[(("L0_1",),)] = ONE
+    first.pop(next(iter(expected)))
+    again, dim_again = closed_lift_oracle("0011", "plain")
+    assert again == expected and dim_again == dim
+    assert again is not closed_lift_oracle("0011", "plain")[0]
 
 
 def test_verify_edqx_weight_2_to_4():

@@ -1,0 +1,138 @@
+"""The multi-label exact solver against the single right-hand-side reference."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lyndonbar.linalg import ZERO, add_term, solve_affine
+
+
+def solve_single(equations, var_order):
+    """The one-right-hand-side elimination, kept as the reference.
+
+    Returns ``(solution, n_free)`` with every free variable set to 0, or
+    ``(None, 0)`` at the first inconsistent row.  Pivots are the smallest
+    variable (in ``var_order`` position) of each reduced row.
+    """
+    pos = {v: i for i, v in enumerate(var_order)}
+    pivots = {}
+    for row, rhs in equations:
+        work = {k: v for k, v in row.items() if v}
+        while True:
+            present = [v for v in work if v in pivots]
+            if not present:
+                break
+            var = min(present, key=pos.__getitem__)
+            prow, prhs = pivots[var]
+            c = work[var]
+            for k, v in prow.items():
+                add_term(work, k, -c * v)
+            rhs -= c * prhs
+        if not work:
+            if rhs:
+                return None, 0
+            continue
+        lead = min(work, key=pos.__getitem__)
+        inv = 1 / work[lead]
+        prow = {k: v * inv for k, v in work.items()}
+        prhs = rhs * inv
+        for other, (orow, orhs) in list(pivots.items()):
+            c = orow.get(lead)
+            if c:
+                for k, v in prow.items():
+                    add_term(orow, k, -c * v)
+                pivots[other] = (orow, orhs - c * prhs)
+        pivots[lead] = (prow, prhs)
+    solution = {v: ZERO for v in var_order}
+    for lead, (_, prhs) in pivots.items():
+        solution[lead] = prhs
+    return solution, len(var_order) - len(pivots)
+
+
+def assert_matches_reference(equations, var_order):
+    """Every label of the shared solve equals the reference run on that label."""
+    solutions, n_free = solve_affine(equations, var_order)
+    labels = {label for _, rhs in equations for label in rhs}
+    feasible = 0
+    for label in labels:
+        single = [(row, rhs.get(label, ZERO)) for row, rhs in equations]
+        ref, ref_free = solve_single(single, var_order)
+        got = None if solutions is None else solutions[label]
+        if ref is None:
+            assert got is None, label
+            continue
+        feasible += 1
+        assert got == ref and list(got) == var_order, label
+        assert n_free == ref_free, label
+        for row, rhs in single:
+            assert sum(c * got[k] for k, c in row.items()) == rhs, label
+    if solutions is None:
+        assert labels and not feasible and n_free == 0
+    else:
+        assert set(solutions) == labels
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def systems(draw):
+    """Small sparse systems, some rows repeated as sums of earlier rows.
+
+    A sum row keeps the rank down (free variables), and its right-hand side
+    is redrawn, so it is consistent for some labels and not for others.
+    """
+    var_order = list(range(draw(st.integers(1, 5))))
+    labels = st.sampled_from("abcd")
+    sparse_row = st.dictionaries(st.sampled_from(var_order), small, max_size=4)
+    sparse_rhs = st.dictionaries(labels, small, max_size=4)
+    equations = draw(st.lists(st.tuples(sparse_row, sparse_rhs), max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        if not equations:
+            break
+        (r1, b1), (r2, b2) = (draw(st.sampled_from(equations)) for _ in range(2))
+        row = dict(r1)
+        for k, v in r2.items():
+            add_term(row, k, v)
+        rhs = dict(b1)
+        for k, v in b2.items():
+            add_term(rhs, k, v)
+        if draw(st.booleans()):
+            rhs = draw(sparse_rhs)
+        equations.append((row, rhs))
+    order = draw(st.permutations(var_order))
+    return equations, list(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_every_label_matches_the_single_solve(system):
+    equations, var_order = system
+    assert_matches_reference(equations, var_order)
+
+
+def test_free_variables_and_mixed_feasibility():
+    one = Fraction(1)
+    equations = [
+        ({"x": one, "y": one}, {"ok": Fraction(2), "bad": one, "zero": ZERO}),
+        ({"x": 2 * one, "y": 2 * one}, {"ok": Fraction(4), "bad": Fraction(3)}),
+        ({"z": one}, {"ok": Fraction(-1, 2)}),
+    ]
+    solutions, n_free = solve_affine(equations, ["x", "y", "z", "w"])
+    assert n_free == 2
+    assert solutions == {
+        "ok": {"x": 2, "y": 0, "z": Fraction(-1, 2), "w": 0},
+        "bad": None,
+        "zero": {"x": 0, "y": 0, "z": 0, "w": 0},
+    }
+    assert_matches_reference(equations, ["x", "y", "z", "w"])
+
+
+def test_all_labels_inconsistent():
+    one = Fraction(1)
+    equations = [({"x": one}, {"a": one}), ({"x": one}, {"a": 2 * one})]
+    assert solve_affine(equations, ["x"]) == (None, 0)
+    assert solve_affine([], ["x"]) == ({}, 1)

@@ -128,6 +128,10 @@ USAGE_ERRORS = [
     ["trees", "--leaves", "0"],
     ["model", "--space", "a1", "--max-weight", "0"],
     ["verify", "--suite", "models", "--max-weight", "1"],
+    ["lyndon", "--max-length", "17"],
+    ["trees", "--leaves", "13"],
+    ["model", "--space", "x", "--max-weight", "9"],
+    ["verify", "--suite", "words", "--max-weight", "9"],
 ]
 
 

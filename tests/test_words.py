@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from lyndonbar.words import (
     InvalidWordError,
     is_lyndon,
+    is_lyndon_sequence,
     lyndon_words,
     lyndon_words_of_length,
     standard_factorization,
@@ -50,6 +53,20 @@ def test_agrees_with_brute_force_up_to_length_8():
 @given(st.text(alphabet="01", min_size=1, max_size=12))
 def test_agrees_with_brute_force_random(w):
     assert is_lyndon(w) == brute_force_lyndon(w)
+
+
+def test_sequence_form_on_bar_words_of_slots():
+    # tuples of one-generator slots, as in the degree-0 bar slice: Lyndon iff
+    # strictly smaller than every proper rotation, and Witt's necklace count
+    # (1/n) sum_{d | n} mu(d) k^(n/d) of them over k = 3 letters
+    letters = [("L0_1",), ("L0_01",), ("L1_0",)]
+    witt = {1: 3, 2: 3, 3: 8, 4: 18, 5: 48}
+    for n, count in witt.items():
+        words = list(product(letters, repeat=n))
+        found = [w for w in words if is_lyndon_sequence(w)]
+        assert len(found) == count
+        for w in words:
+            assert is_lyndon_sequence(w) == all(w < w[i:] + w[:i] for i in range(1, n)), w
 
 
 def test_enumeration_matches_ordered_list():
