@@ -9,12 +9,12 @@ all signs below are Koszul signs computed on desuspended degrees.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .dgcore import CdgaPresentation
-from .linalg import add_term, combine
+from .linalg import add_term
 
 BarWord = tuple  # tuple[Monomial, ...]
 BarElement = dict  # BarWord -> Fraction
@@ -85,22 +85,9 @@ def reduced_coproduct(b: BarElement) -> BarTensor:
     return out
 
 
-def iterated_reduced_coproduct(b: BarElement, parts: int) -> dict:
-    """All splits into ``parts`` nonempty blocks: dict[tuple of words] -> coeff."""
-    out: dict = {}
-    for word, c in b.items():
-        n = len(word)
-        if parts > n:
-            continue
-        for cuts in combinations(range(1, n), parts - 1):
-            bounds = (0,) + cuts + (n,)
-            key = tuple(word[a:b] for a, b in zip(bounds, bounds[1:]))
-            add_term(out, key, c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _shuffle_words(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
+    """The signed shuffle of two bar words: sorted (word, integer) pairs."""
     def sdeg(m):
         return p.monomial_degree(m) - 1
 
@@ -118,10 +105,10 @@ def _shuffle_words(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
         for rest, s in rec(a, b[1:]):
             yield (b[0],) + rest, s * factor
 
-    out: BarElement = {}
+    out: dict = {}
     for word, s in rec(w1, w2):
-        add_term(out, word, Fraction(s))
-    return tuple(sorted(out.items()))
+        out[word] = out.get(word, 0) + s
+    return tuple(sorted((word, c) for word, c in out.items() if c))
 
 
 def shuffle(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarElement:
@@ -149,23 +136,46 @@ def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTens
     return out
 
 
-def multi_shuffle(words: tuple, p: CdgaPresentation) -> BarElement:
-    out: BarElement = {words[0]: ONE}
-    for w in words[1:]:
-        out = shuffle(out, {w: ONE}, p)
-    return out
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n), the common denominator of p on words of length n."""
+    return math.lcm(*range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def _hain_word(p: CdgaPresentation, word: BarWord) -> tuple:
-    out: BarElement = {word: ONE}
+    """p([word]) as (bar word, Fraction) pairs, by the convolution logarithm.
+
+    The i-th convolution power of J = id - epsilon sends a word to the
+    shuffle of its i-block deconcatenations.  Over suffixes it obeys
+    P_1(s) = [word[s:]] and P_i(s) = sum_k [word[s:k]] sh P_(i-1)(k), all in
+    integers; p = sum_i ((-1)^(i-1)/i) P_i(0) is summed over the common
+    denominator lcm(1..n).
+    """
     n = len(word)
+    denom = _lcm_upto(n)
+    total = {word: denom}
+    powers = [{word[s:]: 1} for s in range(n)]
     for i in range(2, n + 1):
-        coeff = Fraction((-1) ** (i - 1), i)
-        for blocks, c in iterated_reduced_coproduct({word: ONE}, i).items():
-            for sh_word, sh_c in multi_shuffle(blocks, p).items():
-                add_term(out, sh_word, coeff * c * sh_c)
-    return tuple(out.items())
+        powers = [
+            _shuffle_suffixes(p, word, s, powers, n - i + 1) for s in range(n - i + 1)
+        ]
+        scale = denom // i if i % 2 else -(denom // i)
+        for w, c in powers[0].items():
+            total[w] = total.get(w, 0) + scale * c
+    return tuple((w, Fraction(c, denom)) for w, c in total.items() if c)
+
+
+def _shuffle_suffixes(
+    p: CdgaPresentation, word: BarWord, s: int, powers: list, last: int
+) -> dict:
+    """sum over k in (s, last] of [word[s:k]] shuffled with powers[k], in integers."""
+    out: dict = {}
+    for k in range(s + 1, last + 1):
+        head = word[s:k]
+        for v, c in powers[k].items():
+            for w, e in _shuffle_words(p, head, v):
+                out[w] = out.get(w, 0) + c * e
+    return {w: c for w, c in out.items() if c}
 
 
 def hain_projector(b: BarElement, p: CdgaPresentation) -> BarElement:
@@ -199,14 +209,42 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     The input must be in the image of the Hain projector; the output is an
     antisymmetric tensor with both legs projected back to indecomposables.
     """
-    red = reduced_coproduct(b)
-    anti = combine((HALF, red), (-HALF, tensor_swap(red, p)))
-    out: BarTensor = {}
-    for (w1, w2), c in anti.items():
-        for v1, c1 in _hain_word(p, w1):
-            for v2, c2 in _hain_word(p, w2):
-                add_term(out, (v1, v2), c * c1 * c2)
-    return out
+    # red - tau o red, grouped by left leg; the 1/2 goes into the denominator
+    by_left: dict = {}
+    for (w1, w2), c in reduced_coproduct(b).items():
+        sign = -1 if (bar_degree(w1, p) * bar_degree(w2, p)) % 2 else 1
+        add_term(by_left.setdefault(w1, {}), w2, c)
+        add_term(by_left.setdefault(w2, {}), w1, -sign * c)
+    if not by_left:
+        return {}
+    # every product below is an integer over one common denominator: the
+    # legs are shorter than the longest word, so p of a leg has a denominator
+    # dividing lcm(1..longest - 1)
+    leg_denom = _lcm_upto(max(map(len, b)) - 1)
+    denom = 2 * math.lcm(*(c.denominator for c in b.values())) * leg_denom**2
+    out: dict = {}
+    for w1, rights in by_left.items():
+        # p is linear, so project each right leg once and sum before tensoring
+        scale1 = denom // _lcm_upto(len(w1))
+        right: dict = {}
+        for w2, c in rights.items():
+            scale = scale1 // (2 * c.denominator * _lcm_upto(len(w2))) * c.numerator
+            for v2, num in _numerators(p, w2):
+                right[v2] = right.get(v2, 0) + scale * num
+        right = [(v2, r) for v2, r in right.items() if r]
+        if not right:
+            continue
+        for v1, n1 in _numerators(p, w1):
+            for v2, r in right:
+                key = (v1, v2)
+                out[key] = out.get(key, 0) + n1 * r
+    return {key: Fraction(v, denom) for key, v in out.items() if v}
+
+
+def _numerators(p: CdgaPresentation, word: BarWord):
+    """p([word]) as integer numerators over lcm(1..len(word))."""
+    denom = _lcm_upto(len(word))
+    return [(w, c.numerator * (denom // c.denominator)) for w, c in _hain_word(p, word)]
 
 
 def tensor_part(t: BarTensor, shape: tuple[int, int]) -> BarTensor:

@@ -22,8 +22,8 @@ from .words import InvalidWordError, is_lyndon, lyndon_words
 
 HARD_CAP = 8
 # each subcommand's size argument: (dest, smallest value, cap without --force);
-# the work grows about as 2^n Lyndon candidates, Catalan(n-1) trees, and
-# exponentially in the weight for tables, models and lifts
+# the output grows about as 2^n / n Lyndon words and Catalan(n-1) trees, and
+# the work exponentially in the weight for tables, models and lifts
 _BOUNDS = {
     "lyndon": ("max_length", 1, 16),
     "coeffs": ("max_weight", 2, HARD_CAP),
@@ -204,7 +204,8 @@ def cmd_verify(args, parser) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="lyndonbar",
         description="Exact Lyndon/free-Lie tables, dual cobrackets, cdga models, "
@@ -275,20 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
+    # usage errors past parsing print the subcommand's usage line
+    command = commands[args.command]
     if args.command in _BOUNDS:
         dest, low, cap = _BOUNDS[args.command]
         flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
         if value < low:
-            parser.error(f"{flag} must be at least {low}")
+            command.error(f"{flag} must be at least {low}")
         if value > cap and not args.force:
-            parser.error(f"{flag} {value} exceeds the cap {cap}; pass --force to override")
-    return args.func(args, parser)
+            command.error(f"{flag} {value} exceeds the cap {cap}; pass --force to override")
+    return args.func(args, command)
 
 
 if __name__ == "__main__":

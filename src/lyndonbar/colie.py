@@ -14,8 +14,10 @@ tags in canonical order, with u ^ v = -v ^ u absorbed into the coefficient
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .freelie import TableInconsistencyError, alpha_table
 from .ihara import beta_gamma_tables
@@ -280,7 +282,8 @@ def ab_tables(max_weight: int):
 
     Computed once by the closed formulas in terms of alpha and beta, and once
     by expressing the cobracket in the t01 basis and extracting coefficients;
-    any disagreement raises TableInconsistencyError.
+    any disagreement raises TableInconsistencyError.  The cached tables are
+    returned as read-only views.
     """
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
@@ -298,10 +301,10 @@ def ab_tables(max_weight: int):
                 f"table {name}: closed formula and basis-change extraction "
                 f"disagree at {sorted(diff)[:5]}"
             )
-    return closed
+    return tuple(MappingProxyType(table) for table in closed)
 
 
-def coefficient_table(family: str, max_weight: int) -> dict:
+def coefficient_table(family: str, max_weight: int) -> Mapping:
     """One structure-constant table by name: alpha, beta, gamma, a, b, aprime or bprime."""
     if family == "alpha":
         return alpha_table(max_weight)

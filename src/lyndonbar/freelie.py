@@ -12,8 +12,10 @@ Zero coefficients are never stored.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .linalg import add_term, combine
 from .words import is_lyndon, lyndon_words, standard_factorization
@@ -102,11 +104,12 @@ def basis_element(w: str) -> LieElement:
 
 
 @lru_cache(maxsize=None)
-def alpha_table(max_weight: int) -> dict[tuple[str, str, str], Fraction]:
+def alpha_table(max_weight: int) -> Mapping[tuple[str, str, str], Fraction]:
     """Structure constants [[U],[V]] = sum_W alpha[W,U,V] [W], for Lyndon U < V.
 
     Covers all pairs with len(U) + len(V) <= max_weight; entries are integral
-    (asserted) and keyed (W, U, V) with zero entries absent.
+    (asserted) and keyed (W, U, V) with zero entries absent.  The cached table
+    is returned as a read-only view.
     """
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
@@ -125,4 +128,4 @@ def alpha_table(max_weight: int) -> dict[tuple[str, str, str], Fraction]:
                             f"alpha[{w},{u},{v}] breaks the weight grading"
                         )
                     table[(w, u, v)] = c
-    return table
+    return MappingProxyType(table)

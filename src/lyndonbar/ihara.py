@@ -8,9 +8,11 @@ derivations on the x copy.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .freelie import (
     LieElement,
@@ -89,12 +91,13 @@ def _integral(value: Fraction, what: str) -> Fraction:
 @lru_cache(maxsize=None)
 def beta_gamma_tables(
     max_weight: int,
-) -> tuple[dict[tuple[str, str, str], Fraction], dict[tuple[str, str, str], Fraction]]:
+) -> tuple[Mapping[tuple[str, str, str], Fraction], Mapping[tuple[str, str, str], Fraction]]:
     """The beta and gamma structure-constant tables up to total weight ``max_weight``.
 
     beta[W,U,V] is read off from {[U](x), [V](1)} = -D_[V]([U]) over all ordered
     pairs (U, V), including U = V; gamma[W,U,V] from the Ihara bracket
-    {[U](1), [V](1)} for U < V.  All entries are integral (asserted).
+    {[U](1), [V](1)} for U < V.  All entries are integral (asserted).  The
+    cached tables are returned as read-only views.
     """
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
@@ -111,4 +114,4 @@ def beta_gamma_tables(
             if u < v:
                 for w, c in ihara_bracket(eu, ev).items():
                     gamma[(w, u, v)] = _integral(c, f"gamma[{w},{u},{v}]")
-    return beta, gamma
+    return MappingProxyType(beta), MappingProxyType(gamma)

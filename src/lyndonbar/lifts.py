@@ -12,7 +12,7 @@ as a hypothesis and audited against both closedness and the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -411,7 +411,6 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     return report
 
 
-@lru_cache(maxsize=None)
 def lift_LB(W: str, variant: str, method: str = "auto") -> tuple:
     """Produce the lifted bar element for a Lyndon word of weight >= 2.
 
@@ -423,8 +422,15 @@ def lift_LB(W: str, variant: str, method: str = "auto") -> tuple:
       as-is (it is not expected to be closed);
     * ``"oracle"`` -- the exact linear solve.
 
-    Returns ``(element, report)``.
+    Returns ``(element, report)``, both new on every call, so a caller may
+    change them without touching the cached lift.
     """
+    element, report = _lift_LB(W, variant, method)
+    return dict(element), replace(report, notes=list(report.notes))
+
+
+@lru_cache(maxsize=None)
+def _lift_LB(W: str, variant: str, method: str) -> tuple:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if len(W) < 2:
@@ -559,9 +565,16 @@ def verify_EDQX(W: str, method: str = "auto") -> dict:
     }
 
 
-@lru_cache(maxsize=None)
 def geometric_lift(W: str, method: str = "auto") -> BarElement:
-    """The lift pushed into the quotient model dual to the free Lie algebra."""
+    """The lift pushed into the quotient model dual to the free Lie algebra.
+
+    Returns a new dict on every call.
+    """
+    return dict(_geometric_lift(W, method))
+
+
+@lru_cache(maxsize=None)
+def _geometric_lift(W: str, method: str) -> BarElement:
     from .dgcore import geom_projection_images
 
     n = len(W)

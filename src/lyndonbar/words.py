@@ -47,16 +47,25 @@ def is_lyndon(w: str) -> bool:
 
 @lru_cache(maxsize=None)
 def lyndon_words(max_len: int) -> tuple[str, ...]:
-    """All Lyndon words of length <= ``max_len``, in lexicographic order."""
+    """All Lyndon words of length <= ``max_len``, in lexicographic order.
+
+    Duval's algorithm (J. Algorithms 4, 1983): from a Lyndon word w, repeat
+    w up to length ``max_len``, drop trailing 1s and raise the last letter;
+    the result is the next Lyndon word, so no non-Lyndon word is visited.
+    """
     if max_len < 1:
         raise InvalidWordError("max_len must be >= 1")
     found = []
-    for n in range(1, max_len + 1):
-        for k in range(2**n):
-            w = format(k, f"0{n}b")
-            if is_lyndon(w):
-                found.append(w)
-    found.sort()
+    w = ["0"]
+    while w:
+        found.append("".join(w))
+        m = len(w)
+        while len(w) < max_len:
+            w.append(w[len(w) - m])
+        while w and w[-1] == "1":
+            w.pop()
+        if w:
+            w[-1] = "1"
     return tuple(found)
 
 

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyndonbar.bar import (
     InvalidElementError,
+    _hain_word,
     bar_differential,
     coproduct,
     delta_Q,
@@ -24,8 +29,10 @@ from lyndonbar.linalg import add_term, combine
 from lyndonbar.verify import random_bar_element
 
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 P4 = model_x(4)
 P5 = model_x(5)
+P6 = model_x(6)
 
 
 def samples(p, n=100, max_weight=4, seed=42):
@@ -193,3 +200,99 @@ def test_delta_q_antisymmetric():
 def test_pi1():
     b = {(("L0_01",),): Fraction(2), (("L1_0",), ("L0_1",)): ONE}
     assert pi1(b) == {("L0_01",): 2}
+
+
+# ---------------------------------------------------------------------------
+# the composition-sum projector and the pairwise cobracket, kept as references
+
+
+def iterated_reduced_coproduct(word, parts):
+    """Every split of ``word`` into ``parts`` nonempty blocks."""
+    n = len(word)
+    for cuts in combinations(range(1, n), parts - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(word[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def multi_shuffle(blocks, p):
+    out = {blocks[0]: ONE}
+    for w in blocks[1:]:
+        out = shuffle(out, {w: ONE}, p)
+    return out
+
+
+def reference_hain_word(p, word):
+    """p([word]) = sum_i ((-1)^(i-1)/i) sum over i-block splits of their shuffle."""
+    return dict(_reference_hain_word(p, word))
+
+
+@lru_cache(maxsize=None)
+def _reference_hain_word(p, word):
+    out = {word: ONE}
+    for i in range(2, len(word) + 1):
+        coeff = Fraction((-1) ** (i - 1), i)
+        for blocks in iterated_reduced_coproduct(word, i):
+            for sh_word, sh_c in multi_shuffle(blocks, p).items():
+                add_term(out, sh_word, coeff * sh_c)
+    return tuple(out.items())
+
+
+def reference_delta_Q(b, p):
+    """(1/2)(red - tau o red) with both legs projected, one pair at a time."""
+    red = reduced_coproduct(b)
+    anti = combine((HALF, red), (-HALF, tensor_swap(red, p)))
+    out: dict = {}
+    for (w1, w2), c in anti.items():
+        for v1, c1 in reference_hain_word(p, w1).items():
+            for v2, c2 in reference_hain_word(p, w2).items():
+                add_term(out, (v1, v2), c * c1 * c2)
+    return out
+
+
+_P4_GENS = [(g.name,) for g in P4.generators]
+# products of two distinct odd generators have desuspended degree 1
+_P4_PAIRS = [a + b for a, b in combinations(_P4_GENS, 2)]
+# slots of desuspended degree 0 and 1 over P4, so Koszul signs appear
+mixed_words = st.lists(
+    st.one_of(st.sampled_from(_P4_GENS), st.sampled_from(_P4_PAIRS)), min_size=1, max_size=5
+).map(tuple)
+
+
+def slice_words(max_size):
+    """Words of the degree-0 slice over model_x(6): single-generator slots."""
+    gens = [(g.name,) for g in P6.generators]
+    return st.lists(st.sampled_from(gens), min_size=1, max_size=max_size).map(tuple)
+
+
+coeffs = st.sampled_from([Fraction(c) for c in (-3, -2, -1, 1, 2)] + [Fraction(1, 3), Fraction(-5, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_words)
+def test_hain_word_matches_the_composition_sum_with_signs(word):
+    got = _hain_word(P4, word)
+    assert dict(got) == reference_hain_word(P4, word)
+    assert all(type(c) is Fraction and c for _, c in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slice_words(6))
+def test_hain_word_matches_the_composition_sum_in_degree_zero(word):
+    assert dict(_hain_word(P6, word)) == reference_hain_word(P6, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(mixed_words, coeffs, min_size=1, max_size=2))
+def test_delta_q_matches_the_pairwise_reference_with_signs(b):
+    got = delta_Q(b, P4)
+    assert got == reference_delta_Q(b, P4)
+    assert all(type(c) is Fraction for c in got.values())
+    h = hain_projector(b, P4)
+    assert delta_Q(h, P4) == reference_delta_Q(h, P4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(slice_words(5), coeffs, min_size=1, max_size=3))
+def test_delta_q_matches_the_pairwise_reference_in_degree_zero(b):
+    h = hain_projector(b, P6)
+    assert delta_Q(h, P6) == reference_delta_Q(h, P6)

@@ -17,7 +17,7 @@ from lyndonbar.colie import (
     tensor_cobracket,
     wedge_coefficient,
 )
-from lyndonbar.freelie import basis_element
+from lyndonbar.freelie import alpha_table, basis_element
 from lyndonbar.ihara import SemidirectElement, beta_gamma_tables, semidirect_bracket
 from lyndonbar.linalg import combine
 from lyndonbar.words import lyndon_words
@@ -174,3 +174,14 @@ def test_corrupted_alpha_breaks_co_jacobi():
     t = tensor_cobracket({("x", "0011"): ONE})
     defect = co_jacobi_defect({("x", "0011"): ONE})
     assert defect == {} and t  # sanity: nonzero cobracket, zero defect
+
+
+def test_cached_tables_are_read_only():
+    for table in (alpha_table(6), *beta_gamma_tables(6), *ab_tables(6)):
+        key = next(iter(table))
+        value = table[key]
+        with pytest.raises(TypeError):
+            table[key] = value + 1
+        with pytest.raises(TypeError):
+            table[("0" * 9, "0", "1")] = ONE
+    assert alpha_table(4)[("01", "0", "1")] == 1

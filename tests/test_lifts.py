@@ -22,6 +22,7 @@ from lyndonbar.lifts import (
     delta_tree,
     enumerate_trees,
     generator_map,
+    geometric_lift,
     lift_LB,
     published_constants,
     relate_families,
@@ -299,6 +300,25 @@ def test_oracle_returns_a_fresh_lift_each_call():
     again, dim_again = closed_lift_oracle("0011", "plain")
     assert again == expected and dim_again == dim
     assert again is not closed_lift_oracle("0011", "plain")[0]
+
+
+def test_lifts_are_fresh_each_call():
+    element, report = lift_LB("001", "plain", "claim")
+    expected, notes = dict(element), list(report.notes)
+    assert notes and not report.closed
+    element[(("L0_1",),)] = ONE
+    element.pop(next(iter(expected)))
+    report.notes.append("changed by the caller")
+    report.closed = True
+    again, report_again = lift_LB("001", "plain", "claim")
+    assert again == expected
+    assert report_again.notes == notes and not report_again.closed
+    assert again is not lift_LB("001", "plain", "claim")[0]
+
+    geom = geometric_lift("0011")
+    expected = dict(geom)
+    geom.clear()
+    assert geometric_lift("0011") == expected != {}
 
 
 def test_verify_edqx_weight_2_to_4():

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lyndonbar
 from lyndonbar.cli import main
 from lyndonbar.verify import run_suites
 
@@ -140,7 +145,10 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        assert capsys.readouterr().out == "", argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        # the usage line is the subcommand's, not the top-level one
+        assert captured.err.startswith(f"usage: lyndonbar {argv[0]} "), argv
 
 
 def test_out_file(tmp_path, capsys):
@@ -150,3 +158,17 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text()) == ["0", "001", "01", "011", "1"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(lyndonbar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "lyndonbar", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"lyndonbar {lyndonbar.__version__}\n"

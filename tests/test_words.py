@@ -74,6 +74,36 @@ def test_enumeration_matches_ordered_list():
     assert list(lyndon_words(1)) == ["0", "1"]
 
 
+def witt_count(n: int, k: int = 2) -> int:
+    """(1/n) sum_{d | n} mu(d) k^(n/d): the number of Lyndon words of length n."""
+
+    def mobius(d):
+        sign, q = 1, 2
+        while q * q <= d:
+            if d % q == 0:
+                d //= q
+                if d % q == 0:
+                    return 0
+                sign = -sign
+            q += 1
+        return -sign if d > 1 else sign
+
+    return sum(mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_enumeration_matches_the_brute_force_scan():
+    # the scan of all 2^n strings that Duval's algorithm replaced
+    for max_len in range(1, 13):
+        scan = sorted(
+            w for n in range(1, max_len + 1) for w in all_words(n) if brute_force_lyndon(w)
+        )
+        assert lyndon_words(max_len) == tuple(scan), max_len
+    words = lyndon_words(12)
+    for n in range(1, 13):
+        assert sum(len(w) == n for w in words) == witt_count(n), n
+    assert [witt_count(n) for n in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
+
+
 def test_count_at_length_5():
     expected = [w for w in all_words(5) if brute_force_lyndon(w)]
     assert len(expected) == 6
