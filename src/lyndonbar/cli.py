@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .colie import basis_of, change_basis, cobracket, coefficient_table
+from .colie import TAG_PREFIX, basis_of, change_basis, cobracket, coefficient_table
 from .dgcore import model_a1, model_point, model_x
 from .lifts import VARIANTS, enumerate_trees, lift_LB
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suites
@@ -32,8 +32,7 @@ _BOUNDS = {
     "verify": ("max_weight", 2, HARD_CAP),
 }
 
-_TAG_SYNTAX = {"T0": "t0", "T1": "t1", "Tx": "x", "T@1": "one"}
-_TAG_NAMES = {v: k for k, v in _TAG_SYNTAX.items()}
+_TAG_FAMILY = {prefix: family for family, prefix in TAG_PREFIX.items()}
 
 
 def _frac(x: Fraction) -> str:
@@ -74,27 +73,32 @@ def cmd_coeffs(args, parser) -> int:
     return 0
 
 
-def _parse_tag(text: str) -> tuple:
+def _parse_tag(text: str, force: bool) -> tuple:
     if ":" not in text:
         raise InvalidWordError(f"tag {text!r} is not of the form FAMILY:WORD")
     prefix, word = text.split(":", 1)
-    if prefix not in _TAG_SYNTAX:
+    if prefix not in _TAG_FAMILY:
         raise InvalidWordError(
-            f"unknown tag family {prefix!r}; expected one of {sorted(_TAG_SYNTAX)}"
+            f"unknown tag family {prefix!r}; expected one of {sorted(_TAG_FAMILY)}"
+        )
+    # the length first: is_lyndon is quadratic in it
+    if len(word) > HARD_CAP and not force:
+        raise InvalidWordError(
+            f"weight {len(word)} exceeds the cap {HARD_CAP}; pass --force to override"
         )
     if not word or any(c not in "01" for c in word) or not is_lyndon(word):
         raise InvalidWordError(f"{word!r} is not a Lyndon word")
-    return (_TAG_SYNTAX[prefix], word)
+    return (_TAG_FAMILY[prefix], word)
 
 
 def _format_tag(tag) -> str:
     fam, word = tag
-    return f"{_TAG_NAMES[fam]}:{word}"
+    return f"{TAG_PREFIX[fam]}:{word}"
 
 
 def cmd_cobracket(args, parser) -> int:
     try:
-        tag = _parse_tag(args.tag)
+        tag = _parse_tag(args.tag, args.force)
     except InvalidWordError as exc:
         parser.error(str(exc))
     element = {tag: Fraction(1)}
@@ -153,10 +157,11 @@ def cmd_trees(args, parser) -> int:
 
 def cmd_lift(args, parser) -> int:
     word = args.word
-    if not word or any(c not in "01" for c in word) or not is_lyndon(word) or len(word) < 2:
-        parser.error(f"{word!r} is not a Lyndon word of weight >= 2")
+    # the length first: is_lyndon is quadratic in it
     if len(word) > HARD_CAP and not args.force:
         parser.error(f"weight {len(word)} exceeds the cap {HARD_CAP}; pass --force")
+    if len(word) < 2 or any(c not in "01" for c in word) or not is_lyndon(word):
+        parser.error(f"{word!r} is not a Lyndon word of weight >= 2")
     element, report = lift_LB(word, args.variant, args.method)
     payload = {
         "word": word,
@@ -233,6 +238,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("tag", help="T0:W, T1:W, Tx:W, or T@1:W")
     p.add_argument("--basis", choices=("x1", "t01"), default=None)
     p.add_argument("--format", choices=("json", "lines"), default="json")
+    p.add_argument("--force", action="store_true", help="override the weight cap")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cobracket)
 

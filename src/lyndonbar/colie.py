@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .freelie import TableInconsistencyError, alpha_table
 from .ihara import beta_gamma_tables
 from .linalg import add_term
-from .words import check_word, lyndon_words
+from .words import lyndon_words
 
 Tag = tuple  # (family, word)
 CoLieElement = dict  # Tag -> Fraction
@@ -30,21 +30,14 @@ WedgeElement = dict  # (Tag, Tag) canonical -> Fraction
 
 _BASIS_OF_FAMILY = {"x": "x1", "one": "x1", "t0": "t01", "t1": "t01"}
 _FAMILY_RANK = {"x": 0, "one": 1, "t0": 0, "t1": 1}
+# the printed form FAMILY:WORD of a tag, as the command line reads and writes it
+TAG_PREFIX = {"t0": "T0", "t1": "T1", "x": "Tx", "one": "T@1"}
 
 ONE = Fraction(1)
 
 
 class MixedBasisError(ValueError):
     """Raised when one element mixes x1-basis and t01-basis tags."""
-
-
-def tag(family: str, word: str) -> Tag:
-    if family not in _BASIS_OF_FAMILY:
-        raise ValueError(f"unknown tag family {family!r}")
-    check_word(word)
-    if word not in lyndon_words(len(word)):
-        raise ValueError(f"{word!r} is not a Lyndon word")
-    return (family, word)
 
 
 def basis_of(t: CoLieElement) -> str | None:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from .colie import TAG_PREFIX, coefficient_table
 from .colie import cobracket as colie_cobracket
-from .colie import coefficient_table
 from .freelie import TableInconsistencyError
 from .linalg import add_term
 from .words import lyndon_words, lyndon_words_of_length
@@ -248,7 +248,7 @@ def colie_presentation(max_weight: int, which: str = "t01") -> CoLiePresentation
         for w in lyndon_words(max_weight)
         for fam in families
     ]
-    names = {t: f"{_TAG_PREFIX[t[0]]}:{t[1]}" for t in tags}
+    names = {t: f"{TAG_PREFIX[t[0]]}:{t[1]}" for t in tags}
     basis = tuple(
         GradedGenerator(names[t], 0, len(t[1]))
         for t in sorted(tags, key=lambda t: (len(t[1]), t[0], t[1]))
@@ -262,9 +262,6 @@ def colie_presentation(max_weight: int, which: str = "t01") -> CoLiePresentation
             add_term(table, (names[b], names[a]), -half * c)
         cobr[names[t]] = table
     return CoLiePresentation(basis=basis, differential={}, cobracket=cobr)
-
-
-_TAG_PREFIX = {"t0": "T0", "t1": "T1", "x": "Tx", "one": "T@1"}
 
 
 # The quadratic differential of each generator family: (table, left family,

@@ -32,10 +32,14 @@ from .colie import ab_tables, coefficient_table, tensor_cobracket
 from .dgcore import (
     QUADRATIC_TERMS,
     CdgaPresentation,
+    geom_projection_images,
+    i1_fiber_images,
+    j_restriction_images,
     model_a1,
     model_geom,
     model_point,
     model_x,
+    transport,
 )
 from .freelie import alpha_table
 from .ihara import beta_gamma_tables
@@ -90,19 +94,6 @@ def _tag_delta_tree(tree, tag) -> tuple:
             for kb, cb in _tag_delta_tree(right, b):
                 add_term(out, ka + kb, c * ca * cb)
     return tuple(sorted(out.items()))
-
-
-def delta_tree(tree, t: dict) -> dict:
-    """The tree cobracket: one cobracket application at each internal vertex.
-
-    Returns a tensor power of the coalgebra as dict[tuple of tags] -> Fraction,
-    using the duality-normalized tensor form of the cobracket.
-    """
-    out: dict = {}
-    for tag, c in t.items():
-        for key, d in _tag_delta_tree(tree, tag):
-            add_term(out, key, c * d)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +191,6 @@ def adjunction_unit(
     model: CdgaPresentation,
     gmap: dict,
     constants=published_constants,
-    check_map: bool = True,
 ) -> BarElement:
     """phi(t): Hain projection of the constant-weighted tree-cobracket sum.
 
@@ -209,8 +199,7 @@ def adjunction_unit(
     result need not be closed for arbitrary constants; callers decide what to
     do with a nonzero bar differential.
     """
-    if check_map:
-        check_generator_map(gmap, model)
+    check_generator_map(gmap, model)
     total: BarElement = {}
     for tag, c in t.items():
         for n in range(1, len(tag[1]) + 1):
@@ -439,33 +428,29 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
     model = spec.model(len(W))
     gmap = generator_map(variant, len(W))
     source_tag = (spec.family, W)
-    if method == "oracle":
-        element, dim = closed_lift_oracle(W, variant, model)
-        report = verify_lift(element, W, variant, LiftReport(W, variant, "oracle"))
-        report.affine_dim = dim
-        return element, report
     if method == "claim":
         element = adjunction_unit({source_tag: ONE}, model, gmap)
         report = verify_lift(element, W, variant, LiftReport(W, variant, "claim"))
         if not report.closed:
             report.notes.append("NON-CLOSED with published constants")
         return element, report
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     notes = []
-    consts = solve_unit_constants(len(W))
-    if consts is not None:
-        element = adjunction_unit(
-            {source_tag: ONE}, model, gmap, constants=lambda n: consts[n - 1]
-        )
-        report = verify_lift(element, W, variant, LiftReport(W, variant, "unit"))
-        if report.all_ok:
-            return element, report
-        notes.append("unit formula failed verification; oracle fallback")
-    else:
-        notes.append(
-            f"no per-degree unit constants at weight {len(W)}; oracle fallback"
-        )
+    if method == "auto":
+        consts = solve_unit_constants(len(W))
+        if consts is not None:
+            element = adjunction_unit(
+                {source_tag: ONE}, model, gmap, constants=lambda n: consts[n - 1]
+            )
+            report = verify_lift(element, W, variant, LiftReport(W, variant, "unit"))
+            if report.all_ok:
+                return element, report
+            notes.append("unit formula failed verification; oracle fallback")
+        else:
+            notes.append(
+                f"no per-degree unit constants at weight {len(W)}; oracle fallback"
+            )
+    elif method != "oracle":
+        raise ValueError(f"unknown method {method!r}")
     element, dim = closed_lift_oracle(W, variant, model)
     report = verify_lift(element, W, variant, LiftReport(W, variant, "oracle"))
     report.affine_dim = dim
@@ -475,8 +460,6 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
 
 def bar_transport(b: BarElement, images: dict, target: CdgaPresentation) -> BarElement:
     """Slotwise application of a cdga morphism given by generator images."""
-    from .dgcore import transport
-
     out: BarElement = {}
     for word, c in b.items():
         slot_images = [transport({m: ONE}, images, target) for m in word]
@@ -504,11 +487,12 @@ def _formal_wedge_add(out: dict, x, y, c) -> None:
         add_term(out, (y, x), -c)
 
 
-def verify_EDQX(W: str, method: str = "auto") -> dict:
+def verify_EDQX(W: str) -> dict:
     """Three literal checks of the structure-constant form of the cobracket.
 
     (1) the coefficient identities expressing a and b through alpha and beta;
-    (2) the tensor-(1,1) component of the lifted element's cobracket;
+    (2) the lift's defining properties, among them the tensor-(1,1)
+        component of its cobracket;
     (3) the formal substitution of the one-family by the plain-minus-constant
         family, reproducing the alpha/beta form exactly.
 
@@ -531,10 +515,8 @@ def verify_EDQX(W: str, method: str = "auto") -> dict:
         if u < v
     ) and all(b.get((W, u, v), zero) == beta.get((W, v, u), zero) for (u, v) in pairs)
 
-    model = model_x(n)
-    element, report = lift_LB(W, "plain", method)
-    got = tensor_part(delta_Q(element, model), (1, 1))
-    check2 = got == prescribed_cobracket_11(W, "plain", model) and report.all_ok
+    _, report = lift_LB(W, "plain")
+    check2 = report.all_ok
 
     # formal identity on symbols: substitute one-family = plain - constant
     lhs: dict = {}
@@ -565,26 +547,24 @@ def verify_EDQX(W: str, method: str = "auto") -> dict:
     }
 
 
-def geometric_lift(W: str, method: str = "auto") -> BarElement:
+def geometric_lift(W: str) -> BarElement:
     """The lift pushed into the quotient model dual to the free Lie algebra.
 
     Returns a new dict on every call.
     """
-    return dict(_geometric_lift(W, method))
+    return dict(_geometric_lift(W))
 
 
 @lru_cache(maxsize=None)
-def _geometric_lift(W: str, method: str) -> BarElement:
-    from .dgcore import geom_projection_images
-
+def _geometric_lift(W: str) -> BarElement:
     n = len(W)
     if n == 1:
         return {((f"G_{W}",),): ONE}
-    element, _ = lift_LB(W, "plain", method)
+    element, _ = lift_LB(W, "plain")
     return bar_transport(element, geom_projection_images(n), model_geom(n))
 
 
-def verify_geom_basis(max_weight: int, method: str = "auto") -> dict:
+def verify_geom_basis(max_weight: int) -> dict:
     """Projected cobrackets carry only the alpha part, on a triangular family.
 
     For every Lyndon word of weight 2..max_weight, the cobracket of the
@@ -603,22 +583,15 @@ def verify_geom_basis(max_weight: int, method: str = "auto") -> dict:
         if n < 2:
             continue
         model = model_geom(n)
-        lifted = geometric_lift(W, method)
-        got = delta_Q(lifted, model)
+        got = delta_Q(geometric_lift(W), model)
         expected: BarTensor = {}
-        for u in lyndon_words(n - 1):
-            for v in lyndon_words(n - 1):
-                if not (u < v and len(u) + len(v) == n):
-                    continue
-                c = alpha.get((W, u, v), zero)
-                if not c:
-                    continue
-                # lower-weight lifts transfer verbatim: generator names are
-                # stable across the nested presentations
-                for key, val in wedge_pair(
-                    geometric_lift(u, method), geometric_lift(v, method), model
-                ).items():
-                    add_term(expected, key, c * val)
+        for (w, u, v), c in alpha.items():
+            if w != W:
+                continue
+            # lower-weight lifts transfer verbatim: generator names are
+            # stable across the nested presentations
+            for key, val in wedge_pair(geometric_lift(u), geometric_lift(v), model).items():
+                add_term(expected, key, c * val)
         cobracket_ok[W] = got == expected
         pairing_ok[W] = all(
             2 * got.get((((f"G_{u}",),), ((f"G_{v}",),)), zero) == alpha.get((W, u, v), zero)
@@ -631,7 +604,7 @@ def verify_geom_basis(max_weight: int, method: str = "auto") -> dict:
         words = [w for w in lyndon_words(p) if len(w) == p]
         matrix = {}
         for w in words:
-            row = pi1(geometric_lift(w, method))
+            row = pi1(geometric_lift(w))
             matrix[w] = {v: row.get((f"G_{v}",), zero) for v in words}
         rank_ok[p] = all(
             matrix[w][v] == (ONE if v == w else zero) for w in words for v in words
@@ -702,30 +675,26 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
     }
 
 
-def verify_fiber_identity(W: str, method: str = "auto") -> bool:
+def verify_fiber_identity(W: str) -> bool:
     """Slotwise fiber at 1 of the affine-line lift equals the point lift."""
-    from .dgcore import i1_fiber_images
-
     n = len(W)
-    diff_lift, _ = lift_LB(W, "diff", method)
-    point_lift, _ = lift_LB(W, "point", method)
+    diff_lift, _ = lift_LB(W, "diff")
+    point_lift, _ = lift_LB(W, "point")
     moved = bar_transport(diff_lift, i1_fiber_images(n), model_point(n))
     return moved == point_lift
 
 
-def relate_families(W: str, method: str = "auto") -> dict:
+def relate_families(W: str) -> dict:
     """The combination j*(diff) - plain + one: closed with zero degree-1 part.
 
     Its exact vanishing is reported, not asserted; the three-term relation
     between the families holds in cohomology modulo shuffles.
     """
-    from .dgcore import j_restriction_images
-
     n = len(W)
     model = model_x(n)
-    diff_lift, _ = lift_LB(W, "diff", method)
-    plain, _ = lift_LB(W, "plain", method)
-    one, _ = lift_LB(W, "one", method)
+    diff_lift, _ = lift_LB(W, "diff")
+    plain, _ = lift_LB(W, "plain")
+    one, _ = lift_LB(W, "one")
     moved = bar_transport(diff_lift, j_restriction_images(n), model)
     x = combine((1, moved), (-1, plain), (1, one))
     return {

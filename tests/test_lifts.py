@@ -14,12 +14,12 @@ from lyndonbar.dgcore import CdgaPresentation, model_x
 from lyndonbar.lifts import (
     InfeasibleLiftError,
     InvalidMorphismError,
+    _tag_delta_tree,
     adjunction_unit,
     audit_adjunction_unit,
     catalan,
     check_generator_map,
     closed_lift_oracle,
-    delta_tree,
     enumerate_trees,
     generator_map,
     geometric_lift,
@@ -35,6 +35,19 @@ from lyndonbar.linalg import add_term
 from lyndonbar.words import lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
+
+
+def delta_tree(tree, t: dict) -> dict:
+    """The tree cobracket: one cobracket application at each internal vertex.
+
+    Returns a tensor power of the coalgebra as dict[tuple of tags] -> Fraction,
+    using the duality-normalized tensor form of the cobracket.
+    """
+    out: dict = {}
+    for tag, c in t.items():
+        for key, d in _tag_delta_tree(tree, tag):
+            add_term(out, key, c * d)
+    return out
 
 
 def leaf_count(tree) -> int:
@@ -209,6 +222,18 @@ def test_oracle_feasible_all_variants_weights_2_to_5():
         for variant in ("plain", "one", "diff", "const"):
             element, report = lift_LB(W, variant, "oracle")
             assert report.all_ok, (W, variant, report)
+
+
+def test_auto_falls_back_to_the_oracle_at_weight_6():
+    element, report = lift_LB("001011", "one")
+    assert report.method == "oracle" and report.affine_dim == 0 and report.all_ok
+    assert report.notes == ["no per-degree unit constants at weight 6; oracle fallback"]
+    assert element == closed_lift_oracle("001011", "one")[0]
+
+
+def test_unknown_lift_method_rejected():
+    with pytest.raises(ValueError, match="unknown method"):
+        lift_LB("01", "plain", "bogus")
 
 
 def test_const_lift_uses_only_constant_generators():

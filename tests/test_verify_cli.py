@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -137,6 +138,7 @@ USAGE_ERRORS = [
     ["trees", "--leaves", "13"],
     ["model", "--space", "x", "--max-weight", "9"],
     ["verify", "--suite", "words", "--max-weight", "9"],
+    ["cobracket", "T0:000000001"],
 ]
 
 
@@ -149,6 +151,19 @@ def test_usage_errors_exit_two(capsys):
         assert captured.out == "", argv
         # the usage line is the subcommand's, not the top-level one
         assert captured.err.startswith(f"usage: lyndonbar {argv[0]} "), argv
+
+
+# sha256 of the stdout of `verify --suite all --max-weight 6 --format json`,
+# recorded before the suites lost their `method` argument
+GOLDEN_VERIFY_W6 = "1becc46b4a8cfa2989b7a94d7c62f7e7aa1d7442297b5280dc383b67d15bb74d"
+
+
+def test_verify_all_weight_6_matches_golden_digest(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--suite", "all", "--max-weight", "6", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_W6
 
 
 def test_out_file(tmp_path, capsys):
