@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .dgcore import CdgaPresentation
 from .linalg import add_term
@@ -77,14 +78,6 @@ def coproduct(b: BarElement) -> BarTensor:
     return out
 
 
-def reduced_coproduct(b: BarElement) -> BarTensor:
-    out: BarTensor = {}
-    for word, c in b.items():
-        for i in range(1, len(word)):
-            add_term(out, (word[:i], word[i:]), c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _shuffle_words(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
     """The signed shuffle of two bar words: sorted (word, integer) pairs."""
@@ -100,8 +93,8 @@ def _shuffle_words(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
             return
         for rest, s in rec(a[1:], b):
             yield (a[0],) + rest, s
-        cross = sdeg(b[0]) * sum(sdeg(m) for m in a)
-        factor = -1 if cross % 2 else 1
+        # the sign is odd only when b[0] and the whole of a are both odd
+        factor = -1 if sdeg(b[0]) % 2 and sum(sdeg(m) for m in a) % 2 else 1
         for rest, s in rec(a, b[1:]):
             yield (b[0],) + rest, s * factor
 
@@ -211,10 +204,14 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     """
     # red - tau o red, grouped by left leg; the 1/2 goes into the denominator
     by_left: dict = {}
-    for (w1, w2), c in reduced_coproduct(b).items():
-        sign = -1 if (bar_degree(w1, p) * bar_degree(w2, p)) % 2 else 1
-        add_term(by_left.setdefault(w1, {}), w2, c)
-        add_term(by_left.setdefault(w2, {}), w1, -sign * c)
+    for word, c in b.items():
+        # the running degree sums give each split's leg degrees
+        eta = list(accumulate((p.monomial_degree(m) - 1 for m in word), initial=0))
+        for i in range(1, len(word)):
+            w1, w2 = word[:i], word[i:]
+            sign = -1 if eta[i] % 2 and (eta[-1] - eta[i]) % 2 else 1
+            add_term(by_left.setdefault(w1, {}), w2, c)
+            add_term(by_left.setdefault(w2, {}), w1, -sign * c)
     if not by_left:
         return {}
     # every product below is an integer over one common denominator: the

@@ -225,27 +225,31 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     model = model_x(max_weight)
     gmap = generator_map("plain", max_weight)
     variables = list(range(2, max_weight + 1))
-    equations = []
-    for w in lyndon_words(max_weight):
-        for fam in ("t0", "t1"):
-            if (fam, w) == ("t0", "0") or (fam, w) == ("t1", "1"):
-                continue
-            if len(w) < 2:
-                continue
-            pieces = {}
-            for n in range(1, len(w) + 1):
-                part = hain_projector(_slotify(_tree_sum((fam, w), n), gmap), model)
-                pieces[n] = bar_differential(part, model)
-            rows: dict = {}
-            for n, db in pieces.items():
-                for word, c in db.items():
-                    rows.setdefault(word, {})[n] = c
-            for word, byn in rows.items():
-                equations.append((byn, {"closed": -byn.pop(1, Fraction(0))}))
-    solutions, _ = solve_affine(equations, variables)
+
+    def equations():
+        # one tag's rows at a time, so the solve stops building tree sums at
+        # the first tag that makes the system inconsistent
+        for w in lyndon_words(max_weight):
+            for fam in ("t0", "t1"):
+                if (fam, w) == ("t0", "0") or (fam, w) == ("t1", "1"):
+                    continue
+                if len(w) < 2:
+                    continue
+                pieces = {}
+                for n in range(1, len(w) + 1):
+                    part = hain_projector(_slotify(_tree_sum((fam, w), n), gmap), model)
+                    pieces[n] = bar_differential(part, model)
+                rows: dict = {}
+                for n, db in pieces.items():
+                    for word, c in db.items():
+                        rows.setdefault(word, {})[n] = c
+                for word, byn in rows.items():
+                    yield byn, {"closed": -byn.pop(1, Fraction(0))}
+
+    solutions, _ = solve_affine(equations(), variables, labels=["closed"])
     if solutions is None:
         return None
-    solution = solutions.get("closed", {})  # no equations below weight 2
+    solution = solutions["closed"]
     return (ONE,) + tuple(solution[n] for n in variables)
 
 
@@ -298,13 +302,14 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     """
     lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
     images = {w: hain_projector({w: ONE}, model) for w in lyndon}
-    equations = [({w: ONE}, {w[0][0]: ONE}) for w in lyndon if len(w) == 1]
+    labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
+    equations = [({((g,),): ONE}, {g: ONE}) for g in labels]
     rows: dict = {}
     for w in lyndon:
         for iw, c in bar_differential(images[w], model).items():
             rows.setdefault(iw, {})[w] = c
     equations.extend((row, {}) for row in rows.values())
-    solutions, n_free = solve_affine(equations, lyndon)
+    solutions, n_free = solve_affine(equations, lyndon, labels=labels)
     return images, solutions or {}, n_free
 
 

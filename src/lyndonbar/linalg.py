@@ -37,27 +37,33 @@ def combine(*parts: tuple[Fraction | int, Mapping]) -> dict:
 def solve_affine(
     equations: Iterable[tuple[Mapping[K, Fraction], Mapping[L, Fraction]]],
     var_order: list[K],
+    *,
+    labels: Iterable[L],
 ) -> tuple[dict[L, dict[K, Fraction] | None] | None, int]:
     """Solve sparse affine systems ``sum(row[k] * x[k]) = rhs[label]`` exactly.
 
-    Each equation's right-hand side is a sparse dict from label to value; the
-    labels are the keys of all right-hand sides (zero values included), and
-    the system of a label reads ``rhs.get(label, 0)`` in every row.  Pivots are
-    chosen from the rows alone, as the smallest variable (in ``var_order``
-    position) of each reduced row, so all labels share one elimination and
-    each gets exactly the solution a solve for that label alone would give.
+    Each equation's right-hand side is a sparse dict from label to value, and
+    the system of a label reads ``rhs.get(label, 0)`` in every row; a
+    right-hand side naming a label outside ``labels`` raises ``ValueError``.
+    Pivots are chosen from the rows alone, as the smallest variable (in
+    ``var_order`` position) of each reduced row, so all labels share one
+    elimination and each gets exactly the solution a solve for that label
+    alone would give.
 
-    Returns ``(solutions, n_free)``: ``solutions`` maps each label to its
-    solution, with every free variable set to 0, or to None if that label's
-    system is inconsistent.  If every label's system is inconsistent, returns
-    ``(None, 0)``.
+    ``equations`` is consumed as a stream: once every label's system is
+    inconsistent no further row is pulled, and ``(None, 0)`` is returned.
+    Otherwise returns ``(solutions, n_free)``: ``solutions`` maps each label
+    to its solution, with every free variable set to 0, or to None if that
+    label's system is inconsistent.
     """
-    equations = list(equations)
-    labels = dict.fromkeys(label for _, rhs in equations for label in rhs)
+    labels = dict.fromkeys(labels)
     dead: set = set()
     pos = {v: i for i, v in enumerate(var_order)}
     pivots: dict[K, tuple[dict[K, Fraction], dict[L, Fraction]]] = {}
     for row, rhs in equations:
+        unknown = [k for k in rhs if k not in labels]
+        if unknown:
+            raise ValueError(f"right-hand side labels {unknown!r} are not in labels")
         work = {k: v for k, v in row.items() if v}
         work_rhs = {k: v for k, v in rhs.items() if v}
         # fully reduce against existing pivots; stored rows reference only

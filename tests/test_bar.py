@@ -19,7 +19,6 @@ from lyndonbar.bar import (
     delta_Q,
     hain_projector,
     pi1,
-    reduced_coproduct,
     shuffle,
     tensor_shuffle,
     tensor_swap,
@@ -235,6 +234,15 @@ def _reference_hain_word(p, word):
             for sh_word, sh_c in multi_shuffle(blocks, p).items():
                 add_term(out, sh_word, coeff * sh_c)
     return tuple(out.items())
+
+
+def reduced_coproduct(b):
+    """The deconcatenations of each word into two nonempty legs."""
+    out: dict = {}
+    for word, c in b.items():
+        for i in range(1, len(word)):
+            add_term(out, (word[:i], word[i:]), c)
+    return out
 
 
 def reference_delta_Q(b, p):

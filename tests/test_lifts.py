@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from lyndonbar import lifts
 from lyndonbar.bar import pi1
 from lyndonbar.colie import tensor_cobracket
 from lyndonbar.dgcore import CdgaPresentation, model_x
@@ -178,10 +179,30 @@ def test_solved_constants_drop_the_power_of_two():
     for n in range(1, 6):
         assert solved[n - 1] == Fraction(1, n * catalan(n - 1))
         assert published_constants(n) == solved[n - 1] / 2**n
+    # each weight's own solve gives the same constants up to its degree
+    for n in range(2, 6):
+        assert solve_unit_constants.__wrapped__(n) == solved[:n]
+    assert solve_unit_constants.__wrapped__(1) == (ONE,)
 
 
-def test_no_per_degree_constants_at_weight_6():
+def test_no_per_degree_constants_at_weight_6(monkeypatch):
     assert solve_unit_constants(6) is None
+    # the probe streams its rows into the solve, which stops at the first
+    # contradiction: the tree sums of the 42 source tags are built only up
+    # to the ninth, t0:000101
+    tree_sum = lifts._tree_sum
+    built = []
+
+    def recording_tree_sum(tag, n):
+        if tag not in built:
+            built.append(tag)
+        return tree_sum(tag, n)
+
+    monkeypatch.setattr(lifts, "_tree_sum", recording_tree_sum)
+    assert solve_unit_constants.__wrapped__(6) is None
+    tags = [(fam, w) for w in lyndon_words(6) if len(w) > 1 for fam in ("t0", "t1")]
+    assert len(tags) == 42
+    assert built == tags[:9] and built[-1] == ("t0", "000101")
 
 
 def test_unit_on_weight_one_tag():

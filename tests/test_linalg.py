@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,13 +53,29 @@ def solve_single(equations, var_order):
     return solution, len(var_order) - len(pivots)
 
 
+def single_rows(equations, label):
+    """The one-right-hand-side system of ``label``."""
+    return [(row, rhs.get(label, ZERO)) for row, rhs in equations]
+
+
 def assert_matches_reference(equations, var_order):
-    """Every label of the shared solve equals the reference run on that label."""
-    solutions, n_free = solve_affine(equations, var_order)
-    labels = {label for _, rhs in equations for label in rhs}
+    """Every label of the shared solve equals the reference run on that label.
+
+    The equations go in as a stream; a solve that gives up must have stopped
+    at the row that made the last label inconsistent, and not before it.
+    """
+    labels = list(dict.fromkeys(label for _, rhs in equations for label in rhs))
+    pulled = []
+
+    def stream():
+        for eq in equations:
+            pulled.append(eq)
+            yield eq
+
+    solutions, n_free = solve_affine(stream(), var_order, labels=labels)
     feasible = 0
     for label in labels:
-        single = [(row, rhs.get(label, ZERO)) for row, rhs in equations]
+        single = single_rows(equations, label)
         ref, ref_free = solve_single(single, var_order)
         got = None if solutions is None else solutions[label]
         if ref is None:
@@ -71,8 +88,16 @@ def assert_matches_reference(equations, var_order):
             assert sum(c * got[k] for k, c in row.items()) == rhs, label
     if solutions is None:
         assert labels and not feasible and n_free == 0
+        for label in labels:
+            ref, _ = solve_single(single_rows(pulled, label), var_order)
+            assert ref is None, label
+        assert any(
+            solve_single(single_rows(pulled[:-1], label), var_order)[0] is not None
+            for label in labels
+        )
     else:
-        assert set(solutions) == labels
+        assert list(solutions) == labels
+        assert len(pulled) == len(equations)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -121,7 +146,7 @@ def test_free_variables_and_mixed_feasibility():
         ({"x": 2 * one, "y": 2 * one}, {"ok": Fraction(4), "bad": Fraction(3)}),
         ({"z": one}, {"ok": Fraction(-1, 2)}),
     ]
-    solutions, n_free = solve_affine(equations, ["x", "y", "z", "w"])
+    solutions, n_free = solve_affine(equations, ["x", "y", "z", "w"], labels=["ok", "bad", "zero"])
     assert n_free == 2
     assert solutions == {
         "ok": {"x": 2, "y": 0, "z": Fraction(-1, 2), "w": 0},
@@ -134,5 +159,29 @@ def test_free_variables_and_mixed_feasibility():
 def test_all_labels_inconsistent():
     one = Fraction(1)
     equations = [({"x": one}, {"a": one}), ({"x": one}, {"a": 2 * one})]
-    assert solve_affine(equations, ["x"]) == (None, 0)
-    assert solve_affine([], ["x"]) == ({}, 1)
+    assert solve_affine(equations, ["x"], labels=["a"]) == (None, 0)
+    assert solve_affine([], ["x"], labels=[]) == ({}, 1)
+    # a label no row names has the homogeneous system
+    assert solve_affine([], ["x"], labels=["a"]) == ({"a": {"x": 0}}, 1)
+
+
+def test_stops_at_the_row_that_kills_the_last_label():
+    one = Fraction(1)
+
+    def stream():
+        yield {"x": one}, {"a": one, "b": one}
+        yield {"x": one}, {"a": 2 * one, "b": one}  # kills a
+        yield {"y": one}, {"b": one}
+        yield {"x": one, "y": one}, {"b": one}  # kills b, the last live label
+        raise AssertionError("a row after the last live label died was pulled")
+
+    assert solve_affine(stream(), ["x", "y"], labels=["a", "b"]) == (None, 0)
+
+
+def test_a_label_outside_labels_raises():
+    one = Fraction(1)
+    equations = [({"x": one}, {"a": one}), ({"x": one}, {"b": ZERO})]
+    with pytest.raises(ValueError, match="'b'"):
+        solve_affine(equations, ["x"], labels=["a"])
+    with pytest.raises(ValueError):
+        solve_affine(equations, ["x"], labels=[])
