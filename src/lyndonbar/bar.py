@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import Mapping
 
 from .dgcore import CdgaPresentation
 from .linalg import add_term
@@ -45,28 +46,70 @@ def bar_differential(b: BarElement, p: CdgaPresentation) -> BarElement:
 
     D1 carries the suspension sign -(-1)^(eta(i-1)) and D2 the sign
     -(-1)^(eta(i)), where eta is the running sum of desuspended slot degrees.
+    The sum runs in integers over one common denominator.
     """
     check_element(b)
-    out: BarElement = {}
+    if not b:
+        return {}
+    den = math.lcm(*(c.denominator for c in b.values()))
+    numerators = {w: c.numerator * (den // c.denominator) for w, c in b.items()}
+    d_den, out = differential_numerators(numerators, p)
+    denom = den * d_den
+    return {w: Fraction(v, denom) for w, v in out.items()}
+
+
+def differential_numerators(b: Mapping[BarWord, int], p: CdgaPresentation) -> tuple:
+    """d_B of an element with integer coefficients, without Fractions.
+
+    Returns ``(D, numerators)``: d_B(b) is ``numerators`` over D, the
+    presentation's differential denominator (1 for the integral models).
+    """
+    d_den = _differential_denominator(p)
+    out: dict = {}
     for word, c in b.items():
-        n = len(word)
-        eta = [0] * (n + 1)
+        odd = 0  # the parity of eta before slot i
         for i, m in enumerate(word):
-            eta[i + 1] = eta[i] + p.monomial_degree(m) - 1
-        for i, m in enumerate(word):
-            dm = p.monomial_differential(m)
+            slot_odd, dm = _slot(p, m)
             if dm:
-                sign = -(-1) ** (eta[i] % 2)
-                for m2, c2 in dm.items():
-                    add_term(out, word[:i] + (m2,) + word[i + 1 :], sign * c * c2)
-        for i in range(n - 1):
-            prod = p.multiply_monomials(word[i], word[i + 1])
-            if prod is None:
-                continue
-            s, m2 = prod
-            sign = -(-1) ** (eta[i + 1] % 2)
-            add_term(out, word[:i] + (m2,) + word[i + 2 :], sign * s * c)
-    return out
+                sc = c if odd else -c
+                for m2, c2 in dm:
+                    key = word[:i] + (m2,) + word[i + 1 :]
+                    out[key] = out.get(key, 0) + sc * c2
+            odd ^= slot_odd
+            if i + 1 < len(word):
+                prod = _slot_product(p, m, word[i + 1])
+                if prod is not None:
+                    s, m2 = prod
+                    key = word[:i] + (m2,) + word[i + 2 :]
+                    out[key] = out.get(key, 0) + (s if odd else -s) * c * d_den
+    return d_den, {w: v for w, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _differential_denominator(p: CdgaPresentation) -> int:
+    """The lcm of the denominators in the generators' differentials.
+
+    Every monomial differential is a sum of signed generator-differential
+    coefficients, so its denominators divide this one.
+    """
+    return math.lcm(*(c.denominator for d in p.differential.values() for c in d.values()))
+
+
+@lru_cache(maxsize=None)
+def _slot(p: CdgaPresentation, m) -> tuple:
+    """(parity of the desuspended degree, d(m) as integer numerators over D)."""
+    d_den = _differential_denominator(p)
+    dm = tuple(
+        (m2, c.numerator * (d_den // c.denominator))
+        for m2, c in p.monomial_differential(m).items()
+    )
+    return (p.monomial_degree(m) - 1) % 2, dm
+
+
+@lru_cache(maxsize=None)
+def _slot_product(p: CdgaPresentation, m1, m2):
+    """The product of two adjacent slots: (sign, monomial), or None if zero."""
+    return p.multiply_monomials(m1, m2)
 
 
 def coproduct(b: BarElement) -> BarTensor:
@@ -81,25 +124,29 @@ def coproduct(b: BarElement) -> BarTensor:
 @lru_cache(maxsize=None)
 def _shuffle_words(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
     """The signed shuffle of two bar words: sorted (word, integer) pairs."""
-    def sdeg(m):
-        return p.monomial_degree(m) - 1
+    n1, n2 = len(w1), len(w2)
+    odd2 = [(p.monomial_degree(m) - 1) % 2 for m in w2]
+    # tail1[i]: the parity of the desuspended degrees of w1[i:]
+    tail1 = [0] * (n1 + 1)
+    for i in range(n1 - 1, -1, -1):
+        tail1[i] = tail1[i + 1] ^ (p.monomial_degree(w1[i]) - 1) % 2
 
-    def rec(a: BarWord, b: BarWord):
-        if not a:
-            yield b, 1
+    def rec(i: int, j: int):
+        if i == n1:
+            yield w2[j:], 1
             return
-        if not b:
-            yield a, 1
+        if j == n2:
+            yield w1[i:], 1
             return
-        for rest, s in rec(a[1:], b):
-            yield (a[0],) + rest, s
-        # the sign is odd only when b[0] and the whole of a are both odd
-        factor = -1 if sdeg(b[0]) % 2 and sum(sdeg(m) for m in a) % 2 else 1
-        for rest, s in rec(a, b[1:]):
-            yield (b[0],) + rest, s * factor
+        for rest, s in rec(i + 1, j):
+            yield (w1[i],) + rest, s
+        # moving w2[j] past the rest of w1 is odd only when both are odd
+        factor = -1 if odd2[j] and tail1[i] else 1
+        for rest, s in rec(i, j + 1):
+            yield (w2[j],) + rest, s * factor
 
     out: dict = {}
-    for word, s in rec(w1, w2):
+    for word, s in rec(0, 0):
         out[word] = out.get(word, 0) + s
     return tuple(sorted((word, c) for word, c in out.items() if c))
 
@@ -129,6 +176,7 @@ def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTens
     return out
 
 
+@lru_cache(maxsize=None)
 def _lcm_upto(n: int) -> int:
     """lcm(1..n), the common denominator of p on words of length n."""
     return math.lcm(*range(1, n + 1))
@@ -136,7 +184,7 @@ def _lcm_upto(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _hain_word(p: CdgaPresentation, word: BarWord) -> tuple:
-    """p([word]) as (bar word, Fraction) pairs, by the convolution logarithm.
+    """p([word]) as (bar word, integer) pairs over lcm(1..len(word)).
 
     The i-th convolution power of J = id - epsilon sends a word to the
     shuffle of its i-block deconcatenations.  Over suffixes it obeys
@@ -155,7 +203,7 @@ def _hain_word(p: CdgaPresentation, word: BarWord) -> tuple:
         scale = denom // i if i % 2 else -(denom // i)
         for w, c in powers[0].items():
             total[w] = total.get(w, 0) + scale * c
-    return tuple((w, Fraction(c, denom)) for w, c in total.items() if c)
+    return tuple((w, c) for w, c in total.items() if c)
 
 
 def _shuffle_suffixes(
@@ -171,20 +219,32 @@ def _shuffle_suffixes(
     return {w: c for w, c in out.items() if c}
 
 
+def hain_numerators(word: BarWord, p: CdgaPresentation) -> tuple:
+    """p([word]) without Fractions: ``(lcm(1..len(word)), {bar word: numerator})``."""
+    return _lcm_upto(len(word)), dict(_hain_word(p, word))
+
+
 def hain_projector(b: BarElement, p: CdgaPresentation) -> BarElement:
     """Hain's idempotent projector onto indecomposables.
 
     p([a_1|...|a_n]) = sum_i ((-1)^(i-1)/i) * shuffle of the i-fold reduced
-    coproduct; single slots are fixed and proper shuffle products die.
+    coproduct; single slots are fixed and proper shuffle products die.  The
+    words' projections are summed in integers over one common denominator.
     """
     check_element(b)
     if () in b:
         raise InvalidElementError("empty-word component present")
-    out: BarElement = {}
+    if not b:
+        return {}
+    den = math.lcm(*(c.denominator for c in b.values()))
+    longest = _lcm_upto(max(map(len, b)))
+    out: dict = {}
     for word, c in b.items():
-        for w2, c2 in _hain_word(p, word):
-            add_term(out, w2, c * c2)
-    return out
+        scale = c.numerator * (den // c.denominator) * (longest // _lcm_upto(len(word)))
+        for w, num in _hain_word(p, word):
+            out[w] = out.get(w, 0) + scale * num
+    denom = den * longest
+    return {w: Fraction(v, denom) for w, v in out.items() if v}
 
 
 def tensor_swap(t: BarTensor, p: CdgaPresentation) -> BarTensor:
@@ -202,46 +262,48 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     The input must be in the image of the Hain projector; the output is an
     antisymmetric tensor with both legs projected back to indecomposables.
     """
-    # red - tau o red, grouped by left leg; the 1/2 goes into the denominator
+    # red - tau o red in integers over den, grouped by left leg; the 1/2
+    # goes into the denominator
+    den = math.lcm(*(c.denominator for c in b.values()))
     by_left: dict = {}
     for word, c in b.items():
+        c = c.numerator * (den // c.denominator)
         # the running degree sums give each split's leg degrees
-        eta = list(accumulate((p.monomial_degree(m) - 1 for m in word), initial=0))
+        eta = list(accumulate((_slot(p, m)[0] for m in word), initial=0))
         for i in range(1, len(word)):
             w1, w2 = word[:i], word[i:]
-            sign = -1 if eta[i] % 2 and (eta[-1] - eta[i]) % 2 else 1
-            add_term(by_left.setdefault(w1, {}), w2, c)
-            add_term(by_left.setdefault(w2, {}), w1, -sign * c)
+            rights = by_left.setdefault(w1, {})
+            rights[w2] = rights.get(w2, 0) + c
+            # minus the Koszul sign of tau
+            lefts = by_left.setdefault(w2, {})
+            odd = eta[i] % 2 and (eta[-1] - eta[i]) % 2
+            lefts[w1] = lefts.get(w1, 0) + (c if odd else -c)
     if not by_left:
         return {}
-    # every product below is an integer over one common denominator: the
-    # legs are shorter than the longest word, so p of a leg has a denominator
-    # dividing lcm(1..longest - 1)
+    # the legs are shorter than the longest word, so p of a leg has a
+    # denominator dividing lcm(1..longest - 1)
     leg_denom = _lcm_upto(max(map(len, b)) - 1)
-    denom = 2 * math.lcm(*(c.denominator for c in b.values())) * leg_denom**2
     out: dict = {}
     for w1, rights in by_left.items():
         # p is linear, so project each right leg once and sum before tensoring
-        scale1 = denom // _lcm_upto(len(w1))
         right: dict = {}
         for w2, c in rights.items():
-            scale = scale1 // (2 * c.denominator * _lcm_upto(len(w2))) * c.numerator
-            for v2, num in _numerators(p, w2):
+            if not c:
+                continue
+            scale = c * (leg_denom // _lcm_upto(len(w2)))
+            for v2, num in _hain_word(p, w2):
                 right[v2] = right.get(v2, 0) + scale * num
         right = [(v2, r) for v2, r in right.items() if r]
         if not right:
             continue
-        for v1, n1 in _numerators(p, w1):
+        scale1 = leg_denom // _lcm_upto(len(w1))
+        for v1, n1 in _hain_word(p, w1):
+            n1 *= scale1
             for v2, r in right:
                 key = (v1, v2)
                 out[key] = out.get(key, 0) + n1 * r
+    denom = 2 * den * leg_denom**2
     return {key: Fraction(v, denom) for key, v in out.items() if v}
-
-
-def _numerators(p: CdgaPresentation, word: BarWord):
-    """p([word]) as integer numerators over lcm(1..len(word))."""
-    denom = _lcm_upto(len(word))
-    return [(w, c.numerator * (denom // c.denominator)) for w, c in _hain_word(p, word)]
 
 
 def tensor_part(t: BarTensor, shape: tuple[int, int]) -> BarTensor:

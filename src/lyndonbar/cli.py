@@ -21,15 +21,16 @@ from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suites
 from .words import InvalidWordError, is_lyndon, lyndon_words
 
 HARD_CAP = 8
-# each subcommand's size argument: (dest, smallest value, cap without --force);
+# each subcommand's size arguments: (dest, smallest value, cap without --force);
 # the output grows about as 2^n / n Lyndon words and Catalan(n-1) trees, and
-# the work exponentially in the weight for tables, models and lifts
+# the work exponentially in the weight for tables, models and lifts; the
+# sampled checks take samples // 3 elements, so fewer than 3 check nothing
 _BOUNDS = {
-    "lyndon": ("max_length", 1, 16),
-    "coeffs": ("max_weight", 2, HARD_CAP),
-    "model": ("max_weight", 1, HARD_CAP),
-    "trees": ("leaves", 1, 12),
-    "verify": ("max_weight", 2, HARD_CAP),
+    "lyndon": (("max_length", 1, 16),),
+    "coeffs": (("max_weight", 2, HARD_CAP),),
+    "model": (("max_weight", 1, HARD_CAP),),
+    "trees": (("leaves", 1, 12),),
+    "verify": (("max_weight", 2, HARD_CAP), ("samples", 3, 1000)),
 }
 
 _TAG_FAMILY = {prefix: family for family, prefix in TAG_PREFIX.items()}
@@ -188,9 +189,16 @@ def cmd_lift(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("LYNDONBAR_SEED")
+        try:
+            seed = DEFAULT_SEED if text is None else int(text)
+        except ValueError:
+            parser.error(f"LYNDONBAR_SEED={text!r} is not an integer")
     try:
         results = run_suites(
-            args.suite, max_weight=args.max_weight, seed=args.seed, samples=args.samples
+            args.suite, max_weight=args.max_weight, seed=seed, samples=args.samples
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -275,7 +283,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="words lie signs colie models bar lifts edqx basis, or all",
     )
     p.add_argument("--max-weight", type=int, default=5)
-    p.add_argument("--seed", type=int, default=int(os.environ.get("LYNDONBAR_SEED", DEFAULT_SEED)))
+    p.add_argument(
+        "--seed", type=int, default=None, help=f"default: $LYNDONBAR_SEED, else {DEFAULT_SEED}"
+    )
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--format", choices=("json", "lines"), default="lines")
     p.add_argument("--force", action="store_true")
@@ -290,8 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # usage errors past parsing print the subcommand's usage line
     command = commands[args.command]
-    if args.command in _BOUNDS:
-        dest, low, cap = _BOUNDS[args.command]
+    for dest, low, cap in _BOUNDS.get(args.command, ()):
         flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
         if value < low:
             command.error(f"{flag} must be at least {low}")

@@ -23,6 +23,8 @@ from .bar import (
     bar_degree,
     bar_differential,
     delta_Q,
+    differential_numerators,
+    hain_numerators,
     hain_projector,
     pi1,
     tensor_part,
@@ -294,23 +296,31 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     the shuffle algebra is free on Lyndon words (Radford), and the p(l) form a
     basis of the image of Hain's projector p.  So only the tensor-degree-1
     rows (one label per generator of this weight, c_g = 1 for its own label)
-    and the closedness rows d_B(sum c_l p(l)) = 0 remain.
+    and the closedness rows d_B(sum c_l p(l)) = 0 remain.  The images and
+    the rows are built in integers.
 
-    Returns ``(images, solutions, n_free)``: p(l) for each Lyndon word l, the
-    coefficients per generator name from :func:`solve_affine` (None where
-    that generator has no lift), and the dimension of each solution space.
+    Returns ``(denom, images, solutions, n_free)``: p(l) for each Lyndon word
+    l as integer numerators over ``denom``, the coefficients per generator
+    name from :func:`solve_affine` (None where that generator has no lift),
+    and the dimension of each solution space.
     """
     lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
-    images = {w: hain_projector({w: ONE}, model) for w in lyndon}
+    numerators = {w: hain_numerators(w, model) for w in lyndon}
+    denom = math.lcm(*(d for d, _ in numerators.values()))
+    images = {
+        w: {v: c * (denom // d) for v, c in terms.items()}
+        for w, (d, terms) in numerators.items()
+    }
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
-    equations = [({((g,),): ONE}, {g: ONE}) for g in labels]
+    equations = [({((g,),): 1}, {g: 1}) for g in labels]
+    # the closedness rows are homogeneous, so their common denominator drops
     rows: dict = {}
     for w in lyndon:
-        for iw, c in bar_differential(images[w], model).items():
+        for iw, c in differential_numerators(images[w], model)[1].items():
             rows.setdefault(iw, {})[w] = c
     equations.extend((row, {}) for row in rows.values())
     solutions, n_free = solve_affine(equations, lyndon, labels=labels)
-    return images, solutions or {}, n_free
+    return denom, images, solutions or {}, n_free
 
 
 def closed_lift_oracle(
@@ -332,14 +342,27 @@ def closed_lift_oracle(
     target = f"{spec.prefix}_{W}"
     if model.weight.get(target) != len(W):
         raise ValueError(f"{target} is not a generator of {model.name}")
-    images, solutions, n_free = _oracle_solve(model, len(W))
+    denom, images, solutions, n_free = _oracle_solve(model, len(W))
     coefficients = solutions.get(target)
     if coefficients is None:
         raise InfeasibleLiftError(
             f"no closed projector-fixed lift of {target} exists"
         )
-    element = combine(*((c, images[w]) for w, c in coefficients.items()))
-    return {w: element[w] for w in sorted(element, key=_slice_order)}, n_free
+    # sum c_l p(l) in integers over lcm(denominators of the c_l) * denom
+    den = math.lcm(*(c.denominator for c in coefficients.values()))
+    element: dict = {}
+    for w, c in coefficients.items():
+        if not c:
+            continue
+        scale = c.numerator * (den // c.denominator)
+        for v, n in images[w].items():
+            element[v] = element.get(v, 0) + scale * n
+    den *= denom
+    return {
+        w: Fraction(element[w], den)
+        for w in sorted(element, key=_slice_order)
+        if element[w]
+    }, n_free
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +488,17 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
 
 def bar_transport(b: BarElement, images: dict, target: CdgaPresentation) -> BarElement:
     """Slotwise application of a cdga morphism given by generator images."""
+    moved: dict = {}  # each distinct slot's image, transported once per call
     out: BarElement = {}
     for word, c in b.items():
-        slot_images = [transport({m: ONE}, images, target) for m in word]
-        if any(not s for s in slot_images):
+        slot_images = []
+        for m in word:
+            if m not in moved:
+                moved[m] = tuple(transport({m: ONE}, images, target).items())
+            slot_images.append(moved[m])
+        if not all(slot_images):
             continue
-        for choice in product(*(s.items() for s in slot_images)):
+        for choice in product(*slot_images):
             new_word = tuple(m for m, _ in choice)
             coeff = c
             for _, cc in choice:

@@ -1,7 +1,8 @@
-"""Exact sparse linear helpers over Fraction: dict vectors and affine solving."""
+"""Exact sparse linear helpers: Fraction dict vectors, and fraction-free affine solving."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, TypeVar
 
@@ -34,8 +35,40 @@ def combine(*parts: tuple[Fraction | int, Mapping]) -> dict:
     return out
 
 
+def _primitive(row: dict, rhs: dict) -> None:
+    """Divide an integer equation by the gcd of all its entries, in place."""
+    g = math.gcd(*row.values(), *rhs.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+        for k in rhs:
+            rhs[k] //= g
+
+
+def _subtract(dst: dict, a: int, b: int, src: dict) -> None:
+    """dst = a * dst - b * src on integer dicts, dropping zeros, in place."""
+    if a != 1:
+        for k in dst:
+            dst[k] *= a
+    for k, v in src.items():
+        x = dst.get(k, 0) - b * v
+        if x:
+            dst[k] = x
+        else:
+            dst.pop(k, None)
+
+
+def _integer_equation(row: Mapping, rhs: Mapping) -> tuple[dict, dict]:
+    """One equation scaled to integers, as the primitive (row, rhs) pair."""
+    den = math.lcm(*(v.denominator for v in row.values()), *(v.denominator for v in rhs.values()))
+    row = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+    rhs = {k: v.numerator * (den // v.denominator) for k, v in rhs.items() if v}
+    _primitive(row, rhs)
+    return row, rhs
+
+
 def solve_affine(
-    equations: Iterable[tuple[Mapping[K, Fraction], Mapping[L, Fraction]]],
+    equations: Iterable[tuple[Mapping[K, Fraction | int], Mapping[L, Fraction | int]]],
     var_order: list[K],
     *,
     labels: Iterable[L],
@@ -45,10 +78,15 @@ def solve_affine(
     Each equation's right-hand side is a sparse dict from label to value, and
     the system of a label reads ``rhs.get(label, 0)`` in every row; a
     right-hand side naming a label outside ``labels`` raises ``ValueError``.
-    Pivots are chosen from the rows alone, as the smallest variable (in
-    ``var_order`` position) of each reduced row, so all labels share one
-    elimination and each gets exactly the solution a solve for that label
-    alone would give.
+    Values are ints or Fractions.  Pivots are chosen from the rows alone, as
+    the smallest variable (in ``var_order`` position) of each reduced row, so
+    all labels share one elimination and each gets exactly the solution a
+    solve for that label alone would give.
+
+    The elimination is fraction-free: each row and its right-hand side are
+    scaled to primitive integers, every row operation a * row - b * pivot
+    row is followed by division by the gcd, and stored rows keep a positive
+    lead.  A Fraction is made only for each solution value.
 
     ``equations`` is consumed as a stream: once every label's system is
     inconsistent no further row is pulled, and ``(None, 0)`` is returned.
@@ -59,27 +97,27 @@ def solve_affine(
     labels = dict.fromkeys(labels)
     dead: set = set()
     pos = {v: i for i, v in enumerate(var_order)}
-    pivots: dict[K, tuple[dict[K, Fraction], dict[L, Fraction]]] = {}
+    pivots: dict[K, tuple[dict[K, int], dict[L, int]]] = {}
     for row, rhs in equations:
         unknown = [k for k in rhs if k not in labels]
         if unknown:
             raise ValueError(f"right-hand side labels {unknown!r} are not in labels")
-        work = {k: v for k, v in row.items() if v}
-        work_rhs = {k: v for k, v in rhs.items() if v}
+        work, work_rhs = _integer_equation(row, rhs)
         # fully reduce against existing pivots; stored rows reference only
         # their own lead plus free variables, so each pivot variable present
-        # in the row needs one subtraction and none reappear
+        # in the row needs one elimination and none reappear
         while True:
             present = [v for v in work if v in pivots]
             if not present:
                 break
             var = min(present, key=pos.__getitem__)
             prow, prhs = pivots[var]
-            c = work[var]
-            for k, v in prow.items():
-                add_term(work, k, -c * v)
-            for k, v in prhs.items():
-                add_term(work_rhs, k, -c * v)
+            lead, c = prow[var], work[var]
+            g = math.gcd(lead, c)
+            a, b = lead // g, c // g
+            _subtract(work, a, b, prow)
+            _subtract(work_rhs, a, b, prhs)
+            _primitive(work, work_rhs)
         if not work:
             # 0 = rhs: inconsistent for exactly the labels left nonzero
             dead.update(work_rhs)
@@ -87,28 +125,29 @@ def solve_affine(
                 return None, 0
             continue
         lead = min(work, key=pos.__getitem__)
-        inv = 1 / work[lead]
-        prow = {k: v * inv for k, v in work.items()}
-        prhs = {k: v * inv for k, v in work_rhs.items()}
-        # eliminate the new lead from every stored row
+        if work[lead] < 0:
+            work = {k: -v for k, v in work.items()}
+            work_rhs = {k: -v for k, v in work_rhs.items()}
+        # eliminate the new lead from every stored row; a > 0 keeps its lead positive
+        top = work[lead]
         for orow, orhs in pivots.values():
             c = orow.get(lead)
             if c:
-                for k, v in prow.items():
-                    add_term(orow, k, -c * v)
-                for k, v in prhs.items():
-                    add_term(orhs, k, -c * v)
-        pivots[lead] = (prow, prhs)
+                g = math.gcd(top, c)
+                a, b = top // g, c // g
+                _subtract(orow, a, b, work)
+                _subtract(orhs, a, b, work_rhs)
+                _primitive(orow, orhs)
+        pivots[lead] = (work, work_rhs)
     # with fully reduced rows and free variables set to 0, each pivot value
-    # is its reduced right-hand side
+    # is its reduced right-hand side over its lead
     solutions: dict[L, dict[K, Fraction] | None] = {}
     for label in labels:
         if label in dead:
             solutions[label] = None
             continue
         solution: dict[K, Fraction] = {v: ZERO for v in var_order}
-        for lead, (_, prhs) in pivots.items():
-            solution[lead] = prhs.get(label, ZERO)
+        for lead, (prow, prhs) in pivots.items():
+            solution[lead] = Fraction(prhs.get(label, 0), prow[lead])
         solutions[label] = solution
     return solutions, len(var_order) - len(pivots)
-

@@ -8,12 +8,14 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from conftest import rescaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyndonbar.bar import (
     InvalidElementError,
     _hain_word,
+    _lcm_upto,
     bar_differential,
     coproduct,
     delta_Q,
@@ -275,18 +277,24 @@ def slice_words(max_size):
 coeffs = st.sampled_from([Fraction(c) for c in (-3, -2, -1, 1, 2)] + [Fraction(1, 3), Fraction(-5, 2)])
 
 
+def hain_word_fractions(p, word):
+    """The integer kernel read back as Fractions over lcm(1..len(word))."""
+    got = _hain_word(p, word)
+    assert all(type(c) is int and c for _, c in got)
+    denom = _lcm_upto(len(word))
+    return {w: Fraction(c, denom) for w, c in got}
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_words)
 def test_hain_word_matches_the_composition_sum_with_signs(word):
-    got = _hain_word(P4, word)
-    assert dict(got) == reference_hain_word(P4, word)
-    assert all(type(c) is Fraction and c for _, c in got)
+    assert hain_word_fractions(P4, word) == reference_hain_word(P4, word)
 
 
 @settings(max_examples=100, deadline=None)
 @given(slice_words(6))
 def test_hain_word_matches_the_composition_sum_in_degree_zero(word):
-    assert dict(_hain_word(P6, word)) == reference_hain_word(P6, word)
+    assert hain_word_fractions(P6, word) == reference_hain_word(P6, word)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,3 +312,80 @@ def test_delta_q_matches_the_pairwise_reference_with_signs(b):
 def test_delta_q_matches_the_pairwise_reference_in_degree_zero(b):
     h = hain_projector(b, P6)
     assert delta_Q(h, P6) == reference_delta_Q(h, P6)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction differential and projector, kept as references for the
+# integer kernels
+
+
+def reference_bar_differential(b, p):
+    """d_B = D1 + D2 term by term in Fractions."""
+    out: dict = {}
+    for word, c in b.items():
+        n = len(word)
+        eta = [0] * (n + 1)
+        for i, m in enumerate(word):
+            eta[i + 1] = eta[i] + p.monomial_degree(m) - 1
+        for i, m in enumerate(word):
+            dm = p.monomial_differential(m)
+            if dm:
+                sign = -(-1) ** (eta[i] % 2)
+                for m2, c2 in dm.items():
+                    add_term(out, word[:i] + (m2,) + word[i + 1 :], sign * c * c2)
+        for i in range(n - 1):
+            prod = p.multiply_monomials(word[i], word[i + 1])
+            if prod is None:
+                continue
+            s, m2 = prod
+            sign = -(-1) ** (eta[i + 1] % 2)
+            add_term(out, word[:i] + (m2,) + word[i + 2 :], sign * s * c)
+    return out
+
+
+def reference_hain_projector(b, p):
+    """sum of c * p([word]) in Fractions, with p by the composition sum."""
+    out: dict = {}
+    for word, c in b.items():
+        for w2, c2 in reference_hain_word(p, word).items():
+            add_term(out, w2, c * c2)
+    return out
+
+
+Q4 = rescaled(P4, "rescaled x@4")
+_Q4_GENS = [(g.name,) for g in Q4.generators]
+fractional_words = st.lists(
+    st.one_of(st.sampled_from(_Q4_GENS), st.sampled_from(_P4_PAIRS)), min_size=1, max_size=5
+).map(tuple)
+
+
+def test_the_rescaled_presentation_is_not_integral():
+    denominators = {c.denominator for d in Q4.differential.values() for c in d.values()}
+    assert max(denominators) > 1
+
+
+def assert_kernels_match_references(b, p):
+    for got, want in (
+        (bar_differential(b, p), reference_bar_differential(b, p)),
+        (hain_projector(b, p), reference_hain_projector(b, p)),
+    ):
+        assert got == want
+        assert all(type(c) is Fraction and c for c in got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(mixed_words, coeffs, min_size=1, max_size=3))
+def test_kernels_match_the_fraction_references_with_signs(b):
+    assert_kernels_match_references(b, P4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(slice_words(5), coeffs, min_size=1, max_size=3))
+def test_kernels_match_the_fraction_references_in_degree_zero(b):
+    assert_kernels_match_references(b, P6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(fractional_words, coeffs, min_size=1, max_size=3))
+def test_kernels_match_the_fraction_references_over_fractional_differentials(b):
+    assert_kernels_match_references(b, Q4)

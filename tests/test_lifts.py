@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rescaled
 from lyndonbar import lifts
-from lyndonbar.bar import pi1
+from lyndonbar.bar import bar_differential, hain_projector, pi1
 from lyndonbar.colie import tensor_cobracket
 from lyndonbar.dgcore import CdgaPresentation, model_x
 from lyndonbar.lifts import (
@@ -277,6 +278,19 @@ def test_corrupted_model_detected_at_weight_4():
     bad = CdgaPresentation(base.generators, diff, name="bad", validate=False)
     with pytest.raises(InfeasibleLiftError):
         closed_lift_oracle("0011", "plain", bad)
+
+
+def test_oracle_lifts_over_a_non_integral_presentation():
+    model = rescaled(model_x(5), "rescaled x@5")
+    fractional = False
+    for W in lyndon_words_of_length(5):
+        element, n_free = closed_lift_oracle(W, "plain", model)
+        assert n_free == 0
+        assert pi1(element) == {(f"L0_{W}",): 1}
+        assert bar_differential(element, model) == {}
+        assert hain_projector(element, model) == element
+        fractional |= any(c.denominator > 1 for c in element.values())
+    assert fractional
 
 
 # sha256 of _canonical_lifts(variant, n) for n = 2..6, recorded while every

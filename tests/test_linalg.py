@@ -1,7 +1,12 @@
-"""The multi-label exact solver against the single right-hand-side reference."""
+"""The fraction-free multi-label solver against two Fraction references.
+
+One reference solves one right-hand side at a time; the other is the
+multi-label elimination in Fractions that the integer solver replaced.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +26,8 @@ def solve_single(equations, var_order):
     pos = {v: i for i, v in enumerate(var_order)}
     pivots = {}
     for row, rhs in equations:
-        work = {k: v for k, v in row.items() if v}
+        work = {k: Fraction(v) for k, v in row.items() if v}
+        rhs = Fraction(rhs)
         while True:
             present = [v for v in work if v in pivots]
             if not present:
@@ -53,6 +59,63 @@ def solve_single(equations, var_order):
     return solution, len(var_order) - len(pivots)
 
 
+def solve_fractions(equations, var_order, *, labels):
+    """The multi-label elimination over Fraction, kept as the second reference.
+
+    Same contract as ``solve_affine``: pivots are the smallest variable of
+    each reduced row, ``equations`` is a stream that is left once every
+    label is inconsistent, and ``(None, 0)`` is returned then.
+    """
+    labels = dict.fromkeys(labels)
+    dead = set()
+    pos = {v: i for i, v in enumerate(var_order)}
+    pivots = {}
+    for row, rhs in equations:
+        unknown = [k for k in rhs if k not in labels]
+        if unknown:
+            raise ValueError(f"right-hand side labels {unknown!r} are not in labels")
+        work = {k: Fraction(v) for k, v in row.items() if v}
+        work_rhs = {k: Fraction(v) for k, v in rhs.items() if v}
+        while True:
+            present = [v for v in work if v in pivots]
+            if not present:
+                break
+            var = min(present, key=pos.__getitem__)
+            prow, prhs = pivots[var]
+            c = work[var]
+            for k, v in prow.items():
+                add_term(work, k, -c * v)
+            for k, v in prhs.items():
+                add_term(work_rhs, k, -c * v)
+        if not work:
+            dead.update(work_rhs)
+            if work_rhs and len(dead) == len(labels):
+                return None, 0
+            continue
+        lead = min(work, key=pos.__getitem__)
+        inv = 1 / work[lead]
+        prow = {k: v * inv for k, v in work.items()}
+        prhs = {k: v * inv for k, v in work_rhs.items()}
+        for orow, orhs in pivots.values():
+            c = orow.get(lead)
+            if c:
+                for k, v in prow.items():
+                    add_term(orow, k, -c * v)
+                for k, v in prhs.items():
+                    add_term(orhs, k, -c * v)
+        pivots[lead] = (prow, prhs)
+    solutions = {}
+    for label in labels:
+        if label in dead:
+            solutions[label] = None
+            continue
+        solution = {v: ZERO for v in var_order}
+        for lead, (_, prhs) in pivots.items():
+            solution[lead] = prhs.get(label, ZERO)
+        solutions[label] = solution
+    return solutions, len(var_order) - len(pivots)
+
+
 def single_rows(equations, label):
     """The one-right-hand-side system of ``label``."""
     return [(row, rhs.get(label, ZERO)) for row, rhs in equations]
@@ -73,6 +136,18 @@ def assert_matches_reference(equations, var_order):
             yield eq
 
     solutions, n_free = solve_affine(stream(), var_order, labels=labels)
+    # the Fraction elimination gives the same result from the same rows
+    ref_pulled = []
+
+    def ref_stream():
+        for eq in equations:
+            ref_pulled.append(eq)
+            yield eq
+
+    assert solve_fractions(ref_stream(), var_order, labels=labels) == (solutions, n_free)
+    assert len(ref_pulled) == len(pulled)
+    for solution in (solutions or {}).values():
+        assert solution is None or all(type(c) is Fraction for c in solution.values())
     feasible = 0
     for label in labels:
         single = single_rows(equations, label)
@@ -101,10 +176,19 @@ def assert_matches_reference(equations, var_order):
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+integers = st.integers(min_value=-4, max_value=4)
+# denominators that share some factors and not others
+mixed = st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10, 12, 35])
+)
+large = st.one_of(
+    st.integers(min_value=-(10**15), max_value=10**15),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
+)
 
 
 @st.composite
-def systems(draw):
+def systems(draw, values=small):
     """Small sparse systems, some rows repeated as sums of earlier rows.
 
     A sum row keeps the rank down (free variables), and its right-hand side
@@ -112,8 +196,8 @@ def systems(draw):
     """
     var_order = list(range(draw(st.integers(1, 5))))
     labels = st.sampled_from("abcd")
-    sparse_row = st.dictionaries(st.sampled_from(var_order), small, max_size=4)
-    sparse_rhs = st.dictionaries(labels, small, max_size=4)
+    sparse_row = st.dictionaries(st.sampled_from(var_order), values, max_size=4)
+    sparse_rhs = st.dictionaries(labels, values, max_size=4)
     equations = draw(st.lists(st.tuples(sparse_row, sparse_rhs), max_size=6))
     for _ in range(draw(st.integers(0, 3))):
         if not equations:
@@ -136,6 +220,44 @@ def systems(draw):
 @given(systems())
 def test_every_label_matches_the_single_solve(system):
     equations, var_order = system
+    assert_matches_reference(equations, var_order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(integers))
+def test_int_systems_match_both_references(system):
+    equations, var_order = system
+    assert_matches_reference(equations, var_order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(mixed))
+def test_mixed_denominator_systems_match_both_references(system):
+    equations, var_order = system
+    assert_matches_reference(equations, var_order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(large))
+def test_large_entry_systems_match_both_references(system):
+    equations, var_order = system
+    assert_matches_reference(equations, var_order)
+
+
+def test_hilbert_system_needs_large_numerators():
+    """H x = e_1 for the 10 x 10 Hilbert matrix: the first column of H^-1."""
+    n = 10
+    var_order = list(range(n))
+    equations = [
+        ({j: Fraction(1, i + j + 1) for j in range(n)}, {"e1": int(i == 0), "ones": 1})
+        for i in range(n)
+    ]
+    solutions, n_free = solve_affine(equations, var_order, labels=["e1", "ones"])
+    assert n_free == 0
+    assert solutions["e1"] == {
+        i: (-1) ** i * (i + 1) * math.comb(n + i, n - 1) * math.comb(n, i + 1) for i in range(n)
+    }
+    assert max(abs(c) for c in solutions["e1"].values()) > 10**6
     assert_matches_reference(equations, var_order)
 
 

@@ -139,6 +139,9 @@ USAGE_ERRORS = [
     ["model", "--space", "x", "--max-weight", "9"],
     ["verify", "--suite", "words", "--max-weight", "9"],
     ["cobracket", "T0:000000001"],
+    ["verify", "--suite", "bar", "--samples", "0"],
+    ["verify", "--suite", "bar", "--samples", "2"],
+    ["verify", "--suite", "bar", "--samples", "1001"],
 ]
 
 
@@ -151,6 +154,27 @@ def test_usage_errors_exit_two(capsys):
         assert captured.out == "", argv
         # the usage line is the subcommand's, not the top-level one
         assert captured.err.startswith(f"usage: lyndonbar {argv[0]} "), argv
+
+
+def test_invalid_seed_variable_is_a_verify_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("LYNDONBAR_SEED", "abc")
+    code, out = run_cli(capsys, "lyndon", "--max-length", "3")
+    assert code == 0 and out.split() == ["0", "001", "01", "011", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "words", "--max-weight", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lyndonbar verify ")
+    assert "LYNDONBAR_SEED" in captured.err
+
+
+def test_seed_variable_is_the_default_seed(monkeypatch, capsys):
+    monkeypatch.setenv("LYNDONBAR_SEED", "7")
+    argv = ["verify", "--suite", "signs", "--max-weight", "3", "--format", "json"]
+    code, from_variable = run_cli(capsys, *argv)
+    assert code == 0
+    assert from_variable == run_cli(capsys, *argv, "--seed", "7")[1]
 
 
 # sha256 of the stdout of `verify --suite all --max-weight 6 --format json`,
