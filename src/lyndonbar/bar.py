@@ -306,13 +306,23 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     return {key: Fraction(v, denom) for key, v in out.items() if v}
 
 
-def tensor_part(t: BarTensor, shape: tuple[int, int]) -> BarTensor:
-    """The component with prescribed tensor degrees on the two legs."""
-    return {
-        (w1, w2): c
-        for (w1, w2), c in t.items()
-        if (len(w1), len(w2)) == shape
-    }
+def cobracket_11(b: BarElement, p: CdgaPresentation) -> BarTensor:
+    """The tensor-(1,1) component of :func:`delta_Q`, without the longer splits.
+
+    The projector keeps tensor length and fixes single slots, so only the
+    length-2 words [m0|m1] of ``b`` reach this component, each as
+    (1/2)(c [m0] @ [m1] - eps c [m1] @ [m0]), eps the Koszul sign of the swap.
+    """
+    out: BarTensor = {}
+    for word, c in b.items():
+        if len(word) != 2:
+            continue
+        half = HALF * c
+        m0, m1 = word
+        add_term(out, ((m0,), (m1,)), half)
+        swapped = _slot(p, m0)[0] and _slot(p, m1)[0]
+        add_term(out, ((m1,), (m0,)), half if swapped else -half)
+    return out
 
 
 def wedge_pair(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarTensor:

@@ -7,9 +7,12 @@ Basis tags are pairs ``(family, word)``:
 * families ``"t0"`` and ``"t1"`` -- the geometric basis ("t01" basis), related
   by t0_W = (x, W) and t1_W = (x, W) - (one, W).
 
-Elements are dicts tag -> Fraction; wedge squares are dicts keyed by pairs of
-tags in canonical order, with u ^ v = -v ^ u absorbed into the coefficient
-(all tags sit in degree 0, so there is no Koszul correction).
+Elements are dicts tag -> coefficient; wedge squares are dicts keyed by pairs
+of tags in canonical order, with u ^ v = -v ^ u absorbed into the coefficient
+(all tags sit in degree 0, so there is no Koszul correction).  The structure
+constants are integers, so the tables and the cobracket of a basis tag are
+built with int coefficients; every operation works in the ring of its
+inputs, and Fraction coefficients in give Fraction coefficients out.
 """
 
 from __future__ import annotations
@@ -25,15 +28,13 @@ from .linalg import add_term
 from .words import lyndon_words
 
 Tag = tuple  # (family, word)
-CoLieElement = dict  # Tag -> Fraction
-WedgeElement = dict  # (Tag, Tag) canonical -> Fraction
+CoLieElement = dict  # Tag -> int or Fraction
+WedgeElement = dict  # (Tag, Tag) canonical -> int or Fraction
 
 _BASIS_OF_FAMILY = {"x": "x1", "one": "x1", "t0": "t01", "t1": "t01"}
 _FAMILY_RANK = {"x": 0, "one": 1, "t0": 0, "t1": 1}
 # the printed form FAMILY:WORD of a tag, as the command line reads and writes it
 TAG_PREFIX = {"t0": "T0", "t1": "T1", "x": "Tx", "one": "T@1"}
-
-ONE = Fraction(1)
 
 
 class MixedBasisError(ValueError):
@@ -53,7 +54,7 @@ def _tag_key(t: Tag):
     return (_FAMILY_RANK[fam], word)
 
 
-def wedge_add(out: WedgeElement, a: Tag, b: Tag, coeff: Fraction) -> None:
+def wedge_add(out: WedgeElement, a: Tag, b: Tag, coeff: int | Fraction) -> None:
     """Accumulate coeff * (a ^ b) into ``out`` in canonical pair order."""
     if not coeff:
         return
@@ -66,14 +67,14 @@ def wedge_add(out: WedgeElement, a: Tag, b: Tag, coeff: Fraction) -> None:
         add_term(out, (b, a), -coeff)
 
 
-def wedge_coefficient(w: WedgeElement, a: Tag, b: Tag) -> Fraction:
+def wedge_coefficient(w: WedgeElement, a: Tag, b: Tag) -> int | Fraction:
     """Signed coefficient of a ^ b in ``w``."""
     ka, kb = _tag_key(a), _tag_key(b)
     if ka == kb:
-        return Fraction(0)
+        return 0
     if ka < kb:
-        return w.get((a, b), Fraction(0))
-    return -w.get((b, a), Fraction(0))
+        return w.get((a, b), 0)
+    return -w.get((b, a), 0)
 
 
 def change_basis(t: CoLieElement, target: str) -> CoLieElement:
@@ -93,11 +94,11 @@ def change_basis(t: CoLieElement, target: str) -> CoLieElement:
 def _tag_image(fam: str, word: str, target: str):
     if target == "x1":
         if fam == "t0":
-            return ((("x", word), ONE),)
-        return ((("x", word), ONE), (("one", word), -ONE))
+            return ((("x", word), 1),)
+        return ((("x", word), 1), (("one", word), -1))
     if fam == "x":
-        return ((("t0", word), ONE),)
-    return ((("t0", word), ONE), (("t1", word), -ONE))
+        return ((("t0", word), 1),)
+    return ((("t0", word), 1), (("t1", word), -1))
 
 
 def _wedge_change_basis(w: WedgeElement, target: str) -> WedgeElement:
@@ -170,7 +171,7 @@ def co_jacobi_defect(t: CoLieElement) -> dict:
     two = tensor_cobracket(t)
     cube: dict = {}
     for (a, b), c in two.items():
-        for (u, v), d in tensor_cobracket({a: ONE}).items():
+        for (u, v), d in tensor_cobracket({a: 1}).items():
             add_term(cube, (u, v, b), c * d)
     out: dict = {}
     for (x, y, z), c in cube.items():
@@ -188,7 +189,6 @@ def _closed_ab_tables(max_weight: int):
     b: dict = {}
     ap: dict = {}
     bp: dict = {}
-    zero = Fraction(0)
     for w in words:
         if len(w) < 2:
             continue
@@ -196,14 +196,14 @@ def _closed_ab_tables(max_weight: int):
             for v in lyndon_words(len(w) - 1):
                 if len(u) + len(v) != len(w):
                     continue
-                bval = beta.get((w, v, u), zero)
+                bval = beta.get((w, v, u), 0)
                 if bval:
                     b[(w, u, v)] = bval
                 if u < v:
                     aval = (
-                        alpha.get((w, u, v), zero)
-                        + beta.get((w, u, v), zero)
-                        - beta.get((w, v, u), zero)
+                        alpha.get((w, u, v), 0)
+                        + beta.get((w, u, v), 0)
+                        - beta.get((w, v, u), 0)
                     )
                     if aval:
                         a[(w, u, v)] = aval
@@ -215,13 +215,12 @@ def _closed_ab_tables(max_weight: int):
             for v in lyndon_words(len(w) - 1):
                 if len(u) + len(v) != len(w):
                     continue
-                zero_a = Fraction(0)
                 if u < v:
-                    val = a.get((w, u, v), zero_a) + b.get((w, u, v), zero_a)
+                    val = a.get((w, u, v), 0) + b.get((w, u, v), 0)
                 elif v < u:
-                    val = -a.get((w, v, u), zero_a) + b.get((w, u, v), zero_a)
+                    val = -a.get((w, v, u), 0) + b.get((w, u, v), 0)
                 else:
-                    val = b.get((w, u, u), zero_a)
+                    val = b.get((w, u, u), 0)
                 if val:
                     bp[(w, u, v)] = val
     return a, b, ap, bp
@@ -239,8 +238,8 @@ def _extracted_ab_tables(max_weight: int):
         pairs = [
             (u, v) for u in sub for v in sub if len(u) + len(v) == len(w)
         ]
-        d0 = cobracket({("t0", w): ONE})
-        d1 = cobracket({("t1", w): ONE})
+        d0 = cobracket({("t0", w): 1})
+        d1 = cobracket({("t1", w): 1})
         rebuilt0: WedgeElement = {}
         rebuilt1: WedgeElement = {}
         for u, v in pairs:

@@ -314,10 +314,11 @@ def _table_model(families, max_weight: int, name: str) -> CdgaPresentation:
                     )
                 if x == y:
                     continue
+                # the tables hold ints; the presentation holds Fractions
                 if index[x] <= index[y]:
-                    add_term(image, (x, y), -c)
+                    add_term(image, (x, y), Fraction(-c))
                 else:
-                    add_term(image, (y, x), c)
+                    add_term(image, (y, x), Fraction(c))
         differential[g.name] = image
     try:
         return CdgaPresentation(gens, differential, name=name)

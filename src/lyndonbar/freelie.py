@@ -3,27 +3,28 @@
 Two sparse representations are used side by side:
 
 * ``WordPoly`` -- dict mapping noncommutative words (strings over '0'/'1') to
-  Fraction coefficients; the ambient tensor algebra.
-* ``LieElement`` -- dict mapping Lyndon words to Fraction coefficients; the
+  coefficients; the ambient tensor algebra.
+* ``LieElement`` -- dict mapping Lyndon words to coefficients; the
   coordinates in the Lyndon bracket basis.
 
-Zero coefficients are never stored.
+The Lyndon brackets are a Z-basis of the free Lie ring, so the basis
+elements, their expansions and the alpha table are built with int
+coefficients.  Every operation works in the ring of its inputs: Fraction
+coefficients in give Fraction coefficients out.  Zero coefficients are never
+stored.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 from .linalg import add_term, combine
 from .words import is_lyndon, lyndon_words, standard_factorization
 
-WordPoly = dict  # word -> Fraction
-LieElement = dict  # Lyndon word -> Fraction
-
-ONE = Fraction(1)
+WordPoly = dict  # word -> int or Fraction
+LieElement = dict  # Lyndon word -> int or Fraction
 
 
 class NotALieElementError(ValueError):
@@ -35,9 +36,9 @@ class TableInconsistencyError(AssertionError):
 
 
 @lru_cache(maxsize=None)
-def _expand(w: str) -> tuple[tuple[str, Fraction], ...]:
+def _expand(w: str) -> tuple[tuple[str, int], ...]:
     if len(w) == 1:
-        return ((w, ONE),)
+        return ((w, 1),)
     u, v = standard_factorization(w)
     return tuple(sorted(word_commutator(expand(u), expand(v)).items()))
 
@@ -100,20 +101,20 @@ def lie_bracket(f: LieElement, g: LieElement) -> LieElement:
 def basis_element(w: str) -> LieElement:
     if not is_lyndon(w):
         raise NotALieElementError(f"{w!r} is not a Lyndon word")
-    return {w: ONE}
+    return {w: 1}
 
 
 @lru_cache(maxsize=None)
-def alpha_table(max_weight: int) -> Mapping[tuple[str, str, str], Fraction]:
+def alpha_table(max_weight: int) -> Mapping[tuple[str, str, str], int]:
     """Structure constants [[U],[V]] = sum_W alpha[W,U,V] [W], for Lyndon U < V.
 
-    Covers all pairs with len(U) + len(V) <= max_weight; entries are integral
-    (asserted) and keyed (W, U, V) with zero entries absent.  The cached table
-    is returned as a read-only view.
+    Covers all pairs with len(U) + len(V) <= max_weight; entries are ints
+    (integrality asserted) and keyed (W, U, V) with zero entries absent.
+    The cached table is returned as a read-only view.
     """
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
-    table: dict[tuple[str, str, str], Fraction] = {}
+    table: dict[tuple[str, str, str], int] = {}
     ws = lyndon_words(max_weight - 1)
     for u in ws:
         for v in ws:

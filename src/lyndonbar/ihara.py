@@ -3,14 +3,14 @@
 A special derivation D_f sends X0 to 0 and X1 to [X1, f].  The semidirect sum
 carries two copies of the free Lie algebra: the "x" copy with the free bracket
 and the "1" copy with the Ihara bracket, glued by the action of special
-derivations on the x copy.
+derivations on the x copy.  Every operation works in the ring of its
+inputs; the beta and gamma tables are built from int basis elements.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -82,7 +82,7 @@ def semidirect_bracket(a: SemidirectElement, b: SemidirectElement) -> Semidirect
     return SemidirectElement(x_part=x, one_part=one)
 
 
-def _integral(value: Fraction, what: str) -> Fraction:
+def _integral(value: int, what: str) -> int:
     if value.denominator != 1:
         raise TableInconsistencyError(f"{what} = {value} is not an integer")
     return value
@@ -91,18 +91,18 @@ def _integral(value: Fraction, what: str) -> Fraction:
 @lru_cache(maxsize=None)
 def beta_gamma_tables(
     max_weight: int,
-) -> tuple[Mapping[tuple[str, str, str], Fraction], Mapping[tuple[str, str, str], Fraction]]:
+) -> tuple[Mapping[tuple[str, str, str], int], Mapping[tuple[str, str, str], int]]:
     """The beta and gamma structure-constant tables up to total weight ``max_weight``.
 
     beta[W,U,V] is read off from {[U](x), [V](1)} = -D_[V]([U]) over all ordered
     pairs (U, V), including U = V; gamma[W,U,V] from the Ihara bracket
-    {[U](1), [V](1)} for U < V.  All entries are integral (asserted).  The
-    cached tables are returned as read-only views.
+    {[U](1), [V](1)} for U < V.  All entries are ints (integrality
+    asserted).  The cached tables are returned as read-only views.
     """
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
-    beta: dict[tuple[str, str, str], Fraction] = {}
-    gamma: dict[tuple[str, str, str], Fraction] = {}
+    beta: dict[tuple[str, str, str], int] = {}
+    gamma: dict[tuple[str, str, str], int] = {}
     ws = lyndon_words(max_weight - 1)
     for u in ws:
         for v in ws:

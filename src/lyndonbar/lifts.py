@@ -22,12 +22,12 @@ from .bar import (
     BarTensor,
     bar_degree,
     bar_differential,
+    cobracket_11,
     delta_Q,
     differential_numerators,
     hain_numerators,
     hain_projector,
     pi1,
-    tensor_part,
     wedge_pair,
 )
 from .colie import ab_tables, coefficient_table, tensor_cobracket
@@ -87,11 +87,12 @@ def enumerate_trees(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _tag_delta_tree(tree, tag) -> tuple:
+    """The tree cobracket of one tag: (tuple of leaf tags, int) pairs."""
     if tree is None:
-        return (((tag,), ONE),)
+        return (((tag,), 1),)
     left, right = tree
     out: dict = {}
-    for (a, b), c in tensor_cobracket({tag: ONE}).items():
+    for (a, b), c in tensor_cobracket({tag: 1}).items():
         for ka, ca in _tag_delta_tree(left, a):
             for kb, cb in _tag_delta_tree(right, b):
                 add_term(out, ka + kb, c * ca * cb)
@@ -157,7 +158,7 @@ def check_generator_map(gmap: dict, model: CdgaPresentation) -> None:
 
 def _halved_tensor(tag) -> dict:
     half = Fraction(1, 2)
-    return {k: half * c for k, c in tensor_cobracket({tag: ONE}).items()}
+    return {k: half * c for k, c in tensor_cobracket({tag: 1}).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +172,7 @@ def published_constants(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _tree_sum(tag, n: int) -> tuple:
+    """The sum of the tree cobrackets of ``tag`` over all trees with n leaves, in integers."""
     out: dict = {}
     for tree in enumerate_trees(n):
         for key, c in _tag_delta_tree(tree, tag):
@@ -179,6 +181,7 @@ def _tree_sum(tag, n: int) -> tuple:
 
 
 def _slotify(tensors, gmap) -> BarElement:
+    """Tensors of tags as bar words of generator slots, keeping the coefficient ring."""
     out: BarElement = {}
     for key, c in tensors:
         gens = [gmap.get(tag) for tag in key]
@@ -186,6 +189,20 @@ def _slotify(tensors, gmap) -> BarElement:
             continue
         add_term(out, tuple((g,) for g in gens), c)
     return out
+
+
+def _projected(b: BarElement, denom: int, model: CdgaPresentation) -> dict:
+    """p(b) for int coefficients, as int numerators over ``denom``.
+
+    ``denom`` must be a multiple of lcm(1..len(word)) for every word of b.
+    """
+    out: dict = {}
+    for word, c in b.items():
+        d, terms = hain_numerators(word, model)
+        scale = c * (denom // d)
+        for v, num in terms.items():
+            out[v] = out.get(v, 0) + scale * num
+    return {v: x for v, x in out.items() if x}
 
 
 def adjunction_unit(
@@ -232,21 +249,19 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
         # one tag's rows at a time, so the solve stops building tree sums at
         # the first tag that makes the system inconsistent
         for w in lyndon_words(max_weight):
+            if len(w) < 2:
+                continue
+            # every degree's d_B(p(...)) is in integers over the same
+            # lcm(1..|w|) * D, which each homogeneous row drops
+            denom = math.lcm(*range(1, len(w) + 1))
             for fam in ("t0", "t1"):
-                if (fam, w) == ("t0", "0") or (fam, w) == ("t1", "1"):
-                    continue
-                if len(w) < 2:
-                    continue
-                pieces = {}
-                for n in range(1, len(w) + 1):
-                    part = hain_projector(_slotify(_tree_sum((fam, w), n), gmap), model)
-                    pieces[n] = bar_differential(part, model)
                 rows: dict = {}
-                for n, db in pieces.items():
-                    for word, c in db.items():
+                for n in range(1, len(w) + 1):
+                    part = _projected(_slotify(_tree_sum((fam, w), n), gmap), denom, model)
+                    for word, c in differential_numerators(part, model)[1].items():
                         rows.setdefault(word, {})[n] = c
-                for word, byn in rows.items():
-                    yield byn, {"closed": -byn.pop(1, Fraction(0))}
+                for byn in rows.values():
+                    yield byn, {"closed": -byn.pop(1, 0)}
 
     solutions, _ = solve_affine(equations(), variables, labels=["closed"])
     if solutions is None:
@@ -305,12 +320,8 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     and the dimension of each solution space.
     """
     lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
-    numerators = {w: hain_numerators(w, model) for w in lyndon}
-    denom = math.lcm(*(d for d, _ in numerators.values()))
-    images = {
-        w: {v: c * (denom // d) for v, c in terms.items()}
-        for w, (d, terms) in numerators.items()
-    }
+    denom = math.lcm(*range(1, max(map(len, lyndon)) + 1))
+    images = {w: _projected({w: 1}, denom, model) for w in lyndon}
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
     equations = [({((g,),): 1}, {g: 1}) for g in labels]
     # the closedness rows are homogeneous, so their common denominator drops
@@ -423,8 +434,7 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     report.degree_zero = all(bar_degree(w, model) == 0 for w in b)
     report.hain_fixed = hain_projector(b, model) == b
     report.closed = bar_differential(b, model) == {}
-    got = tensor_part(delta_Q(b, model), (1, 1))
-    report.cobracket_ok = got == prescribed_cobracket_11(W, variant, model)
+    report.cobracket_ok = cobracket_11(b, model) == prescribed_cobracket_11(W, variant, model)
     return report
 
 

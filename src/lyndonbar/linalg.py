@@ -1,4 +1,4 @@
-"""Exact sparse linear helpers: Fraction dict vectors, and fraction-free affine solving."""
+"""Exact sparse linear helpers: int or Fraction dict vectors, and fraction-free affine solving."""
 
 from __future__ import annotations
 
@@ -10,22 +10,30 @@ K = TypeVar("K", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
 
 Vec = dict
-ZERO = Fraction(0)
+ZERO = Fraction(0)  # the value of a free variable in a solution
 
 
 def add_term(dst: dict, key, coeff) -> None:
-    """Accumulate ``coeff`` at ``key``, dropping the entry when it cancels."""
+    """Accumulate ``coeff`` at ``key``, dropping the entry when it cancels.
+
+    No zero seeds the sum, so int coefficients stay ints and Fractions stay
+    Fractions.
+    """
     if not coeff:
         return
-    c = dst.get(key, ZERO) + coeff
+    c = dst.get(key)
+    if c is None:
+        dst[key] = coeff
+        return
+    c += coeff
     if c:
         dst[key] = c
     else:
-        dst.pop(key, None)
+        del dst[key]
 
 
 def combine(*parts: tuple[Fraction | int, Mapping]) -> dict:
-    """Linear combination sum(c * vec) of sparse dict vectors."""
+    """Linear combination sum(c * vec) of sparse dict vectors, in the ring of its inputs."""
     out: dict = {}
     for c, vec in parts:
         if not c:

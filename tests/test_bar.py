@@ -17,6 +17,7 @@ from lyndonbar.bar import (
     _hain_word,
     _lcm_upto,
     bar_differential,
+    cobracket_11,
     coproduct,
     delta_Q,
     hain_projector,
@@ -26,8 +27,10 @@ from lyndonbar.bar import (
     tensor_swap,
 )
 from lyndonbar.dgcore import model_x
+from lyndonbar.lifts import VARIANTS, lift_LB
 from lyndonbar.linalg import add_term, combine
 from lyndonbar.verify import random_bar_element
+from lyndonbar.words import lyndon_words
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -389,3 +392,45 @@ def test_kernels_match_the_fraction_references_in_degree_zero(b):
 @given(st.dictionaries(fractional_words, coeffs, min_size=1, max_size=3))
 def test_kernels_match_the_fraction_references_over_fractional_differentials(b):
     assert_kernels_match_references(b, Q4)
+
+
+# ---------------------------------------------------------------------------
+# the (1,1) part of the cobracket against the full delta_Q
+
+
+def tensor_part(t, shape):
+    """The component with prescribed tensor degrees on the two legs."""
+    return {(w1, w2): c for (w1, w2), c in t.items() if (len(w1), len(w2)) == shape}
+
+
+def assert_cobracket_11_matches(b, p):
+    got = cobracket_11(b, p)
+    assert got == tensor_part(delta_Q(b, p), (1, 1))
+    assert all(type(c) is Fraction for c in got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(mixed_words, coeffs, min_size=1, max_size=3))
+def test_cobracket_11_matches_delta_q_with_signs(b):
+    h = hain_projector(b, P4)
+    assert_cobracket_11_matches(h, P4)
+
+
+def test_cobracket_11_sees_odd_slots():
+    # two slots of desuspended degree 1: the swap carries a minus sign, so
+    # [m|m] survives and [m0|m1] gives a symmetric tensor
+    m0, m1 = ("L0_1", "L1_0"), ("L1_0", "L0_01")
+    b = hain_projector({(m0, m0): ONE, (m0, m1): Fraction(2)}, P4)
+    got = cobracket_11(b, P4)
+    assert got[((m0,), (m0,))] == 1
+    assert got[((m0,), (m1,))] == got[((m1,), (m0,))] == 1
+    assert_cobracket_11_matches(b, P4)
+
+
+def test_cobracket_11_matches_delta_q_on_degree_zero_lifts():
+    for w in lyndon_words(5):
+        if len(w) < 2:
+            continue
+        for variant in VARIANTS:
+            element, _ = lift_LB(w, variant, "oracle")
+            assert_cobracket_11_matches(element, VARIANTS[variant].model(len(w)))

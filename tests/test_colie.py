@@ -17,8 +17,13 @@ from lyndonbar.colie import (
     tensor_cobracket,
     wedge_coefficient,
 )
-from lyndonbar.freelie import alpha_table, basis_element
-from lyndonbar.ihara import SemidirectElement, beta_gamma_tables, semidirect_bracket
+from lyndonbar.freelie import alpha_table, basis_element, lie_bracket
+from lyndonbar.ihara import (
+    SemidirectElement,
+    beta_gamma_tables,
+    semidirect_bracket,
+    special_derivation,
+)
 from lyndonbar.linalg import combine
 from lyndonbar.words import lyndon_words
 
@@ -185,3 +190,68 @@ def test_cached_tables_are_read_only():
         with pytest.raises(TypeError):
             table[("0" * 9, "0", "1")] = ONE
     assert alpha_table(4)[("01", "0", "1")] == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer tables against a Fraction rebuild
+
+
+def fraction_ab_tables(max_weight):
+    """a, b, a', b' by the closed formulas, from Fraction-seeded alpha and beta."""
+    alpha, beta = {}, {}
+    ws = lyndon_words(max_weight - 1)
+    for u in ws:
+        for v in ws:
+            if len(u) + len(v) > max_weight:
+                continue
+            eu, ev = {u: ONE}, {v: ONE}
+            if u < v:
+                alpha.update({(w, u, v): c for w, c in lie_bracket(eu, ev).items()})
+            beta.update({(w, u, v): -c for w, c in special_derivation(ev, eu).items()})
+    zero = Fraction(0)
+    a, b, ap, bp = {}, {}, {}, {}
+    for w in lyndon_words(max_weight):
+        for u in ws:
+            for v in ws:
+                if len(w) < 2 or len(u) + len(v) != len(w):
+                    continue
+                b[(w, u, v)] = beta.get((w, v, u), zero)
+                if u < v:
+                    a[(w, u, v)] = (
+                        alpha.get((w, u, v), zero)
+                        + beta.get((w, u, v), zero)
+                        - beta.get((w, v, u), zero)
+                    )
+                    ap[(w, u, v)] = -a[(w, u, v)]
+        for u in ws:
+            for v in ws:
+                if len(w) < 2 or len(u) + len(v) != len(w):
+                    continue
+                if u < v:
+                    bp[(w, u, v)] = a[(w, u, v)] + b[(w, u, v)]
+                elif v < u:
+                    bp[(w, u, v)] = -a[(w, v, u)] + b[(w, u, v)]
+                else:
+                    bp[(w, u, v)] = b[(w, u, u)]
+    for table in (a, b, ap, bp):
+        assert all(type(c) is Fraction for c in table.values())
+    return tuple({k: c for k, c in table.items() if c} for table in (a, b, ap, bp))
+
+
+def test_ab_tables_are_ints_equal_to_the_fraction_rebuild():
+    tables = ab_tables(6)
+    for table in tables:
+        assert all(type(c) is int for c in table.values())
+    assert tuple(dict(t) for t in tables) == fraction_ab_tables(6)
+
+
+def test_cobracket_keeps_the_coefficient_ring():
+    for t in all_tags(5) + all_tags(5, families=("t0", "t1")):
+        exact = cobracket({t: 1})
+        assert all(type(c) is int for c in exact.values()), t
+        halved = cobracket({t: Fraction(1, 2)})
+        assert all(type(c) is Fraction for c in halved.values()), t
+        assert halved == {k: Fraction(c, 2) for k, c in exact.items()}, t
+        assert change_basis({t: Fraction(1, 2)}, "x1") == {
+            k: Fraction(c, 2) for k, c in change_basis({t: 1}, "x1").items()
+        }

@@ -112,6 +112,14 @@ def test_models_construct_to_weight_6():
             builder(0)
 
 
+def test_model_differentials_hold_fractions():
+    # the tables are ints; the presentations keep Fraction values
+    for builder in (model_x, model_a1, model_point, model_geom):
+        p = builder(6)
+        values = [c for d in p.differential.values() for c in d.values()]
+        assert values and all(type(c) is Fraction for c in values), builder.__name__
+
+
 def test_model_x_weight_two_differentials():
     p = model_x(2)
     assert [g.name for g in p.generators] == ["L0_1", "L1_0", "L0_01", "L1_01", "K_01"]

@@ -97,3 +97,34 @@ def test_alpha_examples_and_integrality():
         assert c.denominator == 1
         assert len(w) == len(u) + len(v)
         assert u < v
+
+
+def test_basis_tables_and_expansions_are_ints():
+    assert all(type(c) is int for c in alpha_table(6).values())
+    for w in lyndon_words(7):
+        assert all(type(c) is int for c in expand(w).values())
+    assert basis_element("001") == {"001": 1} and type(basis_element("001")["001"]) is int
+
+
+def test_alpha_equals_the_bracket_of_fraction_seeded_elements():
+    alpha = alpha_table(6)
+    rebuilt = {}
+    ws = lyndon_words(5)
+    for u in ws:
+        for v in ws:
+            if u < v and len(u) + len(v) <= 6:
+                got = lie_bracket({u: Fraction(1)}, {v: Fraction(1)})
+                assert all(type(c) is Fraction for c in got.values())
+                rebuilt.update({(w, u, v): c for w, c in got.items()})
+    assert rebuilt == alpha
+
+
+def test_rewrite_keeps_a_half_coefficient_exact():
+    e = {"001": Fraction(1, 2), "01": 3, "011": Fraction(-7, 3)}
+    got = rewrite_in_lyndon(lie_to_word_poly(e))
+    assert got == e
+    assert type(got["001"]) is Fraction and got["001"] == Fraction(1, 2)
+    assert type(got["011"]) is Fraction
+    # and a half times an integer bracket stays a half
+    half = combine((Fraction(1, 2), lie_bracket(basis_element("0"), basis_element("1"))))
+    assert half == {"01": Fraction(1, 2)} and type(half["01"]) is Fraction

@@ -184,3 +184,29 @@ def test_tables_have_no_weight_one_targets():
     beta, gamma = beta_gamma_tables(6)
     for table in (alpha, beta, gamma):
         assert all(len(w) >= 2 for (w, _, _) in table)
+
+
+def fraction_beta_gamma(max_weight):
+    """beta and gamma rebuilt from Fraction-seeded basis elements."""
+    beta, gamma = {}, {}
+    ws = lyndon_words(max_weight - 1)
+    for u in ws:
+        for v in ws:
+            if len(u) + len(v) > max_weight:
+                continue
+            eu, ev = {u: Fraction(1)}, {v: Fraction(1)}
+            for w, c in special_derivation(ev, eu).items():
+                assert type(c) is Fraction
+                beta[(w, u, v)] = -c
+            if u < v:
+                for w, c in ihara_bracket(eu, ev).items():
+                    assert type(c) is Fraction
+                    gamma[(w, u, v)] = c
+    return beta, gamma
+
+
+def test_beta_gamma_are_ints_equal_to_the_fraction_rebuild():
+    beta, gamma = beta_gamma_tables(6)
+    assert all(type(c) is int for c in (*beta.values(), *gamma.values()))
+    ref_beta, ref_gamma = fraction_beta_gamma(6)
+    assert dict(beta) == ref_beta and dict(gamma) == ref_gamma

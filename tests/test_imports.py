@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used in its module."""
+"""Source guards: every module-level import in the package is used in its
+module, and the integer layers make no Fraction."""
 
 from __future__ import annotations
 
@@ -35,3 +36,38 @@ def test_package_has_no_unused_imports():
     assert modules
     for path in modules:
         assert unused_imports(path.read_text()) == [], path.name
+
+
+# the layers whose structure constants are integers build them without Fraction
+INTEGER_LAYERS = ("words", "freelie", "ihara", "colie")
+
+
+def fraction_calls(source: str) -> list[int]:
+    """Line numbers of ``Fraction(...)`` calls in ``source``, outside annotations."""
+    tree = ast.parse(source)
+    in_annotations = set()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                in_annotations.update(map(id, ast.walk(annotation)))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in in_annotations:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "Fraction":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_catches_a_fraction_call():
+    assert fraction_calls("from fractions import Fraction\nONE = Fraction(1)\n") == [2]
+    assert fraction_calls("import fractions\nHALF = fractions.Fraction(1, 2)\n") == [2]
+    source = "def f(x: Fraction) -> dict[str, Fraction]:\n    y: Fraction = x\n    return {}\n"
+    assert fraction_calls(source) == []
+
+
+def test_integer_layers_make_no_fraction():
+    for name in INTEGER_LAYERS:
+        assert fraction_calls((PACKAGE / f"{name}.py").read_text()) == [], name

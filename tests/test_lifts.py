@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -33,7 +34,7 @@ from lyndonbar.lifts import (
     verify_fiber_identity,
     verify_geom_basis,
 )
-from lyndonbar.linalg import add_term
+from lyndonbar.linalg import _integer_equation, add_term, solve_affine
 from lyndonbar.words import lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
@@ -204,6 +205,74 @@ def test_no_per_degree_constants_at_weight_6(monkeypatch):
     tags = [(fam, w) for w in lyndon_words(6) if len(w) > 1 for fam in ("t0", "t1")]
     assert len(tags) == 42
     assert built == tags[:9] and built[-1] == ("t0", "000101")
+
+
+@lru_cache(maxsize=None)
+def fraction_delta_tree(tree, tag) -> dict:
+    """The tree cobracket seeded with Fraction(1): the reference for the int kernel."""
+    if tree is None:
+        return {(tag,): ONE}
+    left, right = tree
+    out: dict = {}
+    for (a, b), c in tensor_cobracket({tag: ONE}).items():
+        for ka, ca in fraction_delta_tree(left, a).items():
+            for kb, cb in fraction_delta_tree(right, b).items():
+                add_term(out, ka + kb, c * ca * cb)
+    return out
+
+
+def test_integer_tree_sums_match_the_fraction_reference():
+    for w in lyndon_words(6):
+        for fam in ("t0", "t1"):
+            for n in range(1, len(w) + 1):
+                ref: dict = {}
+                for tree in enumerate_trees(n):
+                    for key, c in fraction_delta_tree(tree, (fam, w)).items():
+                        add_term(ref, key, c)
+                assert all(type(c) is Fraction for c in ref.values())
+                got = dict(lifts._tree_sum((fam, w), n))
+                assert all(type(c) is int for c in got.values())
+                assert got == ref, (fam, w, n)
+                slots = lifts._slotify(lifts._tree_sum((fam, w), n), generator_map("plain", 6))
+                assert all(type(c) is int for c in slots.values())
+
+
+def fraction_probe_rows(max_weight):
+    """The unit probe's rows through the Fraction projector and differential."""
+    model = model_x(max_weight)
+    gmap = generator_map("plain", max_weight)
+    for w in lyndon_words(max_weight):
+        if len(w) < 2:
+            continue
+        for fam in ("t0", "t1"):
+            rows: dict = {}
+            for n in range(1, len(w) + 1):
+                tensors = [(k, Fraction(c)) for k, c in lifts._tree_sum((fam, w), n)]
+                part = hain_projector(lifts._slotify(tensors, gmap), model)
+                for word, c in bar_differential(part, model).items():
+                    rows.setdefault(word, {})[n] = c
+            for byn in rows.values():
+                yield byn, {"closed": -byn.pop(1, Fraction(0))}
+
+
+@pytest.mark.parametrize("max_weight", [3, 4, 5])
+def test_probe_rows_are_the_fraction_rows_in_integers(monkeypatch, max_weight):
+    captured = []
+
+    def recording_solve(equations, var_order, *, labels):
+        equations = list(equations)
+        captured.extend(equations)
+        return solve_affine(equations, var_order, labels=labels)
+
+    monkeypatch.setattr(lifts, "solve_affine", recording_solve)
+    assert solve_unit_constants.__wrapped__(max_weight) == solve_unit_constants(5)[:max_weight]
+    reference = list(fraction_probe_rows(max_weight))
+    assert len(captured) == len(reference)
+    for (row, rhs), (ref_row, ref_rhs) in zip(captured, reference):
+        assert all(type(c) is int for c in (*row.values(), *rhs.values()))
+        assert list(row) == list(ref_row)
+        # the same equation up to a positive scale: equal primitive forms
+        assert _integer_equation(row, rhs) == _integer_equation(ref_row, ref_rhs)
 
 
 def test_unit_on_weight_one_tag():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyndonbar.linalg import ZERO, add_term, solve_affine
+from lyndonbar.linalg import ZERO, add_term, combine, solve_affine
 
 
 def solve_single(equations, var_order):
@@ -307,3 +307,35 @@ def test_a_label_outside_labels_raises():
         solve_affine(equations, ["x"], labels=["a"])
     with pytest.raises(ValueError):
         solve_affine(equations, ["x"], labels=[])
+
+
+# ---------------------------------------------------------------------------
+# the sparse vector helpers keep the coefficient ring of their inputs
+
+
+@pytest.mark.parametrize("ring", [int, Fraction])
+def test_add_term_keeps_the_ring_and_drops_cancelled_keys(ring):
+    out: dict = {}
+    add_term(out, "a", ring(2))
+    add_term(out, "a", ring(3))
+    add_term(out, "b", ring(0))
+    add_term(out, "c", ring(-1))
+    assert out == {"a": 5, "c": -1}
+    assert all(type(v) is ring for v in out.values())
+    add_term(out, "a", ring(-5))
+    assert out == {"c": -1}
+
+
+@pytest.mark.parametrize("ring", [int, Fraction])
+def test_combine_keeps_the_ring_and_drops_cancelled_keys(ring):
+    u = {"x": ring(1), "y": ring(2)}
+    v = {"x": ring(1), "z": ring(-3)}
+    got = combine((ring(1), u), (ring(-1), v), (ring(0), {"w": ring(7)}))
+    assert got == {"y": 2, "z": 3}
+    assert all(type(c) is ring for c in got.values())
+    assert combine((1, u), (-1, u)) == {}
+
+
+def test_combine_with_a_fraction_scale_gives_fractions():
+    got = combine((Fraction(1, 2), {"x": 3}), (1, {"x": 1}))
+    assert got == {"x": Fraction(5, 2)} and type(got["x"]) is Fraction

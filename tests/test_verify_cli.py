@@ -111,6 +111,15 @@ def test_verify_exit_zero(capsys):
     assert all(r["status"] != "fail" for r in json.loads(out))
 
 
+@pytest.mark.parametrize("weight, checks", [("2", 44), ("3", 46)])
+def test_verify_all_at_the_smallest_weights(capsys, weight, checks):
+    # the corrupted-cobracket check builds its weight-4 presentation at
+    # every run weight
+    code, out = run_cli(capsys, "verify", "--max-weight", weight)
+    assert code == 0
+    assert out.splitlines()[-1] == f"{checks} checks, 0 failed"
+
+
 def test_deterministic_output(capsys):
     _, first = run_cli(capsys, "coeffs", "--family", "gamma", "--max-weight", "5")
     _, second = run_cli(capsys, "coeffs", "--family", "gamma", "--max-weight", "5")
