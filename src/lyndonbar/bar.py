@@ -5,6 +5,11 @@ ideal); a bar element maps bar words to Fraction coefficients, expanded
 multilinearly so that slots are always single monomials.  The bar degree of a
 word is the sum of the desuspended slot degrees (slot degree minus one), and
 all signs below are Koszul signs computed on desuspended degrees.
+
+The shuffle product and Hain's projector depend on a word only through its
+letter pattern: which slots hold the same monomial, and the parity of each
+slot.  Both are computed once per pattern, on words of integer codes shared
+by every presentation, and the result is relabelled with the monomials.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ BarWord = tuple  # tuple[Monomial, ...]
 BarElement = dict  # BarWord -> Fraction
 BarTensor = dict  # (BarWord, BarWord) -> Fraction
 
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -121,15 +125,37 @@ def coproduct(b: BarElement) -> BarTensor:
     return out
 
 
+def _encode(p: CdgaPresentation, word: BarWord) -> tuple:
+    """The letter pattern of ``word``: ``(codes, letters)``.
+
+    A slot's code is 2k + parity: k counts the distinct monomials before the
+    first occurrence of the slot's monomial, and parity is that of its
+    desuspended degree.  ``letters`` maps each code back to its monomial.
+    """
+    first: dict = {}
+    for m in word:
+        if m not in first:
+            first[m] = 2 * len(first) + _slot(p, m)[0]
+    return tuple(map(first.__getitem__, word)), {code: m for m, code in first.items()}
+
+
+def _relabel(pairs: tuple, letters: dict) -> tuple:
+    """(code word, integer) pairs as (bar word, integer) pairs."""
+    get = letters.__getitem__
+    return tuple((tuple(map(get, w)), c) for w, c in pairs)
+
+
 @lru_cache(maxsize=None)
-def _shuffle_words(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
-    """The signed shuffle of two bar words: sorted (word, integer) pairs."""
+def _shuffle_words(w1: tuple, w2: tuple) -> tuple:
+    """The signed shuffle of two code words: (code word, integer) pairs.
+
+    A code's low bit is the parity of its slot, which sets the Koszul signs.
+    """
     n1, n2 = len(w1), len(w2)
-    odd2 = [(p.monomial_degree(m) - 1) % 2 for m in w2]
-    # tail1[i]: the parity of the desuspended degrees of w1[i:]
+    # tail1[i]: the parity of w1[i:]
     tail1 = [0] * (n1 + 1)
     for i in range(n1 - 1, -1, -1):
-        tail1[i] = tail1[i + 1] ^ (p.monomial_degree(w1[i]) - 1) % 2
+        tail1[i] = tail1[i + 1] ^ (w1[i] & 1)
 
     def rec(i: int, j: int):
         if i == n1:
@@ -141,21 +167,36 @@ def _shuffle_words(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
         for rest, s in rec(i + 1, j):
             yield (w1[i],) + rest, s
         # moving w2[j] past the rest of w1 is odd only when both are odd
-        factor = -1 if odd2[j] and tail1[i] else 1
+        factor = -1 if w2[j] & 1 and tail1[i] else 1
         for rest, s in rec(i, j + 1):
             yield (w2[j],) + rest, s * factor
 
     out: dict = {}
     for word, s in rec(0, 0):
         out[word] = out.get(word, 0) + s
-    return tuple(sorted((word, c) for word, c in out.items() if c))
+    return tuple((word, c) for word, c in out.items() if c)
+
+
+def _shuffle_pair(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
+    """The signed shuffle of two bar words: (bar word, integer) pairs."""
+    codes, letters = _encode(p, w1 + w2)
+    n1 = len(w1)
+    return _relabel(_shuffle_words(codes[:n1], codes[n1:]), letters)
+
+
+def _parity(p: CdgaPresentation, word: BarWord) -> int:
+    """The parity of the bar degree of ``word``."""
+    odd = 0
+    for m in word:
+        odd ^= _slot(p, m)[0]
+    return odd
 
 
 def shuffle(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarElement:
     out: BarElement = {}
     for w1, c1 in b1.items():
         for w2, c2 in b2.items():
-            for word, c in _shuffle_words(p, w1, w2):
+            for word, c in _shuffle_pair(p, w1, w2):
                 add_term(out, word, c * c1 * c2)
     return out
 
@@ -168,11 +209,12 @@ def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTens
     """
     out: BarTensor = {}
     for (x1, x2), c1 in t1.items():
+        odd2 = _parity(p, x2)
         for (y1, y2), c2 in t2.items():
-            sign = -1 if (bar_degree(x2, p) * bar_degree(y1, p)) % 2 else 1
-            for u, cu in shuffle({x1: ONE}, {y1: ONE}, p).items():
-                for v, cv in shuffle({x2: ONE}, {y2: ONE}, p).items():
-                    add_term(out, (u, v), sign * c1 * c2 * cu * cv)
+            c = -c1 * c2 if odd2 and _parity(p, y1) else c1 * c2
+            for u, cu in _shuffle_pair(p, x1, y1):
+                for v, cv in _shuffle_pair(p, x2, y2):
+                    add_term(out, (u, v), c * cu * cv)
     return out
 
 
@@ -186,35 +228,41 @@ def _lcm_upto(n: int) -> int:
 def _hain_word(p: CdgaPresentation, word: BarWord) -> tuple:
     """p([word]) as (bar word, integer) pairs over lcm(1..len(word)).
 
+    The pattern's projection relabelled with the word's monomials.
+    """
+    codes, letters = _encode(p, word)
+    return _relabel(_hain_pattern(codes), letters)
+
+
+@lru_cache(maxsize=None)
+def _hain_pattern(codes: tuple) -> tuple:
+    """p of a code word as (code word, integer) pairs over lcm(1..len(codes)).
+
     The i-th convolution power of J = id - epsilon sends a word to the
     shuffle of its i-block deconcatenations.  Over suffixes it obeys
     P_1(s) = [word[s:]] and P_i(s) = sum_k [word[s:k]] sh P_(i-1)(k), all in
     integers; p = sum_i ((-1)^(i-1)/i) P_i(0) is summed over the common
     denominator lcm(1..n).
     """
-    n = len(word)
+    n = len(codes)
     denom = _lcm_upto(n)
-    total = {word: denom}
-    powers = [{word[s:]: 1} for s in range(n)]
+    total = {codes: denom}
+    powers = [{codes[s:]: 1} for s in range(n)]
     for i in range(2, n + 1):
-        powers = [
-            _shuffle_suffixes(p, word, s, powers, n - i + 1) for s in range(n - i + 1)
-        ]
+        powers = [_shuffle_suffixes(codes, s, powers, n - i + 1) for s in range(n - i + 1)]
         scale = denom // i if i % 2 else -(denom // i)
         for w, c in powers[0].items():
             total[w] = total.get(w, 0) + scale * c
     return tuple((w, c) for w, c in total.items() if c)
 
 
-def _shuffle_suffixes(
-    p: CdgaPresentation, word: BarWord, s: int, powers: list, last: int
-) -> dict:
-    """sum over k in (s, last] of [word[s:k]] shuffled with powers[k], in integers."""
+def _shuffle_suffixes(codes: tuple, s: int, powers: list, last: int) -> dict:
+    """sum over k in (s, last] of [codes[s:k]] shuffled with powers[k], in integers."""
     out: dict = {}
     for k in range(s + 1, last + 1):
-        head = word[s:k]
+        head = codes[s:k]
         for v, c in powers[k].items():
-            for w, e in _shuffle_words(p, head, v):
+            for w, e in _shuffle_words(head, v):
                 out[w] = out.get(w, 0) + c * e
     return {w: c for w, c in out.items() if c}
 
@@ -251,8 +299,7 @@ def tensor_swap(t: BarTensor, p: CdgaPresentation) -> BarTensor:
     """tau on the tensor square, with the Koszul sign of the bar degrees."""
     out: BarTensor = {}
     for (w1, w2), c in t.items():
-        sign = -1 if (bar_degree(w1, p) * bar_degree(w2, p)) % 2 else 1
-        add_term(out, (w2, w1), sign * c)
+        add_term(out, (w2, w1), -c if _parity(p, w1) and _parity(p, w2) else c)
     return out
 
 
@@ -328,11 +375,14 @@ def cobracket_11(b: BarElement, p: CdgaPresentation) -> BarTensor:
 def wedge_pair(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarTensor:
     """b1 ^ b2 in the projector normalization: (1/2)(b1 @ b2 -+ b2 @ b1)."""
     out: BarTensor = {}
+    right = [(w2, c2, _parity(p, w2)) for w2, c2 in b2.items()]
     for w1, c1 in b1.items():
-        for w2, c2 in b2.items():
-            sign = -1 if (bar_degree(w1, p) * bar_degree(w2, p)) % 2 else 1
-            add_term(out, (w1, w2), HALF * c1 * c2)
-            add_term(out, (w2, w1), -sign * HALF * c1 * c2)
+        odd1 = _parity(p, w1)
+        half1 = HALF * c1
+        for w2, c2, odd2 in right:
+            half = half1 * c2
+            add_term(out, (w1, w2), half)
+            add_term(out, (w2, w1), half if odd1 and odd2 else -half)
     return out
 
 

@@ -2,7 +2,8 @@
 
 All output is deterministic for fixed arguments and seed; rationals are
 printed as exact ``p/q`` strings, never floats.  Exit status is 0 on success,
-1 on an identity violation, 2 on usage errors.
+1 on an identity violation, 2 on usage errors, an ``--out`` path that cannot
+be written among them.
 """
 
 from __future__ import annotations
@@ -40,10 +41,17 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
+class OutputError(Exception):
+    """Raised when the ``--out`` file cannot be written."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -306,7 +314,10 @@ def main(argv=None) -> int:
             command.error(f"{flag} must be at least {low}")
         if value > cap and not args.force:
             command.error(f"{flag} {value} exceeds the cap {cap}; pass --force to override")
-    return args.func(args, command)
+    try:
+        return args.func(args, command)
+    except OutputError as exc:
+        command.error(str(exc))
 
 
 if __name__ == "__main__":

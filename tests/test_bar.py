@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from conftest import rescaled
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from lyndonbar.bar import (
     InvalidElementError,
+    bar_degree,
+    _hain_pattern,
     _hain_word,
     _lcm_upto,
     bar_differential,
@@ -25,8 +28,9 @@ from lyndonbar.bar import (
     shuffle,
     tensor_shuffle,
     tensor_swap,
+    wedge_pair,
 )
-from lyndonbar.dgcore import model_x
+from lyndonbar.dgcore import model_a1, model_x
 from lyndonbar.lifts import VARIANTS, lift_LB
 from lyndonbar.linalg import add_term, combine
 from lyndonbar.verify import random_bar_element
@@ -112,8 +116,6 @@ def test_shuffle_associative_and_commutative():
 
 
 def _graded_flip_shuffle(b, a, p):
-    from lyndonbar.bar import bar_degree
-
     out: dict = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
@@ -147,8 +149,6 @@ def test_shuffle_is_chain_map_sample():
 
 
 def _signed_right_shuffle(a, b, p):
-    from lyndonbar.bar import bar_degree
-
     out: dict = {}
     for wa, ca in a.items():
         sign = -1 if bar_degree(wa, p) % 2 else 1
@@ -434,3 +434,112 @@ def test_cobracket_11_matches_delta_q_on_degree_zero_lifts():
         for variant in VARIANTS:
             element, _ = lift_LB(w, variant, "oracle")
             assert_cobracket_11_matches(element, VARIANTS[variant].model(len(w)))
+
+
+# ---------------------------------------------------------------------------
+# letter patterns: p([word]) depends only on which slots are equal and on
+# their parities
+
+
+def closed_form_coefficient(parities, arrangement):
+    """p([a_0|...|a_(n-1)]) at [a_pi(0)|...] for distinct letters, times lcm(1..n).
+
+    koszul(pi) (-1)^d lcm(1..n) / (n C(n-1, d)), d the number of i with i+1
+    before i in the arrangement, and koszul(pi) the sign of moving the odd
+    letters into place.
+    """
+    n = len(parities)
+    position = {a: i for i, a in enumerate(arrangement)}
+    d = sum(position[i + 1] < position[i] for i in range(n - 1))
+    swaps = sum(
+        parities[a] and parities[b] and position[b] < position[a]
+        for a, b in combinations(range(n), 2)
+    )
+    return (-1) ** (swaps + d) * _lcm_upto(n) // (n * math.comb(n - 1, d))
+
+
+def test_hain_word_matches_the_closed_form_on_distinct_letters():
+    for n in range(1, 7):
+        for parities in product((0, 1), repeat=n):
+            letters = [_P4_PAIRS[i] if odd else _P4_GENS[i] for i, odd in enumerate(parities)]
+            got = dict(_hain_word(P4, tuple(letters)))
+            want = {
+                tuple(letters[a] for a in pi): closed_form_coefficient(parities, pi)
+                for pi in permutations(range(n))
+            }
+            assert got == want, parities
+
+
+# an even slot, an odd slot, one of them again, and up to three more
+repeated_mixed_words = st.tuples(
+    st.sampled_from(_P4_GENS),
+    st.sampled_from(_P4_PAIRS),
+    st.booleans(),
+    st.lists(st.one_of(st.sampled_from(_P4_GENS), st.sampled_from(_P4_PAIRS)), max_size=3),
+).flatmap(lambda t: st.permutations([t[0], t[1], t[1] if t[2] else t[0], *t[3]])).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_mixed_words, st.permutations(_P4_GENS), st.permutations(_P4_PAIRS))
+def test_renaming_the_letters_renames_the_projection(word, gens, pairs):
+    # an injective renaming that keeps each slot's parity
+    rename = dict(zip(_P4_GENS, gens)) | dict(zip(_P4_PAIRS, pairs))
+    renamed = tuple(rename[m] for m in word)
+    want = {tuple(rename[m] for m in w): c for w, c in reference_hain_word(P4, word).items()}
+    assert hain_word_fractions(P4, renamed) == want
+
+
+def test_a_pattern_is_shared_across_models():
+    odd = ("L0_1", "L1_0")
+    word_x = (("L0_01",), odd, ("L1_01",), odd, ("L0_01",))
+    word_a1 = (("M_01",), ("M_0", "M_1"), ("M_001",), ("M_0", "M_1"), ("M_01",))
+    _hain_word(P4, word_x)
+    before = _hain_pattern.cache_info()
+    got = _hain_word.__wrapped__(model_a1(4), word_a1)
+    after = _hain_pattern.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    rename = dict(zip(word_x, word_a1))
+    assert got == tuple((tuple(rename[m] for m in w), c) for w, c in _hain_word(P4, word_x))
+
+
+def reference_shuffle_words(p, w1, w2):
+    """The signed shuffle of two bar words by the recursion on monomials."""
+    if not w1 or not w2:
+        return {w1 + w2: 1}
+    out: dict = {}
+    for rest, c in reference_shuffle_words(p, w1[1:], w2).items():
+        add_term(out, (w1[0],) + rest, c)
+    odd = (p.monomial_degree(w2[0]) - 1) % 2 and sum(p.monomial_degree(m) - 1 for m in w1) % 2
+    for rest, c in reference_shuffle_words(p, w1, w2[1:]).items():
+        add_term(out, (w2[0],) + rest, -c if odd else c)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(mixed_words, coeffs, max_size=2), st.dictionaries(mixed_words, coeffs, max_size=2))
+def test_shuffle_matches_the_recursion_on_monomials(b1, b2):
+    want: dict = {}
+    for w1, c1 in b1.items():
+        for w2, c2 in b2.items():
+            for w, c in reference_shuffle_words(P4, w1, w2).items():
+                add_term(want, w, c * c1 * c2)
+    assert shuffle(b1, b2, P4) == want
+
+
+def reference_wedge_pair(b1, b2, p):
+    """(1/2)(b1 @ b2 - (-1)^(|w1||w2|) b2 @ b1), term by term from the bar degrees."""
+    out: dict = {}
+    for w1, c1 in b1.items():
+        for w2, c2 in b2.items():
+            sign = (-1) ** (bar_degree(w1, p) * bar_degree(w2, p))
+            add_term(out, (w1, w2), HALF * c1 * c2)
+            add_term(out, (w2, w1), -sign * HALF * c1 * c2)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(mixed_words, coeffs, max_size=3), st.dictionaries(mixed_words, coeffs, max_size=3))
+def test_wedge_pair_matches_the_reference_with_signs(b1, b2):
+    got = wedge_pair(b1, b2, P4)
+    assert got == reference_wedge_pair(b1, b2, P4)
+    assert tensor_swap(got, P4) == {k: -v for k, v in got.items()}

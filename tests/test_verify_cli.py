@@ -208,6 +208,19 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == ["0", "001", "01", "011", "1"]
 
 
+@pytest.mark.parametrize("command", [["lyndon", "--max-length", "3"], ["verify", "--suite", "words", "--max-weight", "3"]])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
+    for path in (tmp_path / "missing" / "x", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: lyndonbar {command[0]} ")
+        assert f"cannot write --out {path}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(lyndonbar.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
