@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Mapping
 
 from .dgcore import CdgaPresentation
-from .linalg import add_term
+from .linalg import add_term, from_numerators, to_numerators
 
 BarWord = tuple  # tuple[Monomial, ...]
 BarElement = dict  # BarWord -> Fraction
@@ -52,14 +52,9 @@ def bar_differential(b: BarElement, p: CdgaPresentation) -> BarElement:
     -(-1)^(eta(i)), where eta is the running sum of desuspended slot degrees.
     The sum runs in integers over one common denominator.
     """
-    check_element(b)
-    if not b:
-        return {}
-    den = math.lcm(*(c.denominator for c in b.values()))
-    numerators = {w: c.numerator * (den // c.denominator) for w, c in b.items()}
-    d_den, out = differential_numerators(numerators, p)
-    denom = den * d_den
-    return {w: Fraction(v, denom) for w, v in out.items()}
+    den, ints = to_numerators(check_element(b))
+    d_den, out = differential_numerators(ints, p)
+    return from_numerators(out, den * d_den)
 
 
 def differential_numerators(b: Mapping[BarWord, int], p: CdgaPresentation) -> tuple:
@@ -67,10 +62,13 @@ def differential_numerators(b: Mapping[BarWord, int], p: CdgaPresentation) -> tu
 
     Returns ``(D, numerators)``: d_B(b) is ``numerators`` over D, the
     presentation's differential denominator (1 for the integral models).
+    Zero coefficients are skipped.
     """
     d_den = _differential_denominator(p)
     out: dict = {}
     for word, c in b.items():
+        if not c:
+            continue
         odd = 0  # the parity of eta before slot i
         for i, m in enumerate(word):
             slot_odd, dm = _slot(p, m)
@@ -267,9 +265,20 @@ def _shuffle_suffixes(codes: tuple, s: int, powers: list, last: int) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def hain_numerators(word: BarWord, p: CdgaPresentation) -> tuple:
-    """p([word]) without Fractions: ``(lcm(1..len(word)), {bar word: numerator})``."""
-    return _lcm_upto(len(word)), dict(_hain_word(p, word))
+def projector_numerators(b: Mapping[BarWord, int], p: CdgaPresentation, denom: int) -> dict:
+    """p(b) of an element with integer coefficients, as numerators over ``denom``.
+
+    ``denom`` must be a multiple of lcm(1..len(word)) for every word of b.
+    Zero coefficients are skipped; a numerator is zero where terms cancel.
+    """
+    out: dict = {}
+    for word, c in b.items():
+        if not c:
+            continue
+        scale = c * (denom // _lcm_upto(len(word)))
+        for w, num in _hain_word(p, word):
+            out[w] = out.get(w, 0) + scale * num
+    return out
 
 
 def hain_projector(b: BarElement, p: CdgaPresentation) -> BarElement:
@@ -284,15 +293,9 @@ def hain_projector(b: BarElement, p: CdgaPresentation) -> BarElement:
         raise InvalidElementError("empty-word component present")
     if not b:
         return {}
-    den = math.lcm(*(c.denominator for c in b.values()))
-    longest = _lcm_upto(max(map(len, b)))
-    out: dict = {}
-    for word, c in b.items():
-        scale = c.numerator * (den // c.denominator) * (longest // _lcm_upto(len(word)))
-        for w, num in _hain_word(p, word):
-            out[w] = out.get(w, 0) + scale * num
-    denom = den * longest
-    return {w: Fraction(v, denom) for w, v in out.items() if v}
+    den, ints = to_numerators(b)
+    denom = _lcm_upto(max(map(len, b)))
+    return from_numerators(projector_numerators(ints, p, denom), den * denom)
 
 
 def tensor_swap(t: BarTensor, p: CdgaPresentation) -> BarTensor:
@@ -311,10 +314,9 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     """
     # red - tau o red in integers over den, grouped by left leg; the 1/2
     # goes into the denominator
-    den = math.lcm(*(c.denominator for c in b.values()))
+    den, ints = to_numerators(b)
     by_left: dict = {}
-    for word, c in b.items():
-        c = c.numerator * (den // c.denominator)
+    for word, c in ints.items():
         # the running degree sums give each split's leg degrees
         eta = list(accumulate((_slot(p, m)[0] for m in word), initial=0))
         for i in range(1, len(word)):
@@ -333,14 +335,7 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     out: dict = {}
     for w1, rights in by_left.items():
         # p is linear, so project each right leg once and sum before tensoring
-        right: dict = {}
-        for w2, c in rights.items():
-            if not c:
-                continue
-            scale = c * (leg_denom // _lcm_upto(len(w2)))
-            for v2, num in _hain_word(p, w2):
-                right[v2] = right.get(v2, 0) + scale * num
-        right = [(v2, r) for v2, r in right.items() if r]
+        right = [(v2, r) for v2, r in projector_numerators(rights, p, leg_denom).items() if r]
         if not right:
             continue
         scale1 = leg_denom // _lcm_upto(len(w1))
@@ -349,8 +344,7 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
             for v2, r in right:
                 key = (v1, v2)
                 out[key] = out.get(key, 0) + n1 * r
-    denom = 2 * den * leg_denom**2
-    return {key: Fraction(v, denom) for key, v in out.items() if v}
+    return from_numerators(out, 2 * den * leg_denom**2)
 
 
 def cobracket_11(b: BarElement, p: CdgaPresentation) -> BarTensor:

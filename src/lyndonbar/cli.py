@@ -37,10 +37,6 @@ _BOUNDS = {
 _TAG_FAMILY = {prefix: family for family, prefix in TAG_PREFIX.items()}
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 class OutputError(Exception):
     """Raised when the ``--out`` file cannot be written."""
 
@@ -71,7 +67,7 @@ _FAMILIES = ("alpha", "beta", "gamma", "a", "b", "aprime", "bprime")
 def cmd_coeffs(args, parser) -> int:
     table = coefficient_table(args.family, args.max_weight)
     rows = [
-        {"W": w, "U": u, "V": v, "value": _frac(c)}
+        {"W": w, "U": u, "V": v, "value": str(c)}
         for (w, u, v), c in sorted(table.items())
     ]
     if args.format == "json":
@@ -90,14 +86,21 @@ def _parse_tag(text: str, force: bool) -> tuple:
         raise InvalidWordError(
             f"unknown tag family {prefix!r}; expected one of {sorted(_TAG_FAMILY)}"
         )
+    _check_word(word, 1, force)
+    return (_TAG_FAMILY[prefix], word)
+
+
+def _check_word(word: str, min_weight: int, force: bool) -> None:
+    """Raise InvalidWordError unless ``word`` is a Lyndon word of weight at
+    least ``min_weight`` and, without ``force``, at most the cap."""
     # the length first: is_lyndon is quadratic in it
     if len(word) > HARD_CAP and not force:
         raise InvalidWordError(
             f"weight {len(word)} exceeds the cap {HARD_CAP}; pass --force to override"
         )
-    if not word or any(c not in "01" for c in word) or not is_lyndon(word):
-        raise InvalidWordError(f"{word!r} is not a Lyndon word")
-    return (_TAG_FAMILY[prefix], word)
+    if len(word) < min_weight or any(c not in "01" for c in word) or not is_lyndon(word):
+        at_least = f" of weight >= {min_weight}" if min_weight > 1 else ""
+        raise InvalidWordError(f"{word!r} is not a Lyndon word{at_least}")
 
 
 def _format_tag(tag) -> str:
@@ -111,11 +114,11 @@ def cmd_cobracket(args, parser) -> int:
     except InvalidWordError as exc:
         parser.error(str(exc))
     element = {tag: Fraction(1)}
-    target = {"x1": "x1", "t01": "t01"}[args.basis] if args.basis else basis_of(element)
+    target = args.basis or basis_of(element)
     converted = change_basis(element, target)
     wedge = cobracket(converted)
     rows = [
-        {"left": _format_tag(a), "right": _format_tag(b), "value": _frac(c)}
+        {"left": _format_tag(a), "right": _format_tag(b), "value": str(c)}
         for (a, b), c in sorted(wedge.items())
     ]
     if args.format == "json":
@@ -138,7 +141,7 @@ def cmd_model(args, parser) -> int:
         ],
         "differential": {
             g.name: [
-                {"monomial": list(m), "coeff": _frac(c)}
+                {"monomial": list(m), "coeff": str(c)}
                 for m, c in sorted(p.differential[g.name].items())
             ]
             for g in p.generators
@@ -166,18 +169,17 @@ def cmd_trees(args, parser) -> int:
 
 def cmd_lift(args, parser) -> int:
     word = args.word
-    # the length first: is_lyndon is quadratic in it
-    if len(word) > HARD_CAP and not args.force:
-        parser.error(f"weight {len(word)} exceeds the cap {HARD_CAP}; pass --force")
-    if len(word) < 2 or any(c not in "01" for c in word) or not is_lyndon(word):
-        parser.error(f"{word!r} is not a Lyndon word of weight >= 2")
+    try:
+        _check_word(word, 2, args.force)
+    except InvalidWordError as exc:
+        parser.error(str(exc))
     element, report = lift_LB(word, args.variant, args.method)
     payload = {
         "word": word,
         "variant": args.variant,
         "method": report.method,
         "terms": [
-            {"slots": [list(m) for m in bar_word], "coeff": _frac(c)}
+            {"slots": [list(m) for m in bar_word], "coeff": str(c)}
             for bar_word, c in sorted(element.items())
         ],
         "properties": {

@@ -25,9 +25,9 @@ from .bar import (
     cobracket_11,
     delta_Q,
     differential_numerators,
-    hain_numerators,
     hain_projector,
     pi1,
+    projector_numerators,
     wedge_pair,
 )
 from .colie import ab_tables, coefficient_table, tensor_cobracket
@@ -45,7 +45,7 @@ from .dgcore import (
 )
 from .freelie import alpha_table
 from .ihara import beta_gamma_tables
-from .linalg import add_term, combine, solve_affine
+from .linalg import add_term, combine, from_numerators, solve_affine, to_numerators
 from .words import is_lyndon_sequence, lyndon_words
 
 ONE = Fraction(1)
@@ -191,20 +191,6 @@ def _slotify(tensors, gmap) -> BarElement:
     return out
 
 
-def _projected(b: BarElement, denom: int, model: CdgaPresentation) -> dict:
-    """p(b) for int coefficients, as int numerators over ``denom``.
-
-    ``denom`` must be a multiple of lcm(1..len(word)) for every word of b.
-    """
-    out: dict = {}
-    for word, c in b.items():
-        d, terms = hain_numerators(word, model)
-        scale = c * (denom // d)
-        for v, num in terms.items():
-            out[v] = out.get(v, 0) + scale * num
-    return {v: x for v, x in out.items() if x}
-
-
 def adjunction_unit(
     t: dict,
     model: CdgaPresentation,
@@ -257,7 +243,7 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
             for fam in ("t0", "t1"):
                 rows: dict = {}
                 for n in range(1, len(w) + 1):
-                    part = _projected(_slotify(_tree_sum((fam, w), n), gmap), denom, model)
+                    part = projector_numerators(_slotify(_tree_sum((fam, w), n), gmap), model, denom)
                     for word, c in differential_numerators(part, model)[1].items():
                         rows.setdefault(word, {})[n] = c
                 for byn in rows.values():
@@ -311,27 +297,27 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     the shuffle algebra is free on Lyndon words (Radford), and the p(l) form a
     basis of the image of Hain's projector p.  So only the tensor-degree-1
     rows (one label per generator of this weight, c_g = 1 for its own label)
-    and the closedness rows d_B(sum c_l p(l)) = 0 remain.  The images and
-    the rows are built in integers.
+    and the closedness rows d_B(sum c_l p(l)) = 0 remain.  The rows are
+    built in integers, from each p(l) as numerators over ``denom``, a
+    multiple of lcm(1..len(l)) for every l.
 
-    Returns ``(denom, images, solutions, n_free)``: p(l) for each Lyndon word
-    l as integer numerators over ``denom``, the coefficients per generator
+    Returns ``(denom, solutions, n_free)``: the coefficients per generator
     name from :func:`solve_affine` (None where that generator has no lift),
     and the dimension of each solution space.
     """
     lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
     denom = math.lcm(*range(1, max(map(len, lyndon)) + 1))
-    images = {w: _projected({w: 1}, denom, model) for w in lyndon}
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
     equations = [({((g,),): 1}, {g: 1}) for g in labels]
     # the closedness rows are homogeneous, so their common denominator drops
     rows: dict = {}
     for w in lyndon:
-        for iw, c in differential_numerators(images[w], model)[1].items():
+        image = projector_numerators({w: 1}, model, denom)
+        for iw, c in differential_numerators(image, model)[1].items():
             rows.setdefault(iw, {})[w] = c
     equations.extend((row, {}) for row in rows.values())
     solutions, n_free = solve_affine(equations, lyndon, labels=labels)
-    return denom, images, solutions or {}, n_free
+    return denom, solutions or {}, n_free
 
 
 def closed_lift_oracle(
@@ -353,27 +339,16 @@ def closed_lift_oracle(
     target = f"{spec.prefix}_{W}"
     if model.weight.get(target) != len(W):
         raise ValueError(f"{target} is not a generator of {model.name}")
-    denom, images, solutions, n_free = _oracle_solve(model, len(W))
+    denom, solutions, n_free = _oracle_solve(model, len(W))
     coefficients = solutions.get(target)
     if coefficients is None:
         raise InfeasibleLiftError(
             f"no closed projector-fixed lift of {target} exists"
         )
-    # sum c_l p(l) in integers over lcm(denominators of the c_l) * denom
-    den = math.lcm(*(c.denominator for c in coefficients.values()))
-    element: dict = {}
-    for w, c in coefficients.items():
-        if not c:
-            continue
-        scale = c.numerator * (den // c.denominator)
-        for v, n in images[w].items():
-            element[v] = element.get(v, 0) + scale * n
-    den *= denom
-    return {
-        w: Fraction(element[w], den)
-        for w in sorted(element, key=_slice_order)
-        if element[w]
-    }, n_free
+    # sum c_l p(l) = p(sum c_l l), in integers
+    den, ints = to_numerators(coefficients)
+    element = from_numerators(projector_numerators(ints, model, denom), den * denom)
+    return {w: element[w] for w in sorted(element, key=_slice_order)}, n_free
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,21 @@ def combine(*parts: tuple[Fraction | int, Mapping]) -> dict:
     return out
 
 
+def to_numerators(vec: Mapping) -> tuple[int, dict]:
+    """``vec`` as integer numerators over one denominator: ``(den, ints)``.
+
+    ``den`` is the lcm of the coefficients' denominators, 1 for int
+    coefficients and for the empty vector.
+    """
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+
+
+def from_numerators(ints: Mapping, den: int) -> dict:
+    """Integer numerators over ``den`` as Fractions, dropping zeros."""
+    return {k: Fraction(v, den) for k, v in ints.items() if v}
+
+
 def _primitive(row: dict, rhs: dict) -> None:
     """Divide an integer equation by the gcd of all its entries, in place."""
     g = math.gcd(*row.values(), *rhs.values())

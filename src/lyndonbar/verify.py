@@ -605,7 +605,8 @@ def run_suites(
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
 ) -> list[CheckResult]:
-    selected = list(SUITES) if "all" in names else list(names)
+    # each named suite once, in the order first named
+    selected = list(SUITES) if "all" in names else list(dict.fromkeys(names))
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")

@@ -25,6 +25,7 @@ from lyndonbar.bar import (
     delta_Q,
     hain_projector,
     pi1,
+    projector_numerators,
     shuffle,
     tensor_shuffle,
     tensor_swap,
@@ -32,7 +33,7 @@ from lyndonbar.bar import (
 )
 from lyndonbar.dgcore import model_a1, model_x
 from lyndonbar.lifts import VARIANTS, lift_LB
-from lyndonbar.linalg import add_term, combine
+from lyndonbar.linalg import add_term, combine, from_numerators, to_numerators
 from lyndonbar.verify import random_bar_element
 from lyndonbar.words import lyndon_words
 
@@ -368,9 +369,17 @@ def test_the_rescaled_presentation_is_not_integral():
 
 
 def assert_kernels_match_references(b, p):
+    # the integer projector over a denominator one word longer than b needs,
+    # with a zero coefficient on a word outside b
+    longest = max(b, key=len)
+    den, ints = to_numerators({**b, longest + longest[:1]: Fraction(0)})
+    denom = _lcm_upto(len(longest) + 1)
+    numerators = projector_numerators(ints, p, denom)
+    assert all(type(c) is int for c in numerators.values())
     for got, want in (
         (bar_differential(b, p), reference_bar_differential(b, p)),
         (hain_projector(b, p), reference_hain_projector(b, p)),
+        (from_numerators(numerators, den * denom), reference_hain_projector(b, p)),
     ):
         assert got == want
         assert all(type(c) is Fraction and c for c in got.values())

@@ -322,6 +322,23 @@ def test_auto_falls_back_to_the_oracle_at_weight_6():
     assert element == closed_lift_oracle("001011", "one")[0]
 
 
+def test_auto_falls_back_to_the_oracle_when_the_unit_formula_fails(monkeypatch):
+    # constants that exist but do not close the formula
+    monkeypatch.setattr(
+        lifts,
+        "solve_unit_constants",
+        lambda n: tuple(published_constants(k) for k in range(1, n + 1)),
+    )
+    lifts._lift_LB.cache_clear()
+    try:
+        element, report = lift_LB("0011", "plain")
+    finally:
+        lifts._lift_LB.cache_clear()
+    assert report.method == "oracle" and report.all_ok
+    assert report.notes == ["unit formula failed verification; oracle fallback"]
+    assert element == lift_LB("0011", "plain", "oracle")[0]
+
+
 def test_unknown_lift_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         lift_LB("01", "plain", "bogus")

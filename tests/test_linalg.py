@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyndonbar.linalg import ZERO, add_term, combine, solve_affine
+from lyndonbar.linalg import ZERO, add_term, combine, from_numerators, solve_affine, to_numerators
 
 
 def solve_single(equations, var_order):
@@ -334,6 +334,22 @@ def test_combine_keeps_the_ring_and_drops_cancelled_keys(ring):
     assert got == {"y": 2, "z": 3}
     assert all(type(c) is ring for c in got.values())
     assert combine((1, u), (-1, u)) == {}
+
+
+@pytest.mark.parametrize(
+    "vec, den, ints",
+    [
+        ({"a": 3, "b": -2}, 1, {"a": 3, "b": -2}),
+        ({"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": Fraction(5)}, 6, {"a": 3, "b": -4, "c": 30}),
+        ({}, 1, {}),
+    ],
+)
+def test_numerators_round_trip(vec, den, ints):
+    got = to_numerators(vec)
+    assert got == (den, ints) and all(type(c) is int for c in got[1].values())
+    back = from_numerators(ints, den)
+    assert back == vec and all(type(c) is Fraction for c in back.values())
+    assert from_numerators({**ints, "zero": 0}, den) == vec
 
 
 def test_combine_with_a_fraction_scale_gives_fractions():

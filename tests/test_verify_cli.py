@@ -26,6 +26,15 @@ def test_verify_small_suites_pass():
     assert results and all(r.status != "fail" for r in results)
 
 
+def test_a_suite_named_twice_runs_once(capsys):
+    code, twice = run_cli(capsys, "verify", "--suite", "words", "words", "--max-weight", "2")
+    assert code == 0 and twice.splitlines()[-1] == "3 checks, 0 failed"
+    assert twice == run_cli(capsys, "verify", "--suite", "words", "--max-weight", "2")[1]
+    # in the order first named
+    names = [r.check for r in run_suites(["signs", "words", "signs"], max_weight=2)]
+    assert names == [r.check for r in run_suites(["signs", "words"], max_weight=2)]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(["nonsense"], max_weight=4)
@@ -138,6 +147,9 @@ def test_weight_cap(capsys):
 USAGE_ERRORS = [
     ["cobracket", "T9:01"],
     ["lift", "10"],
+    ["lift", "1"],
+    ["lift", "000000001"],
+    ["cobracket", "T0:"],
     ["lyndon", "--max-length", "0"],
     ["coeffs", "--family", "alpha", "--max-weight", "1"],
     ["trees", "--leaves", "0"],
