@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Mapping
 
 from .dgcore import CdgaPresentation
@@ -311,40 +310,47 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
 
     The input must be in the image of the Hain projector; the output is an
     antisymmetric tensor with both legs projected back to indecomposables.
+
+    For such b, X = (p @ p)(red b) is already antisymmetric, so it is the
+    cobracket: p is dual to the first Eulerian idempotent, which kills
+    l1 l2 + eps l2 l1 for Lie elements l1, l2.  X is built from the splits
+    whose left leg is at least as long as the right, and each component
+    with a longer left leg is mirrored by tau with the opposite sign.
     """
-    # red - tau o red in integers over den, grouped by left leg; the 1/2
-    # goes into the denominator
     den, ints = to_numerators(b)
     by_left: dict = {}
     for word, c in ints.items():
-        # the running degree sums give each split's leg degrees
-        eta = list(accumulate((_slot(p, m)[0] for m in word), initial=0))
-        for i in range(1, len(word)):
-            w1, w2 = word[:i], word[i:]
-            rights = by_left.setdefault(w1, {})
+        if not word:
+            raise InvalidElementError("empty-word component present")
+        if not all(word):
+            raise InvalidElementError("bar slot outside the augmentation ideal")
+        n = len(word)
+        for i in range((n + 1) // 2, n):
+            rights = by_left.setdefault(word[:i], {})
+            w2 = word[i:]
             rights[w2] = rights.get(w2, 0) + c
-            # minus the Koszul sign of tau
-            lefts = by_left.setdefault(w2, {})
-            odd = eta[i] % 2 and (eta[-1] - eta[i]) % 2
-            lefts[w1] = lefts.get(w1, 0) + (c if odd else -c)
     if not by_left:
         return {}
     # the legs are shorter than the longest word, so p of a leg has a
     # denominator dividing lcm(1..longest - 1)
     leg_denom = _lcm_upto(max(map(len, b)) - 1)
-    out: dict = {}
+    # p is linear: project each left leg's summed right legs, then collect
+    # the raw left legs under each projected right word and project each
+    # group once, so every output key is built once
+    by_right: dict = {}
     for w1, rights in by_left.items():
-        # p is linear, so project each right leg once and sum before tensoring
-        right = [(v2, r) for v2, r in projector_numerators(rights, p, leg_denom).items() if r]
-        if not right:
-            continue
-        scale1 = leg_denom // _lcm_upto(len(w1))
-        for v1, n1 in _hain_word(p, w1):
-            n1 *= scale1
-            for v2, r in right:
-                key = (v1, v2)
-                out[key] = out.get(key, 0) + n1 * r
-    return from_numerators(out, 2 * den * leg_denom**2)
+        for v2, r in projector_numerators(rights, p, leg_denom).items():
+            if r:
+                by_right.setdefault(v2, {})[w1] = r
+    out: dict = {}
+    for v2, lefts in by_right.items():
+        odd2 = _parity(p, v2)
+        short = len(v2)
+        for v1, x in projector_numerators(lefts, p, leg_denom).items():
+            out[(v1, v2)] = x
+            if len(v1) > short:
+                out[(v2, v1)] = x if odd2 and _parity(p, v1) else -x
+    return from_numerators(out, den * leg_denom**2)
 
 
 def cobracket_11(b: BarElement, p: CdgaPresentation) -> BarTensor:

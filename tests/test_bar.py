@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 import pytest
 from conftest import rescaled
@@ -19,6 +19,7 @@ from lyndonbar.bar import (
     _hain_pattern,
     _hain_word,
     _lcm_upto,
+    _slot,
     bar_differential,
     cobracket_11,
     coproduct,
@@ -42,6 +43,7 @@ HALF = Fraction(1, 2)
 P4 = model_x(4)
 P5 = model_x(5)
 P6 = model_x(6)
+P7 = model_x(7)
 
 
 def samples(p, n=100, max_weight=4, seed=42):
@@ -195,6 +197,30 @@ def test_delta_q_on_single_closed_slot():
     assert delta_Q({(("K_01",),): ONE}, P4) == {}
 
 
+@pytest.mark.parametrize(
+    "b", [{((), ("K_01",)): ONE}, {(("K_01",), ()): ONE}, {(): ONE}, {(): ONE, (("K_01",),): ONE}]
+)
+def test_delta_q_rejects_what_the_projector_rejects(b):
+    with pytest.raises(InvalidElementError):
+        hain_projector(b, P4)
+    with pytest.raises(InvalidElementError):
+        delta_Q(b, P4)
+
+
+def test_delta_q_reads_only_the_splits_with_the_longer_left_leg():
+    # p([a|b|c]) over three distinct letters is the six arrangements; each
+    # has one split with the longer left leg, (2|1), and delta_Q projects
+    # that split's right leg once under its left leg and its left leg once
+    # under its projected right leg
+    h = hain_projector({(("L0_1",), ("L1_0",), ("L0_01",)): ONE}, P4)
+    assert len(h) == 6
+    before = _hain_word.cache_info()
+    t = delta_Q(h, P4)
+    after = _hain_word.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 12
+    assert {(len(v1), len(v2)) for v1, v2 in t} == {(2, 1), (1, 2)}
+
+
 def test_delta_q_antisymmetric():
     for b in samples(P4, n=40):
         h = hain_projector(b, P4)
@@ -251,6 +277,40 @@ def reduced_coproduct(b):
     return out
 
 
+def merged_delta_Q(b, p):
+    """(p @ p)(red - tau o red) / 2 over every split, grouped by left leg.
+
+    The kernel before the mirror: each left leg's summed right legs are
+    projected once and tensored with p of the left leg, pair key by pair key.
+    """
+    den, ints = to_numerators(b)
+    by_left: dict = {}
+    for word, c in ints.items():
+        eta = list(accumulate((_slot(p, m)[0] for m in word), initial=0))
+        for i in range(1, len(word)):
+            w1, w2 = word[:i], word[i:]
+            rights = by_left.setdefault(w1, {})
+            rights[w2] = rights.get(w2, 0) + c
+            lefts = by_left.setdefault(w2, {})
+            odd = eta[i] % 2 and (eta[-1] - eta[i]) % 2
+            lefts[w1] = lefts.get(w1, 0) + (c if odd else -c)
+    if not by_left:
+        return {}
+    leg_denom = _lcm_upto(max(map(len, b)) - 1)
+    out: dict = {}
+    for w1, rights in by_left.items():
+        right = [(v2, r) for v2, r in projector_numerators(rights, p, leg_denom).items() if r]
+        if not right:
+            continue
+        scale1 = leg_denom // _lcm_upto(len(w1))
+        for v1, n1 in _hain_word(p, w1):
+            n1 *= scale1
+            for v2, r in right:
+                key = (v1, v2)
+                out[key] = out.get(key, 0) + n1 * r
+    return from_numerators(out, 2 * den * leg_denom**2)
+
+
 def reference_delta_Q(b, p):
     """(1/2)(red - tau o red) with both legs projected, one pair at a time."""
     red = reduced_coproduct(b)
@@ -276,6 +336,18 @@ def slice_words(max_size):
     """Words of the degree-0 slice over model_x(6): single-generator slots."""
     gens = [(g.name,) for g in P6.generators]
     return st.lists(st.sampled_from(gens), min_size=1, max_size=max_size).map(tuple)
+
+
+def weight_slice(p, weight):
+    """The degree-0 slice words of ``p`` whose generator weights sum to ``weight``."""
+    if weight == 0:
+        return [()]
+    return [
+        ((g.name,),) + rest
+        for g in p.generators
+        if g.weight <= weight
+        for rest in weight_slice(p, weight - g.weight)
+    ]
 
 
 coeffs = st.sampled_from([Fraction(c) for c in (-3, -2, -1, 1, 2)] + [Fraction(1, 3), Fraction(-5, 2)])
@@ -304,11 +376,13 @@ def test_hain_word_matches_the_composition_sum_in_degree_zero(word):
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(mixed_words, coeffs, min_size=1, max_size=2))
 def test_delta_q_matches_the_pairwise_reference_with_signs(b):
-    got = delta_Q(b, P4)
+    # delta_Q needs a projected input; the reference takes the raw words,
+    # so this also says that the cobracket is well defined on indecomposables
+    h = hain_projector(b, P4)
+    got = delta_Q(h, P4)
     assert got == reference_delta_Q(b, P4)
     assert all(type(c) is Fraction for c in got.values())
-    h = hain_projector(b, P4)
-    assert delta_Q(h, P4) == reference_delta_Q(h, P4)
+    assert got == reference_delta_Q(h, P4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,6 +475,41 @@ def test_kernels_match_the_fraction_references_in_degree_zero(b):
 @given(st.dictionaries(fractional_words, coeffs, min_size=1, max_size=3))
 def test_kernels_match_the_fraction_references_over_fractional_differentials(b):
     assert_kernels_match_references(b, Q4)
+
+
+# ---------------------------------------------------------------------------
+# the cobracket from the splits with the longer left leg, mirrored, against
+# the merged kernel over every split
+
+
+def assert_delta_q_matches_the_merged_kernel(b, p):
+    h = hain_projector(b, p)
+    got = delta_Q(h, p)
+    assert got == merged_delta_Q(h, p)
+    assert all(type(c) is Fraction and c for c in got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(mixed_words, coeffs, min_size=1, max_size=3))
+def test_delta_q_matches_the_merged_kernel_with_signs(b):
+    assert_delta_q_matches_the_merged_kernel(b, P4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(fractional_words, coeffs, min_size=1, max_size=3))
+def test_delta_q_matches_the_merged_kernel_over_fractional_differentials(b):
+    assert_delta_q_matches_the_merged_kernel(b, Q4)
+
+
+@pytest.mark.parametrize("p, weight", [(P6, 6), (P7, 7)], ids=["model_x(6)", "model_x(7)"])
+def test_delta_q_matches_the_merged_kernel_on_the_degree_zero_slice(p, weight):
+    # three-term elements of the slice that the bar-w7 benchmark draws from
+    words = weight_slice(p, weight)
+    assert len(words) == {6: 1252, 7: 4568}[weight]
+    rng = random.Random(weight)
+    for _ in range(100):
+        b = {w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for w in rng.sample(words, 3)}
+        assert_delta_q_matches_the_merged_kernel(b, p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import rescaled
 from lyndonbar import lifts
 from lyndonbar.bar import bar_differential, hain_projector, pi1
 from lyndonbar.colie import tensor_cobracket
-from lyndonbar.dgcore import CdgaPresentation, model_x
+from lyndonbar.dgcore import CdgaPresentation, model_geom, model_x
 from lyndonbar.lifts import (
     InfeasibleLiftError,
     InvalidMorphismError,
@@ -478,6 +478,16 @@ def test_verify_edqx_weight_2_to_4():
 def test_edqx_reports_nonzero_beta_diagonal():
     r = verify_EDQX("0011")
     assert r["beta_diagonal"] == {"01": 1}
+
+
+def test_geometric_lifts_are_projected():
+    # verify_geom_basis hands these lifts straight to delta_Q, which needs a
+    # projected input: the transport commutes with Hain's projector
+    for W in lyndon_words(5):
+        if len(W) < 2:
+            continue
+        lift = geometric_lift(W)
+        assert hain_projector(lift, model_geom(len(W))) == lift != {}, W
 
 
 def test_geom_basis_to_weight_4():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lyndonbar
+from lyndonbar import bar
 from lyndonbar.cli import main
 from lyndonbar.verify import run_suites
 
@@ -24,6 +25,21 @@ def run_cli(capsys, *args) -> tuple[int, str]:
 def test_verify_small_suites_pass():
     results = run_suites(["words", "signs"], max_weight=4)
     assert results and all(r.status != "fail" for r in results)
+
+
+def test_the_antisymmetry_check_sees_a_cobracket_without_its_mirror(monkeypatch):
+    def status():
+        results = run_suites(["bar"], max_weight=4)
+        return next(r.status for r in results if r.check == "cobracket-antisymmetric")
+
+    assert status() == "pass"
+    full = bar.delta_Q
+
+    def without_mirror(b, p):
+        return {(v1, v2): c for (v1, v2), c in full(b, p).items() if len(v1) >= len(v2)}
+
+    monkeypatch.setattr(bar, "delta_Q", without_mirror)
+    assert status() == "fail"
 
 
 def test_a_suite_named_twice_runs_once(capsys):
