@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .colie import TAG_PREFIX, basis_of, change_basis, cobracket, coefficient_table
+from .colie import TABLE_NAMES, TAG_PREFIX, basis_of, change_basis, cobracket, coefficient_table
 from .dgcore import model_a1, model_point, model_x
 from .lifts import VARIANTS, enumerate_trees, lift_LB
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suites
@@ -59,9 +59,6 @@ def cmd_lyndon(args, parser) -> int:
     else:
         _emit("\n".join(ws), args.out)
     return 0
-
-
-_FAMILIES = ("alpha", "beta", "gamma", "a", "b", "aprime", "bprime")
 
 
 def cmd_coeffs(args, parser) -> int:
@@ -245,7 +242,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_lyndon)
 
     p = sub.add_parser("coeffs", help="structure-constant tables")
-    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--family", choices=TABLE_NAMES, required=True)
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--force", action="store_true", help="override the weight cap")

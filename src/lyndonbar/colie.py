@@ -35,6 +35,8 @@ _BASIS_OF_FAMILY = {"x": "x1", "one": "x1", "t0": "t01", "t1": "t01"}
 _FAMILY_RANK = {"x": 0, "one": 1, "t0": 0, "t1": 1}
 # the printed form FAMILY:WORD of a tag, as the command line reads and writes it
 TAG_PREFIX = {"t0": "T0", "t1": "T1", "x": "Tx", "one": "T@1"}
+# the structure-constant tables that coefficient_table serves
+TABLE_NAMES = ("alpha", "beta", "gamma", "a", "b", "aprime", "bprime")
 
 
 class MixedBasisError(ValueError):
@@ -297,7 +299,9 @@ def ab_tables(max_weight: int):
 
 
 def coefficient_table(family: str, max_weight: int) -> Mapping:
-    """One structure-constant table by name: alpha, beta, gamma, a, b, aprime or bprime."""
+    """One structure-constant table by name, one of ``TABLE_NAMES``."""
+    if family not in TABLE_NAMES:
+        raise ValueError(f"unknown table {family!r}; expected one of {', '.join(TABLE_NAMES)}")
     if family == "alpha":
         return alpha_table(max_weight)
     if family in ("beta", "gamma"):

@@ -30,7 +30,7 @@ from .bar import (
     projector_numerators,
     wedge_pair,
 )
-from .colie import ab_tables, coefficient_table, tensor_cobracket
+from .colie import ab_tables, cobracket, coefficient_table, tensor_cobracket
 from .dgcore import (
     QUADRATIC_TERMS,
     CdgaPresentation,
@@ -85,20 +85,6 @@ def enumerate_trees(n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _tag_delta_tree(tree, tag) -> tuple:
-    """The tree cobracket of one tag: (tuple of leaf tags, int) pairs."""
-    if tree is None:
-        return (((tag,), 1),)
-    left, right = tree
-    out: dict = {}
-    for (a, b), c in tensor_cobracket({tag: 1}).items():
-        for ka, ca in _tag_delta_tree(left, a):
-            for kb, cb in _tag_delta_tree(right, b):
-                add_term(out, ka + kb, c * ca * cb)
-    return tuple(sorted(out.items()))
-
-
 # ---------------------------------------------------------------------------
 # lift variants: coLie source family, model, and generator map
 
@@ -137,10 +123,16 @@ def generator_map(variant: str, max_weight: int) -> dict:
 
 
 def check_generator_map(gmap: dict, model: CdgaPresentation) -> None:
-    """Differential compatibility: d(psi(tag)) must be -psi-image of the cobracket."""
+    """Differential compatibility: d(psi(tag)) must be -psi-image of the cobracket.
+
+    Degree-1 generators anticommute, so a ^ b maps to its wedge coefficient whole.
+    """
+    bad = [gen for gen in gmap.values() if gen is not None and model.degree.get(gen) != 1]
+    if bad:
+        raise InvalidMorphismError(f"{bad[0]!r} is not a degree-1 generator of {model.name}")
     for tag, gen in gmap.items():
         image: dict = {}
-        for (a, b), c in _halved_tensor(tag).items():
+        for (a, b), c in cobracket({tag: 1}).items():
             ga, gb = gmap.get(a), gmap.get(b)
             if ga is None or gb is None:
                 continue
@@ -156,11 +148,6 @@ def check_generator_map(gmap: dict, model: CdgaPresentation) -> None:
             )
 
 
-def _halved_tensor(tag) -> dict:
-    half = Fraction(1, 2)
-    return {k: half * c for k, c in tensor_cobracket({tag: 1}).items()}
-
-
 # ---------------------------------------------------------------------------
 # the adjunction unit and its per-degree constants
 
@@ -172,11 +159,20 @@ def published_constants(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _tree_sum(tag, n: int) -> tuple:
-    """The sum of the tree cobrackets of ``tag`` over all trees with n leaves, in integers."""
+    """The sum of the tree cobrackets of ``tag`` over all trees with n leaves, in integers.
+
+    A tree splits at its root into trees with k and n - k leaves, so with
+    (a, b): c the terms of the tensor cobracket of ``tag``,
+    S(tag, n) = sum_{(a, b)} c * sum_{k=1}^{n-1} S(a, k) @ S(b, n - k).
+    """
+    if n == 1:
+        return (((tag,), 1),)
     out: dict = {}
-    for tree in enumerate_trees(n):
-        for key, c in _tag_delta_tree(tree, tag):
-            add_term(out, key, c)
+    for (a, b), c in tensor_cobracket({tag: 1}).items():
+        for k in range(1, n):
+            for ka, ca in _tree_sum(a, k):
+                for kb, cb in _tree_sum(b, n - k):
+                    add_term(out, ka + kb, c * ca * cb)
     return tuple(sorted(out.items()))
 
 

@@ -71,10 +71,11 @@ def random_bar_element(
     for _ in range(n_terms):
         slots: list[tuple] = []
         budget = max_weight
-        for _ in range(rng.randint(1, 3)):
-            if budget <= 0:
-                break
-            m = random_monomial(p, rng, budget)
+        n_slots = min(rng.randint(1, 3), max_weight)
+        for i in range(n_slots):
+            # keep weight 1 for each slot still to come, so that three-slot
+            # words are drawn as often as one- and two-slot words
+            m = random_monomial(p, rng, budget - (n_slots - 1 - i))
             if not m:
                 break
             slots.append(m)

@@ -51,6 +51,17 @@ def samples(p, n=100, max_weight=4, seed=42):
     return [random_bar_element(p, rng, max_weight=max_weight) for _ in range(n)]
 
 
+def test_sampled_elements_reach_three_slots():
+    # suite_bar's 50 elements at the default seed: before the sampler kept
+    # weight for the slots still to come, one of them had a three-slot word
+    elems = samples(P4, n=50)
+    assert sum(any(len(w) == 3 for w in b) for b in elems) >= 10
+    for b in elems:
+        assert all(w and sum(map(P4.monomial_weight, w)) <= 4 for w in b)
+    small = samples(P4, n=50, max_weight=2)
+    assert {len(w) for b in small for w in b} == {1, 2}
+
+
 def test_two_generator_slots():
     b = {((("L1_0",), ("L0_1",))): ONE}
     got = bar_differential({(("L1_0",), ("L0_1",)): ONE}, P4)

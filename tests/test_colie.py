@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from lyndonbar import colie
 from lyndonbar.colie import (
+    TABLE_NAMES,
     MixedBasisError,
     ab_tables,
     basis_of,
     change_basis,
     co_jacobi_defect,
     cobracket,
+    coefficient_table,
     tensor_cobracket,
     wedge_coefficient,
 )
@@ -255,3 +258,15 @@ def test_cobracket_keeps_the_coefficient_ring():
         assert change_basis({t: Fraction(1, 2)}, "x1") == {
             k: Fraction(c, 2) for k, c in change_basis({t: 1}, "x1").items()
         }
+
+
+def test_coefficient_table_rejects_an_unknown_name_before_building_tables(monkeypatch):
+    assert all(coefficient_table(name, 3) is not None for name in TABLE_NAMES)
+
+    def no_table(max_weight):
+        raise AssertionError("a table was built for an unknown name")
+
+    for builder in ("alpha_table", "beta_gamma_tables", "ab_tables"):
+        monkeypatch.setattr(colie, builder, no_table)
+    with pytest.raises(ValueError, match="'zzz'; expected one of alpha, beta, gamma, a, b, aprime, bprime"):
+        coefficient_table("zzz", 3)

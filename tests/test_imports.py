@@ -1,14 +1,19 @@
 """Source guards: every module-level import in the package is used in its
-module, and the integer layers make no Fraction."""
+module, the integer layers make no Fraction, and every package name the
+README cites exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import lyndonbar
 
 PACKAGE = Path(lyndonbar.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,3 +76,49 @@ def test_guard_catches_a_fraction_call():
 def test_integer_layers_make_no_fraction():
     for name in INTEGER_LAYERS:
         assert fraction_calls((PACKAGE / f"{name}.py").read_text()) == [], name
+
+
+def stale_references(text: str) -> list[str]:
+    """Backticked ``module.name`` and ``_private`` names in ``text`` that the
+    package does not define; a trailing call like ``f(x, y)`` is ignored, and
+    so are fenced code blocks."""
+    modules = {name: importlib.import_module(f"lyndonbar.{name}") for name in MODULES}
+    stale = []
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        match = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span)
+        if not match:
+            continue
+        parts = match.group(1).split(".")
+        if parts[0] == "lyndonbar":
+            parts = parts[1:]
+        if parts and parts[0] in modules:
+            obj = modules[parts[0]]
+            for name in parts[1:]:
+                obj = getattr(obj, name, None)
+            found = obj is not None
+        elif len(parts) == 1 and parts[0].startswith("_"):
+            found = any(hasattr(module, parts[0]) for module in modules.values())
+        else:
+            continue
+        if not found:
+            stale.append(span)
+    return stale
+
+
+def test_guard_catches_a_stale_readme_reference():
+    text = "`bar.hain_projector`, `_hain_word(p, w)`, `lyndonbar.lifts.VARIANTS`, `lift W`"
+    assert stale_references(text) == []
+    assert stale_references("```sh\nlyndonbar lift 0011\n```\n`_no_such_helper`") == [
+        "_no_such_helper"
+    ]
+    text = "`bar.no_such_kernel`, `_no_such_helper(t)`, `lyndonbar.lifts.NOPE`, `tests/x.py`"
+    assert stale_references(text) == [
+        "bar.no_such_kernel",
+        "_no_such_helper(t)",
+        "lyndonbar.lifts.NOPE",
+    ]
+
+
+def test_readme_names_only_what_the_package_defines():
+    assert stale_references(README.read_text()) == []

@@ -17,7 +17,6 @@ from lyndonbar.dgcore import CdgaPresentation, model_geom, model_x
 from lyndonbar.lifts import (
     InfeasibleLiftError,
     InvalidMorphismError,
-    _tag_delta_tree,
     adjunction_unit,
     audit_adjunction_unit,
     catalan,
@@ -40,6 +39,20 @@ from lyndonbar.words import lyndon_words, lyndon_words_of_length
 ONE = Fraction(1)
 
 
+@lru_cache(maxsize=None)
+def fraction_delta_tree(tree, tag) -> dict:
+    """The tree cobracket seeded with Fraction(1): the per-tree reference for ``_tree_sum``."""
+    if tree is None:
+        return {(tag,): ONE}
+    left, right = tree
+    out: dict = {}
+    for (a, b), c in tensor_cobracket({tag: ONE}).items():
+        for ka, ca in fraction_delta_tree(left, a).items():
+            for kb, cb in fraction_delta_tree(right, b).items():
+                add_term(out, ka + kb, c * ca * cb)
+    return out
+
+
 def delta_tree(tree, t: dict) -> dict:
     """The tree cobracket: one cobracket application at each internal vertex.
 
@@ -48,7 +61,7 @@ def delta_tree(tree, t: dict) -> dict:
     """
     out: dict = {}
     for tag, c in t.items():
-        for key, d in _tag_delta_tree(tree, tag):
+        for key, d in fraction_delta_tree(tree, tag).items():
             add_term(out, key, c * d)
     return out
 
@@ -167,6 +180,16 @@ def test_incompatible_generator_map_rejected():
         check_generator_map(gmap, model_x(3))
 
 
+def test_generator_map_naming_a_non_generator_rejected():
+    # L0_0 is killed in model_x: a map naming it raised a bare KeyError
+    gmap = generator_map("plain", 3)
+    gmap[("t0", "001")] = "L0_0"
+    with pytest.raises(InvalidMorphismError, match="'L0_0' is not a degree-1 generator"):
+        check_generator_map(gmap, model_x(3))
+    with pytest.raises(InvalidMorphismError):
+        adjunction_unit({("t0", "001"): ONE}, model_x(3), gmap)
+
+
 def test_solved_constants_drop_the_power_of_two():
     # frozen from the exact closedness solve; cross-checked below against the
     # oracle lifts, which are unique at these weights
@@ -191,38 +214,34 @@ def test_no_per_degree_constants_at_weight_6(monkeypatch):
     assert solve_unit_constants(6) is None
     # the probe streams its rows into the solve, which stops at the first
     # contradiction: the tree sums of the 42 source tags are built only up
-    # to the ninth, t0:000101
+    # to the ninth, t0:000101.  _tree_sum recurses through the module name,
+    # so from cold caches the recorder also sees the inner calls; it records
+    # only the outermost ones, the probe's own.
     tree_sum = lifts._tree_sum
     built = []
+    depth = 0
 
     def recording_tree_sum(tag, n):
-        if tag not in built:
+        nonlocal depth
+        if depth == 0 and tag not in built:
             built.append(tag)
-        return tree_sum(tag, n)
+        depth += 1
+        try:
+            return tree_sum(tag, n)
+        finally:
+            depth -= 1
 
     monkeypatch.setattr(lifts, "_tree_sum", recording_tree_sum)
+    tree_sum.cache_clear()
     assert solve_unit_constants.__wrapped__(6) is None
     tags = [(fam, w) for w in lyndon_words(6) if len(w) > 1 for fam in ("t0", "t1")]
     assert len(tags) == 42
     assert built == tags[:9] and built[-1] == ("t0", "000101")
 
 
-@lru_cache(maxsize=None)
-def fraction_delta_tree(tree, tag) -> dict:
-    """The tree cobracket seeded with Fraction(1): the reference for the int kernel."""
-    if tree is None:
-        return {(tag,): ONE}
-    left, right = tree
-    out: dict = {}
-    for (a, b), c in tensor_cobracket({tag: ONE}).items():
-        for ka, ca in fraction_delta_tree(left, a).items():
-            for kb, cb in fraction_delta_tree(right, b).items():
-                add_term(out, ka + kb, c * ca * cb)
-    return out
-
-
 def test_integer_tree_sums_match_the_fraction_reference():
-    for w in lyndon_words(6):
+    # the split recursion against the sum over enumerated trees, to weight 7
+    for w in lyndon_words(7):
         for fam in ("t0", "t1"):
             for n in range(1, len(w) + 1):
                 ref: dict = {}
@@ -233,7 +252,7 @@ def test_integer_tree_sums_match_the_fraction_reference():
                 got = dict(lifts._tree_sum((fam, w), n))
                 assert all(type(c) is int for c in got.values())
                 assert got == ref, (fam, w, n)
-                slots = lifts._slotify(lifts._tree_sum((fam, w), n), generator_map("plain", 6))
+                slots = lifts._slotify(lifts._tree_sum((fam, w), n), generator_map("plain", 7))
                 assert all(type(c) is int for c in slots.values())
 
 

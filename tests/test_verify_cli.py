@@ -13,7 +13,8 @@ import pytest
 
 import lyndonbar
 from lyndonbar import bar
-from lyndonbar.cli import main
+from lyndonbar.cli import build_parser, main
+from lyndonbar.colie import TABLE_NAMES
 from lyndonbar.verify import run_suites
 
 
@@ -79,6 +80,14 @@ def test_coeffs_json_values_are_exact_strings(capsys):
     rows = json.loads(out)
     assert code == 0 and all(isinstance(r["value"], str) for r in rows)
     assert {"W": "01", "U": "1", "V": "0", "value": "1"} in rows
+
+
+def test_coeffs_family_choices_are_the_colie_table_names(capsys):
+    (family,) = [a for a in build_parser()[1]["coeffs"]._actions if a.dest == "family"]
+    assert family.choices is TABLE_NAMES
+    for name in TABLE_NAMES:
+        code, out = run_cli(capsys, "coeffs", "--family", name, "--max-weight", "3")
+        assert code == 0 and isinstance(json.loads(out), list), name
 
 
 def test_cobracket_tag_syntax(capsys):
