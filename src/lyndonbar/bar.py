@@ -193,8 +193,9 @@ def shuffle(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarElement:
     out: BarElement = {}
     for w1, c1 in b1.items():
         for w2, c2 in b2.items():
+            c12 = c1 * c2
             for word, c in _shuffle_pair(p, w1, w2):
-                add_term(out, word, c * c1 * c2)
+                add_term(out, word, c * c12)
     return out
 
 
@@ -210,8 +211,9 @@ def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTens
         for (y1, y2), c2 in t2.items():
             c = -c1 * c2 if odd2 and _parity(p, y1) else c1 * c2
             for u, cu in _shuffle_pair(p, x1, y1):
+                ccu = c * cu
                 for v, cv in _shuffle_pair(p, x2, y2):
-                    add_term(out, (u, v), c * cu * cv)
+                    add_term(out, (u, v), ccu * cv)
     return out
 
 

@@ -35,6 +35,8 @@ _BOUNDS = {
 }
 
 _TAG_FAMILY = {prefix: family for family, prefix in TAG_PREFIX.items()}
+# the models that `model --space` dumps
+_SPACES = {"x": model_x, "a1": model_a1, "point": model_point}
 
 
 class OutputError(Exception):
@@ -129,8 +131,7 @@ def cmd_cobracket(args, parser) -> int:
 
 
 def cmd_model(args, parser) -> int:
-    builder = {"x": model_x, "a1": model_a1, "point": model_point}[args.space]
-    p = builder(args.max_weight)
+    p = _SPACES[args.space](args.max_weight)
     payload = {
         "generators": [
             {"name": g.name, "degree": g.degree, "weight": g.weight}
@@ -258,7 +259,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_cobracket)
 
     p = sub.add_parser("model", help="dump a cdga model presentation")
-    p.add_argument("--space", choices=("x", "a1", "point"), required=True)
+    p.add_argument("--space", choices=tuple(_SPACES), required=True)
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--force", action="store_true")

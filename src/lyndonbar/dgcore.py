@@ -386,46 +386,43 @@ def is_chain_map(
     return True
 
 
+def _family_images(
+    source: CdgaPresentation, target: CdgaPresentation, rule: Mapping[str, tuple]
+) -> dict[str, CdgaElement]:
+    """Generator images FAM_W -> sum of c * TFAM_W over (TFAM, c) in ``rule[FAM]``.
+
+    A term is kept only if the target has that generator, so the killed words
+    of the two models decide every image.
+    """
+    out: dict[str, CdgaElement] = {}
+    for g in source.generators:
+        fam, w = g.name.split("_", 1)
+        out[g.name] = {
+            (f"{t}_{w}",): Fraction(c) for t, c in rule[fam] if f"{t}_{w}" in target.index
+        }
+    return out
+
+
 def j_restriction_images(max_weight: int) -> dict[str, CdgaElement]:
     """Generator images of the open-inclusion pullback: M_W -> L0_W - L1_W."""
-    out: dict[str, CdgaElement] = {}
-    for w in lyndon_words(max_weight):
-        image: CdgaElement = {}
-        if w != "0":
-            add_term(image, (f"L0_{w}",), ONE)
-        if w != "1":
-            add_term(image, (f"L1_{w}",), -ONE)
-        out[f"M_{w}"] = image
-    return out
+    rule = {"M": (("L0", 1), ("L1", -1))}
+    return _family_images(model_a1(max_weight), model_x(max_weight), rule)
 
 
 def i1_fiber_images(max_weight: int) -> dict[str, CdgaElement]:
     """Fiber at 1: M_W -> N_W (a renaming isomorphism onto the point model)."""
-    return {
-        f"M_{w}": {(f"N_{w}",): ONE} for w in lyndon_words(max_weight)
-    }
+    return _family_images(model_a1(max_weight), model_point(max_weight), {"M": (("N", 1),)})
 
 
 def p1_pullback_images(max_weight: int) -> dict[str, CdgaElement]:
     """Constant pullback: N_W -> K_W in weights >= 2, weight-1 generators to 0."""
-    return {
-        f"N_{w}": ({(f"K_{w}",): ONE} if len(w) >= 2 else {})
-        for w in lyndon_words(max_weight)
-    }
+    return _family_images(model_point(max_weight), model_x(max_weight), {"N": (("K", 1),)})
 
 
 def geom_projection_images(max_weight: int) -> dict[str, CdgaElement]:
     """Kill the constant family and identify the two cycle families: -> G_W."""
-    out: dict[str, CdgaElement] = {}
-    for w in lyndon_words(max_weight):
-        g: CdgaElement = {(f"G_{w}",): ONE}
-        if w != "0":
-            out[f"L0_{w}"] = g
-        if w != "1":
-            out[f"L1_{w}"] = g
-        if len(w) >= 2:
-            out[f"K_{w}"] = {}
-    return out
+    rule = {"L0": (("G", 1),), "L1": (("G", 1),), "K": ()}
+    return _family_images(model_x(max_weight), model_geom(max_weight), rule)
 
 
 def restrict_j(e: CdgaElement, max_weight: int) -> CdgaElement:

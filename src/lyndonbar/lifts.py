@@ -46,7 +46,7 @@ from .dgcore import (
 from .freelie import alpha_table
 from .ihara import beta_gamma_tables
 from .linalg import add_term, combine, from_numerators, solve_affine, to_numerators
-from .words import is_lyndon_sequence, lyndon_words
+from .words import InvalidWordError, is_lyndon, is_lyndon_sequence, lyndon_words
 
 ONE = Fraction(1)
 
@@ -94,31 +94,42 @@ class VariantSpec:
     family: str  # coLie tag family feeding the lift
     prefix: str  # generator family in the target model
     model: object  # max_weight -> CdgaPresentation
-    killed: tuple  # words whose tags map to zero
 
 
 VARIANTS = {
-    "plain": VariantSpec("t0", "L0", model_x, ("0",)),
-    "one": VariantSpec("t1", "L1", model_x, ("1",)),
-    "diff": VariantSpec("one", "M", model_a1, ("0", "1")),
-    "const": VariantSpec("one", "K", model_x, ("0", "1")),
-    "point": VariantSpec("one", "N", model_point, ("0", "1")),
+    "plain": VariantSpec("t0", "L0", model_x),
+    "one": VariantSpec("t1", "L1", model_x),
+    "diff": VariantSpec("one", "M", model_a1),
+    "const": VariantSpec("one", "K", model_x),
+    "point": VariantSpec("one", "N", model_point),
 }
 
 
+def _variant(variant: str) -> VariantSpec:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
+    return VARIANTS[variant]
+
+
 def generator_map(variant: str, max_weight: int) -> dict:
-    """tag -> generator name (or None), the slot map of the given lift family."""
-    spec = VARIANTS[variant]
-    gmap: dict = {}
-    if variant in ("plain", "one"):
-        for w in lyndon_words(max_weight):
-            gmap[("t0", w)] = None if w == "0" else f"L0_{w}"
-            gmap[("t1", w)] = None if w == "1" else f"L1_{w}"
-    else:
-        for w in lyndon_words(max_weight):
-            gmap[("one", w)] = (
-                None if w in spec.killed else f"{spec.prefix}_{w}"
-            )
+    """tag -> generator name (or None), the slot map of the given lift family; a new dict."""
+    return dict(_generator_map(variant, max_weight))
+
+
+@lru_cache(maxsize=None)
+def _generator_map(variant: str, max_weight: int) -> dict:
+    """The slot map, checked once: a slot family for each variant whose generators
+    the differential of this variant's reaches, None where the model has no generator."""
+    spec = _variant(variant)
+    model = spec.model(max_weight)
+    reached = {fam for _, *pair in QUADRATIC_TERMS[spec.prefix] for fam in pair}
+    slots = [(s.family, s.prefix) for s in VARIANTS.values() if s.prefix in reached]
+    gmap = {
+        (family, w): f"{prefix}_{w}" if f"{prefix}_{w}" in model.index else None
+        for w in lyndon_words(max_weight)
+        for family, prefix in slots
+    }
+    check_generator_map(gmap, model)
     return gmap
 
 
@@ -187,20 +198,17 @@ def _slotify(tensors, gmap) -> BarElement:
     return out
 
 
-def adjunction_unit(
-    t: dict,
-    model: CdgaPresentation,
-    gmap: dict,
-    constants=published_constants,
-) -> BarElement:
+def adjunction_unit(t: dict, variant: str, constants=published_constants) -> BarElement:
     """phi(t): Hain projection of the constant-weighted tree-cobracket sum.
 
+    Over the variant's model and map at the largest tag weight of ``t``.
     ``constants`` maps the tensor degree n to the coefficient of the sum over
     all trees with n leaves; the series truncates at n = weight(t).  The
     result need not be closed for arbitrary constants; callers decide what to
     do with a nonzero bar differential.
     """
-    check_generator_map(gmap, model)
+    weight = max((len(w) for _, w in t), default=1)
+    model, gmap = _variant(variant).model(weight), _generator_map(variant, weight)
     total: BarElement = {}
     for tag, c in t.items():
         for n in range(1, len(tag[1]) + 1):
@@ -224,7 +232,7 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     model = model_x(max_weight)
-    gmap = generator_map("plain", max_weight)
+    gmap = _generator_map("plain", max_weight)
     variables = list(range(2, max_weight + 1))
 
     def equations():
@@ -327,7 +335,7 @@ def closed_lift_oracle(
     The solve is shared by every target of that weight and model; each call
     returns a new dict.
     """
-    spec = VARIANTS[variant]
+    spec = _variant(variant)
     if len(W) < 2:
         raise ValueError("lifts start at weight 2")
     if model is None:
@@ -375,37 +383,31 @@ class LiftReport:
         )
 
 
-def prescribed_cobracket_11(W: str, variant: str, model: CdgaPresentation) -> BarTensor:
-    """The stated tensor-(1,1) cobracket of the lift: tables without the minus."""
+def prescribed_cobracket_11(W: str, variant: str) -> BarTensor:
+    """The stated tensor-(1,1) cobracket of the lift: tables without the minus.
+
+    The model, built from the same tables, has the generators of every entry.
+    """
+    spec = _variant(variant)
+    model = spec.model(len(W))
     out: BarTensor = {}
-
-    def gen(prefix, w):
-        name = f"{prefix}_{w}"
-        return {((name,),): ONE} if name in model.index else {}
-
-    for table, pu, pv in QUADRATIC_TERMS[VARIANTS[variant].prefix]:
+    for table, pu, pv in QUADRATIC_TERMS[spec.prefix]:
         for (w, u, v), c in coefficient_table(table, len(W)).items():
-            if w != W:
-                continue
-            lhs, rhs = gen(pu, u), gen(pv, v)
-            if not lhs or not rhs:
-                raise InvalidMorphismError(
-                    f"nonzero table entry {c} hits a removed generator at "
-                    f"({pu}_{u}, {pv}_{v})"
-                )
-            for key, val in wedge_pair(lhs, rhs, model).items():
-                add_term(out, key, c * val)
+            if w == W:
+                lhs, rhs = {((f"{pu}_{u}",),): ONE}, {((f"{pv}_{v}",),): ONE}
+                for key, val in wedge_pair(lhs, rhs, model).items():
+                    add_term(out, key, c * val)
     return out
 
 
 def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> LiftReport:
-    model = VARIANTS[variant].model(len(W))
-    target = f"{VARIANTS[variant].prefix}_{W}"
-    report.pi1_ok = pi1(b) == {(target,): 1}
+    spec = _variant(variant)
+    model = spec.model(len(W))
+    report.pi1_ok = pi1(b) == {(f"{spec.prefix}_{W}",): 1}
     report.degree_zero = all(bar_degree(w, model) == 0 for w in b)
     report.hain_fixed = hain_projector(b, model) == b
     report.closed = bar_differential(b, model) == {}
-    report.cobracket_ok = cobracket_11(b, model) == prescribed_cobracket_11(W, variant, model)
+    report.cobracket_ok = cobracket_11(b, model) == prescribed_cobracket_11(W, variant)
     return report
 
 
@@ -429,16 +431,12 @@ def lift_LB(W: str, variant: str, method: str = "auto") -> tuple:
 
 @lru_cache(maxsize=None)
 def _lift_LB(W: str, variant: str, method: str) -> tuple:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if len(W) < 2:
-        raise ValueError("lifts start at weight 2")
-    spec = VARIANTS[variant]
-    model = spec.model(len(W))
-    gmap = generator_map(variant, len(W))
+    spec = _variant(variant)
+    if len(W) < 2 or not is_lyndon(W):
+        raise InvalidWordError(f"{W!r} is not a Lyndon word of weight >= 2")
     source_tag = (spec.family, W)
     if method == "claim":
-        element = adjunction_unit({source_tag: ONE}, model, gmap)
+        element = adjunction_unit({source_tag: ONE}, variant)
         report = verify_lift(element, W, variant, LiftReport(W, variant, "claim"))
         if not report.closed:
             report.notes.append("NON-CLOSED with published constants")
@@ -448,7 +446,7 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
         consts = solve_unit_constants(len(W))
         if consts is not None:
             element = adjunction_unit(
-                {source_tag: ONE}, model, gmap, constants=lambda n: consts[n - 1]
+                {source_tag: ONE}, variant, constants=lambda n: consts[n - 1]
             )
             report = verify_lift(element, W, variant, LiftReport(W, variant, "unit"))
             if report.all_ok:
@@ -460,7 +458,7 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
             )
     elif method != "oracle":
         raise ValueError(f"unknown method {method!r}")
-    element, dim = closed_lift_oracle(W, variant, model)
+    element, dim = closed_lift_oracle(W, variant)
     report = verify_lift(element, W, variant, LiftReport(W, variant, "oracle"))
     report.affine_dim = dim
     report.notes.extend(notes)
@@ -513,8 +511,8 @@ def verify_EDQX(W: str) -> dict:
     Returns a report dict; ``ok`` is True only if all three hold.  Nonzero
     diagonal beta contributions are reported in ``beta_diagonal``.
     """
-    if len(W) < 2:
-        raise ValueError("weight >= 2 required")
+    if len(W) < 2 or not is_lyndon(W):
+        raise InvalidWordError(f"{W!r} is not a Lyndon word of weight >= 2")
     n = len(W)
     alpha = alpha_table(n)
     beta, _ = beta_gamma_tables(n)
@@ -642,6 +640,8 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
     constants are cross-checked against the solver lifts where those are
     unique.
     """
+    if not weights or min(weights) < 2:
+        raise ValueError(f"the audit takes one or more weights >= 2, not {weights!r}")
     max_w = max(weights)
     solved = solve_unit_constants(max_w)
     if solved is None:
@@ -651,7 +651,6 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
     per_weight = []
     for p in weights:
         model = model_x(p)
-        gmap = generator_map("plain", p)
         consts = solve_unit_constants(p)
         closed_published = True
         pi1_published = True
@@ -660,14 +659,12 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
         for W in lyndon_words(p):
             if len(W) != p:
                 continue
-            claim = adjunction_unit({("t0", W): ONE}, model, gmap)
-            closed_published &= bar_differential(claim, model) == {}
-            pi1_published &= pi1(claim) == {(f"L0_{W}",): 1}
-            unit = adjunction_unit(
-                {("t0", W): ONE}, model, gmap, constants=lambda n: consts[n - 1]
-            )
+            _, claim = lift_LB(W, "plain", "claim")
+            closed_published &= claim.closed
+            pi1_published &= claim.pi1_ok
+            unit = adjunction_unit({("t0", W): ONE}, "plain", constants=lambda n: consts[n - 1])
             closed_solved &= bar_differential(unit, model) == {}
-            oracle, n_free = closed_lift_oracle(W, "plain", model)
+            oracle, n_free = closed_lift_oracle(W, "plain")
             if n_free == 0:
                 matches_oracle &= unit == oracle
         per_weight.append(

@@ -240,6 +240,57 @@ def test_morphisms_are_chain_maps():
         assert is_chain_map(model_x(mw), model_geom(mw), geom_projection_images(mw))
 
 
+# The image builders as they were before the models alone decided which
+# generators exist: each wrote out the killed words again.
+def reference_j_restriction_images(max_weight):
+    out = {}
+    for w in lyndon_words(max_weight):
+        image = {}
+        if w != "0":
+            image[(f"L0_{w}",)] = ONE
+        if w != "1":
+            image[(f"L1_{w}",)] = -ONE
+        out[f"M_{w}"] = image
+    return out
+
+
+def reference_i1_fiber_images(max_weight):
+    return {f"M_{w}": {(f"N_{w}",): ONE} for w in lyndon_words(max_weight)}
+
+
+def reference_p1_pullback_images(max_weight):
+    return {
+        f"N_{w}": ({(f"K_{w}",): ONE} if len(w) >= 2 else {}) for w in lyndon_words(max_weight)
+    }
+
+
+def reference_geom_projection_images(max_weight):
+    out = {}
+    for w in lyndon_words(max_weight):
+        g = {(f"G_{w}",): ONE}
+        if w != "0":
+            out[f"L0_{w}"] = g
+        if w != "1":
+            out[f"L1_{w}"] = g
+        if len(w) >= 2:
+            out[f"K_{w}"] = {}
+    return out
+
+
+@pytest.mark.parametrize("max_weight", range(1, 9))
+def test_images_read_from_the_models_equal_the_written_out_ones(max_weight):
+    pairs = (
+        (j_restriction_images, reference_j_restriction_images),
+        (i1_fiber_images, reference_i1_fiber_images),
+        (p1_pullback_images, reference_p1_pullback_images),
+        (geom_projection_images, reference_geom_projection_images),
+    )
+    for builder, reference in pairs:
+        got = builder(max_weight)
+        assert got == reference(max_weight), builder.__name__
+        assert all(type(c) is Fraction for image in got.values() for c in image.values())
+
+
 def test_morphism_values():
     mw = 3
     assert restrict_j({("M_01",): ONE}, mw) == {("L0_01",): 1, ("L1_01",): -1}

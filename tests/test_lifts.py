@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -11,12 +12,14 @@ import pytest
 
 from conftest import rescaled
 from lyndonbar import lifts
+from lyndonbar.verify import run_suites
 from lyndonbar.bar import bar_differential, hain_projector, pi1
 from lyndonbar.colie import tensor_cobracket
 from lyndonbar.dgcore import CdgaPresentation, model_geom, model_x
 from lyndonbar.lifts import (
     InfeasibleLiftError,
     InvalidMorphismError,
+    LiftReport,
     adjunction_unit,
     audit_adjunction_unit,
     catalan,
@@ -32,9 +35,10 @@ from lyndonbar.lifts import (
     verify_EDQX,
     verify_fiber_identity,
     verify_geom_basis,
+    verify_lift,
 )
 from lyndonbar.linalg import _integer_equation, add_term, solve_affine
-from lyndonbar.words import lyndon_words, lyndon_words_of_length
+from lyndonbar.words import InvalidWordError, lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
 
@@ -186,8 +190,115 @@ def test_generator_map_naming_a_non_generator_rejected():
     gmap[("t0", "001")] = "L0_0"
     with pytest.raises(InvalidMorphismError, match="'L0_0' is not a degree-1 generator"):
         check_generator_map(gmap, model_x(3))
-    with pytest.raises(InvalidMorphismError):
-        adjunction_unit({("t0", "001"): ONE}, model_x(3), gmap)
+
+
+def reference_generator_map(variant, max_weight):
+    """The slot map as it was written out before it was read from the models."""
+    killed = {"plain": ("0",), "one": ("1",)}.get(variant, ("0", "1"))
+    prefix = {"diff": "M", "const": "K", "point": "N"}.get(variant)
+    gmap = {}
+    for w in lyndon_words(max_weight):
+        if prefix is None:
+            gmap[("t0", w)] = None if w == "0" else f"L0_{w}"
+            gmap[("t1", w)] = None if w == "1" else f"L1_{w}"
+        else:
+            gmap[("one", w)] = None if w in killed else f"{prefix}_{w}"
+    return gmap
+
+
+@pytest.mark.parametrize("max_weight", range(1, 9))
+def test_generator_maps_read_from_the_models(max_weight):
+    # the models have M_0, M_1, N_0 and N_1, which the written-out maps
+    # killed; no table entry has a weight-1 leg, so no lift changes
+    differ = {}
+    for variant in lifts.VARIANTS:
+        got, ref = generator_map(variant, max_weight), reference_generator_map(variant, max_weight)
+        assert list(got) == list(ref), variant
+        differ.update({(variant, tag): gen for tag, gen in got.items() if gen != ref[tag]})
+    assert differ == {
+        ("diff", ("one", "0")): "M_0",
+        ("diff", ("one", "1")): "M_1",
+        ("point", ("one", "0")): "N_0",
+        ("point", ("one", "1")): "N_1",
+    }
+
+
+def test_generator_map_is_fresh_each_call():
+    gmap = generator_map("plain", 3)
+    expected = dict(gmap)
+    gmap[("t0", "001")] = "L0_0"
+    gmap.pop(("t1", "01"))
+    assert generator_map("plain", 3) == expected
+    assert generator_map("plain", 3) is not generator_map("plain", 3)
+
+
+def test_each_generator_map_is_checked_once(monkeypatch):
+    # every check runs while one (variant, weight) map is built, once per map
+    building, checked = [], []
+    check, build = lifts.check_generator_map, lifts._generator_map
+
+    def recording_check(gmap, model):
+        checked.append(building[-1] if building else None)
+        return check(gmap, model)
+
+    def recording_build(variant, max_weight):
+        building.append((variant, max_weight))
+        try:
+            return build(variant, max_weight)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(lifts, "check_generator_map", recording_check)
+    monkeypatch.setattr(lifts, "_generator_map", recording_build)
+    build.cache_clear()
+    lifts._lift_LB.cache_clear()
+    assert all(r.status != "fail" for r in run_suites(["lifts", "edqx"], 5))
+    assert checked and None not in checked
+    assert len(checked) == len(set(checked))
+
+
+def test_unknown_variant_is_a_value_error_naming_the_variants():
+    calls = (
+        lambda: lift_LB("01", "bogus"),
+        lambda: closed_lift_oracle("01", "bogus"),
+        lambda: generator_map("bogus", 3),
+        lambda: verify_lift({}, "01", "bogus", LiftReport("01", "bogus", "oracle")),
+        lambda: adjunction_unit({("t0", "01"): ONE}, "bogus"),
+    )
+    message = "unknown variant 'bogus'; expected one of plain, one, diff, const, point"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("word", ["10", "0110", "0", "", "012"])
+def test_a_word_that_is_not_lyndon_is_rejected_before_any_work(monkeypatch, word):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("solve_unit_constants", "adjunction_unit", "closed_lift_oracle", "alpha_table"):
+        monkeypatch.setattr(lifts, name, no_work)
+    for method in ("auto", "claim", "oracle"):
+        with pytest.raises(InvalidWordError):
+            lift_LB(word, "plain", method)
+    with pytest.raises(InvalidWordError):
+        verify_EDQX(word)
+    if len(word) > 1:
+        with pytest.raises(InvalidWordError):
+            geometric_lift(word)
+
+
+def test_unit_reads_the_model_at_the_tag_weight():
+    # a model lighter than the tag once gave a wrong, non-empty element
+    tag = ("t0", "0011")
+    gmap, total = generator_map("plain", 4), {}
+    for n in range(1, 5):
+        for word, d in lifts._slotify(lifts._tree_sum(tag, n), gmap).items():
+            add_term(total, word, published_constants(n) * d)
+    unit = adjunction_unit({tag: ONE}, "plain")
+    assert unit == hain_projector(total, model_x(4)) == lift_LB("0011", "plain", "claim")[0]
+    assert pi1(unit) == {("L0_0011",): Fraction(1, 2)}
+    assert adjunction_unit({}, "plain") == {}
 
 
 def test_solved_constants_drop_the_power_of_two():
@@ -295,12 +406,8 @@ def test_probe_rows_are_the_fraction_rows_in_integers(monkeypatch, max_weight):
 
 
 def test_unit_on_weight_one_tag():
-    model = model_x(2)
     unit = adjunction_unit(
-        {("t0", "1"): ONE},
-        model,
-        generator_map("plain", 2),
-        constants=lambda n: solve_unit_constants(2)[n - 1],
+        {("t0", "1"): ONE}, "plain", constants=lambda n: solve_unit_constants(2)[n - 1]
     )
     assert unit == {(("L0_1",),): 1}
 
@@ -439,6 +546,39 @@ GOLDEN_LIFTS = {
 }
 
 
+# sha256 of _canonical_method_lifts(variant, method), recorded while
+# adjunction_unit took a model and a generator map
+GOLDEN_METHOD_LIFTS = {
+    ("claim", "plain"): "b98eb09c648a6729e5d5eae91a9b21b4003c0719a7296df01185f2f99bda2f28",
+    ("claim", "one"): "2c1b5949fb4bf38422bbe10e936ad82838633f46a9d3c4e43816a968221ba219",
+    ("claim", "diff"): "f7ece3db3114a869fce3371cd2c2cf454bf97e7842414329859f373452071989",
+    ("claim", "const"): "7cc5ac72c02c3ef4dbb598a30984866819b5929d7ace5bdcaacaf61a0571bee9",
+    ("claim", "point"): "d7e78105340b7c00a250e72405bf943618c528ccab33e9c94ec9bd03ce2de67f",
+    ("auto", "plain"): "bdefb557e8a58e1eaa2f5daafb9d485a2543082b4fa6025236345100b9482bfa",
+    ("auto", "one"): "877a4a25421e4ca1387e48797a1e5aca021f9f28daa76b75b1f4ed0997fd44f1",
+    ("auto", "diff"): "2d6b22e63c316b4926bd7ab14ded93858c24668d826a09a39f9a774bdc7602ad",
+    ("auto", "const"): "9a3f528825793acc8de7f6e246317a909e7577a84b6fa71671e836c4eb904dfd",
+    ("auto", "point"): "059273279c41883968a02060e783055091c845b1758dd9828ce711d4a1dd25b9",
+}
+
+
+def _canonical_method_lifts(variant: str, method: str) -> str:
+    """Every lift of weights 2..5 by ``method``, with sorted terms and its whole report, as JSON."""
+    rows = []
+    for n in range(2, 6):
+        for W in lyndon_words_of_length(n):
+            element, report = lift_LB(W, variant, method)
+            terms = [[[list(m) for m in word], str(c)] for word, c in sorted(element.items())]
+            rows.append([W, terms, dataclasses.asdict(report)])
+    return json.dumps(rows)
+
+
+@pytest.mark.parametrize("method, variant", list(GOLDEN_METHOD_LIFTS))
+def test_claim_and_auto_lifts_match_golden_digests(method, variant):
+    got = hashlib.sha256(_canonical_method_lifts(variant, method).encode()).hexdigest()
+    assert got == GOLDEN_METHOD_LIFTS[method, variant]
+
+
 def _canonical_lifts(variant: str, n: int) -> str:
     """Each weight-n oracle lift with sorted terms and its affine dimension, as JSON."""
     rows = []
@@ -523,6 +663,16 @@ def test_fiber_identity_and_family_relation():
         assert r["closed"] and r["degree_one_part_zero"]
 
 
+def test_audit_rejects_its_weights_up_front(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(lifts, "solve_unit_constants", no_work)
+    for weights in ((), (1,), (1, 2), (0, 3)):
+        with pytest.raises(ValueError, match="one or more weights >= 2"):
+            audit_adjunction_unit(weights)
+
+
 def test_adjunction_audit():
     report = audit_adjunction_unit((2, 3))
     assert report["solved_equal_reciprocal_n_catalan"]
@@ -534,12 +684,9 @@ def test_adjunction_audit():
 
 
 def test_unit_degree_one_part_is_the_generator_map():
-    model = model_x(4)
     gmap = generator_map("plain", 4)
     consts = solve_unit_constants(4)
     for tag, gen in gmap.items():
-        if len(tag[1]) > 4:
-            continue
-        unit = adjunction_unit({tag: ONE}, model, gmap, constants=lambda n: consts[n - 1])
+        unit = adjunction_unit({tag: ONE}, "plain", constants=lambda n: consts[n - 1])
         expected = {} if gen is None else {(gen,): 1}
         assert pi1(unit) == expected, tag

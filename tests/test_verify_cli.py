@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lyndonbar
-from lyndonbar import bar
+from lyndonbar import bar, cli
 from lyndonbar.cli import build_parser, main
 from lyndonbar.colie import TABLE_NAMES
 from lyndonbar.verify import run_suites
@@ -113,6 +113,15 @@ def test_model_dump_schema(capsys):
         {"monomial": ["L0_1", "L1_0"], "coeff": "1"}
     ]
     assert all(g["degree"] == 1 for g in payload["generators"])
+
+
+def test_model_space_choices_are_the_dumped_models(capsys):
+    (space,) = [a for a in build_parser()[1]["model"]._actions if a.dest == "space"]
+    assert space.choices == tuple(cli._SPACES) == ("x", "a1", "point")
+    for name, builder in cli._SPACES.items():
+        code, out = run_cli(capsys, "model", "--space", name, "--max-weight", "2")
+        names = [g.name for g in builder(2).generators]
+        assert code == 0 and [g["name"] for g in json.loads(out)["generators"]] == names
 
 
 def test_trees_cli(capsys):
