@@ -313,11 +313,17 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     The input must be in the image of the Hain projector; the output is an
     antisymmetric tensor with both legs projected back to indecomposables.
 
-    For such b, X = (p @ p)(red b) is already antisymmetric, so it is the
-    cobracket: p is dual to the first Eulerian idempotent, which kills
-    l1 l2 + eps l2 l1 for Lie elements l1, l2.  X is built from the splits
-    whose left leg is at least as long as the right, and each component
-    with a longer left leg is mirrored by tau with the opposite sign.
+    For such b only the right leg needs the projector:
+    delta_Q(b) = (1/2) sum_w c_w sum_(w = u v) [u @ p(v) - eps v @ p(u)],
+    eps = (-1)^(|u||v|).  Paired with u' @ v' this is <b, e1(u') e1(v')> =
+    (1/2)<b, [e1 u', e1 v']>, e1 the first Eulerian idempotent (dual to p);
+    and y -> <b, [y, l]> lies in the image of p for every Lie element l,
+    because ad_l is a derivation that keeps the kernel of e1, so the raw
+    left legs sum to projected ones.  The components whose left leg is at
+    least as long as the right are built, each raw left leg's right legs
+    projected together, and the others are their mirrors under tau with the
+    opposite sign; so only words of at most half the longest length are
+    projected, and each output key is written once.
     """
     den, ints = to_numerators(b)
     by_left: dict = {}
@@ -327,32 +333,33 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
         if not all(word):
             raise InvalidElementError("bar slot outside the augmentation ideal")
         n = len(word)
+        # u @ p(v) with the right leg v the shorter
         for i in range((n + 1) // 2, n):
             rights = by_left.setdefault(word[:i], {})
-            w2 = word[i:]
-            rights[w2] = rights.get(w2, 0) + c
+            v = word[i:]
+            rights[v] = rights.get(v, 0) + c
+        # -eps v @ p(u) with the right leg u the shorter
+        odd = _parity(p, word)
+        odd_u = 0
+        for i in range(1, n // 2 + 1):
+            odd_u ^= _slot(p, word[i - 1])[0]
+            rights = by_left.setdefault(word[i:], {})
+            u = word[:i]
+            rights[u] = rights.get(u, 0) + (c if odd_u and odd ^ odd_u else -c)
     if not by_left:
         return {}
-    # the legs are shorter than the longest word, so p of a leg has a
-    # denominator dividing lcm(1..longest - 1)
-    leg_denom = _lcm_upto(max(map(len, b)) - 1)
-    # p is linear: project each left leg's summed right legs, then collect
-    # the raw left legs under each projected right word and project each
-    # group once, so every output key is built once
-    by_right: dict = {}
-    for w1, rights in by_left.items():
-        for v2, r in projector_numerators(rights, p, leg_denom).items():
-            if r:
-                by_right.setdefault(v2, {})[w1] = r
+    # the right legs have at most half the longest word's slots
+    leg_denom = _lcm_upto(max(map(len, b)) // 2)
     out: dict = {}
-    for v2, lefts in by_right.items():
-        odd2 = _parity(p, v2)
-        short = len(v2)
-        for v1, x in projector_numerators(lefts, p, leg_denom).items():
-            out[(v1, v2)] = x
-            if len(v1) > short:
-                out[(v2, v1)] = x if odd2 and _parity(p, v1) else -x
-    return from_numerators(out, den * leg_denom**2)
+    for u, rights in by_left.items():
+        odd1 = _parity(p, u)
+        long = len(u)
+        for v, x in projector_numerators(rights, p, leg_denom).items():
+            if x:
+                out[(u, v)] = x
+                if long > len(v):
+                    out[(v, u)] = x if odd1 and _parity(p, v) else -x
+    return from_numerators(out, 2 * den * leg_denom)
 
 
 def cobracket_11(b: BarElement, p: CdgaPresentation) -> BarTensor:
@@ -375,17 +382,21 @@ def cobracket_11(b: BarElement, p: CdgaPresentation) -> BarTensor:
 
 
 def wedge_pair(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarTensor:
-    """b1 ^ b2 in the projector normalization: (1/2)(b1 @ b2 -+ b2 @ b1)."""
-    out: BarTensor = {}
-    right = [(w2, c2, _parity(p, w2)) for w2, c2 in b2.items()]
-    for w1, c1 in b1.items():
+    """b1 ^ b2 in the projector normalization: (1/2)(b1 @ b2 -+ b2 @ b1).
+
+    The pairs are summed in integers over one common denominator.
+    """
+    den1, ints1 = to_numerators(b1)
+    den2, ints2 = to_numerators(b2)
+    out: dict = {}
+    right = [(w2, c2, _parity(p, w2)) for w2, c2 in ints2.items()]
+    for w1, c1 in ints1.items():
         odd1 = _parity(p, w1)
-        half1 = HALF * c1
         for w2, c2, odd2 in right:
-            half = half1 * c2
-            add_term(out, (w1, w2), half)
-            add_term(out, (w2, w1), half if odd1 and odd2 else -half)
-    return out
+            c = c1 * c2
+            out[(w1, w2)] = out.get((w1, w2), 0) + c
+            out[(w2, w1)] = out.get((w2, w1), 0) + (c if odd1 and odd2 else -c)
+    return from_numerators(out, 2 * den1 * den2)
 
 
 def pi1(b: BarElement) -> dict:

@@ -116,14 +116,28 @@ def generator_map(variant: str, max_weight: int) -> dict:
     return dict(_generator_map(variant, max_weight))
 
 
+def _slot_families(spec: VariantSpec) -> tuple:
+    """(tag family, generator prefix) of each variant whose generators the
+    differential of this variant's reaches."""
+    reached = {fam for _, *pair in QUADRATIC_TERMS[spec.prefix] for fam in pair}
+    return tuple((s.family, s.prefix) for s in VARIANTS.values() if s.prefix in reached)
+
+
 @lru_cache(maxsize=None)
 def _generator_map(variant: str, max_weight: int) -> dict:
-    """The slot map, checked once: a slot family for each variant whose generators
-    the differential of this variant's reaches, None where the model has no generator."""
+    """The slot map, None where the model has no generator; built and checked
+    once per model, weight and slot families, so variants that share all
+    three (``plain`` and ``one``) share the first one's map."""
     spec = _variant(variant)
+    slots = _slot_families(spec)
+    first = next(
+        name
+        for name, other in VARIANTS.items()
+        if other.model is spec.model and _slot_families(other) == slots
+    )
+    if first != variant:
+        return _generator_map(first, max_weight)
     model = spec.model(max_weight)
-    reached = {fam for _, *pair in QUADRATIC_TERMS[spec.prefix] for fam in pair}
-    slots = [(s.family, s.prefix) for s in VARIANTS.values() if s.prefix in reached]
     gmap = {
         (family, w): f"{prefix}_{w}" if f"{prefix}_{w}" in model.index else None
         for w in lyndon_words(max_weight)
@@ -466,24 +480,32 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
 
 
 def bar_transport(b: BarElement, images: dict, target: CdgaPresentation) -> BarElement:
-    """Slotwise application of a cdga morphism given by generator images."""
-    moved: dict = {}  # each distinct slot's image, transported once per call
-    out: BarElement = {}
-    for word, c in b.items():
-        slot_images = []
-        for m in word:
-            if m not in moved:
-                moved[m] = tuple(transport({m: ONE}, images, target).items())
-            slot_images.append(moved[m])
-        if not all(slot_images):
-            continue
-        for choice in product(*slot_images):
-            new_word = tuple(m for m, _ in choice)
+    """Slotwise application of a cdga morphism given by generator images.
+
+    Each distinct slot is transported once per call, and the slot products
+    are summed in integers: every slot image over one common denominator.
+    """
+    den, ints = to_numerators(b)
+    moved = {
+        m: to_numerators(transport({m: ONE}, images, target))
+        for m in dict.fromkeys(m for word in ints for m in word)
+    }
+    slot_den = math.lcm(*(d for d, _ in moved.values()))
+    slot_images = {
+        m: tuple((m2, v * (slot_den // d)) for m2, v in image.items())
+        for m, (d, image) in moved.items()
+    }
+    longest = max(map(len, ints), default=0)
+    out: dict = {}
+    for word, c in ints.items():
+        c *= slot_den ** (longest - len(word))
+        for choice in product(*map(slot_images.__getitem__, word)):
             coeff = c
-            for _, cc in choice:
-                coeff *= cc
-            add_term(out, new_word, coeff)
-    return out
+            for _, v in choice:
+                coeff *= v
+            new_word = tuple(m for m, _ in choice)
+            out[new_word] = out.get(new_word, 0) + coeff
+    return from_numerators(out, den * slot_den**longest)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +593,8 @@ def geometric_lift(W: str) -> BarElement:
 def _geometric_lift(W: str) -> BarElement:
     n = len(W)
     if n == 1:
+        if W not in ("0", "1"):
+            raise InvalidWordError(f"{W!r} is not a binary Lyndon word")
         return {((f"G_{W}",),): ONE}
     element, _ = lift_LB(W, "plain")
     return bar_transport(element, geom_projection_images(n), model_geom(n))

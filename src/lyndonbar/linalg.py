@@ -54,8 +54,12 @@ def to_numerators(vec: Mapping) -> tuple[int, dict]:
 
 
 def from_numerators(ints: Mapping, den: int) -> dict:
-    """Integer numerators over ``den`` as Fractions, dropping zeros."""
-    return {k: Fraction(v, den) for k, v in ints.items() if v}
+    """Integer numerators over ``den`` as Fractions, dropping zeros.
+
+    One Fraction is built per distinct numerator and shared by its keys.
+    """
+    fractions = {v: Fraction(v, den) for v in set(ints.values()) if v}
+    return {k: fractions[v] for k, v in ints.items() if v}
 
 
 def _primitive(row: dict, rhs: dict) -> None:

@@ -467,12 +467,13 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         kills &= bar.hain_projector(bar.shuffle(small[i], small[i + 1], p), p) == {}
     out.append(_result("projector-idempotent-chain-map", ok, mw))
     out.append(_result("projector-kills-shuffles", kills, mw))
-    # delta_Q reads half the splits and mirrors them, because on a projected
-    # h the tensor X = (p @ p)(red h) is already antisymmetric: check that
-    # fact with X built over every split, projecting the right legs of each
-    # left leg together.  The elements above seldom have three slots, so
-    # these words have two or three slots: a generator of weight <= 2, or
-    # the product of two, which is odd in the bar
+    # delta_Q projects only the short right leg of each split and mirrors
+    # the components with the longer left leg, because on a projected h the
+    # tensor X = (p @ p)(red h) is antisymmetric and its raw left legs
+    # already sum to projected ones: check it against X built over every
+    # split with both legs projected, the right legs of each left leg
+    # together.  These words have two or three slots: a generator of
+    # weight <= 2, or the product of two, which is odd in the bar
     gens = [(g.name,) for g in p.generators if g.weight <= 2]
     slots = gens + [a + b for i, a in enumerate(gens) for b in gens[i + 1 :]]
     rng3 = random.Random(seed + 2)

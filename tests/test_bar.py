@@ -13,6 +13,7 @@ from conftest import rescaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyndonbar import bar
 from lyndonbar.bar import (
     InvalidElementError,
     bar_degree,
@@ -32,8 +33,8 @@ from lyndonbar.bar import (
     tensor_swap,
     wedge_pair,
 )
-from lyndonbar.dgcore import model_a1, model_x
-from lyndonbar.lifts import VARIANTS, lift_LB
+from lyndonbar.dgcore import model_a1, model_geom, model_x
+from lyndonbar.lifts import VARIANTS, geometric_lift, lift_LB
 from lyndonbar.linalg import add_term, combine, from_numerators, to_numerators
 from lyndonbar.verify import random_bar_element
 from lyndonbar.words import lyndon_words
@@ -218,18 +219,44 @@ def test_delta_q_rejects_what_the_projector_rejects(b):
         delta_Q(b, P4)
 
 
-def test_delta_q_reads_only_the_splits_with_the_longer_left_leg():
+def record_projected_words(monkeypatch):
+    """The words that reach ``_hain_word`` from now on, in order."""
+    seen, lookup = [], bar._hain_word
+
+    def recording(p, word):
+        seen.append(word)
+        return lookup(p, word)
+
+    monkeypatch.setattr(bar, "_hain_word", recording)
+    return seen
+
+
+def test_delta_q_projects_only_the_short_right_leg(monkeypatch):
     # p([a|b|c]) over three distinct letters is the six arrangements; each
-    # has one split with the longer left leg, (2|1), and delta_Q projects
-    # that split's right leg once under its left leg and its left leg once
-    # under its projected right leg
+    # raw left leg of two slots collects the one-slot right legs of its
+    # (2|1) and mirrored (1|2) splits, and two of the six sums cancel
     h = hain_projector({(("L0_1",), ("L1_0",), ("L0_01",)): ONE}, P4)
     assert len(h) == 6
-    before = _hain_word.cache_info()
+    seen = record_projected_words(monkeypatch)
     t = delta_Q(h, P4)
-    after = _hain_word.cache_info()
-    assert (after.hits + after.misses) - (before.hits + before.misses) == 12
+    assert len(seen) == 4 and all(len(w) == 1 for w in seen)
     assert {(len(v1), len(v2)) for v1, v2 in t} == {(2, 1), (1, 2)}
+
+
+def test_delta_q_projects_at_most_half_the_longest_word(monkeypatch):
+    words = weight_slice(P7, 7)
+    rng = random.Random(17)
+    elements = [
+        {w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for w in rng.sample(words, 3)}
+        for _ in range(40)
+    ]
+    projected = [hain_projector(b, P7) for b in elements]
+    seen = record_projected_words(monkeypatch)
+    for h in projected:
+        del seen[:]
+        delta_Q(h, P7)
+        assert max(map(len, seen)) <= max(map(len, h)) // 2
+    assert max(max(map(len, h)) for h in projected) == 7
 
 
 def test_delta_q_antisymmetric():
@@ -523,6 +550,16 @@ def test_delta_q_matches_the_merged_kernel_on_the_degree_zero_slice(p, weight):
         assert_delta_q_matches_the_merged_kernel(b, p)
 
 
+@pytest.mark.parametrize("weight", [2, 3, 4, 5])
+def test_delta_q_matches_the_merged_kernel_on_geometric_lifts(weight):
+    # the lifts verify_geom_basis hands to delta_Q, over model_geom
+    model = model_geom(weight)
+    for W in lyndon_words(weight):
+        if len(W) == weight:
+            lift = geometric_lift(W)
+            assert delta_Q(lift, model) == merged_delta_Q(lift, model) != {}, W
+
+
 # ---------------------------------------------------------------------------
 # the (1,1) part of the cobracket against the full delta_Q
 
@@ -671,4 +708,5 @@ def reference_wedge_pair(b1, b2, p):
 def test_wedge_pair_matches_the_reference_with_signs(b1, b2):
     got = wedge_pair(b1, b2, P4)
     assert got == reference_wedge_pair(b1, b2, P4)
+    assert all(type(c) is Fraction and c for c in got.values())
     assert tensor_swap(got, P4) == {k: -v for k, v in got.items()}

@@ -7,6 +7,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -15,13 +16,23 @@ from lyndonbar import lifts
 from lyndonbar.verify import run_suites
 from lyndonbar.bar import bar_differential, hain_projector, pi1
 from lyndonbar.colie import tensor_cobracket
-from lyndonbar.dgcore import CdgaPresentation, model_geom, model_x
+from lyndonbar.dgcore import (
+    CdgaPresentation,
+    geom_projection_images,
+    i1_fiber_images,
+    j_restriction_images,
+    model_geom,
+    model_point,
+    model_x,
+    transport,
+)
 from lyndonbar.lifts import (
     InfeasibleLiftError,
     InvalidMorphismError,
     LiftReport,
     adjunction_unit,
     audit_adjunction_unit,
+    bar_transport,
     catalan,
     check_generator_map,
     closed_lift_oracle,
@@ -257,6 +268,25 @@ def test_each_generator_map_is_checked_once(monkeypatch):
     assert len(checked) == len(set(checked))
 
 
+def test_plain_and_one_share_one_checked_map(monkeypatch):
+    # both read model_x with the slot families t0 and t1, so one map is
+    # built and checked for the two
+    checked = []
+    check = lifts.check_generator_map
+
+    def recording_check(gmap, model):
+        checked.append(model.name)
+        return check(gmap, model)
+
+    monkeypatch.setattr(lifts, "check_generator_map", recording_check)
+    lifts._generator_map.cache_clear()
+    maps = {variant: generator_map(variant, 4) for variant in lifts.VARIANTS}
+    assert lifts._generator_map("plain", 4) is lifts._generator_map("one", 4)
+    assert maps["plain"] == maps["one"] == reference_generator_map("one", 4)
+    assert maps["const"] != maps["plain"]
+    assert sorted(checked) == ["M@4", "N@4", "x@4", "x@4"]
+
+
 def test_unknown_variant_is_a_value_error_naming_the_variants():
     calls = (
         lambda: lift_LB("01", "bogus"),
@@ -286,6 +316,20 @@ def test_a_word_that_is_not_lyndon_is_rejected_before_any_work(monkeypatch, word
     if len(word) > 1:
         with pytest.raises(InvalidWordError):
             geometric_lift(word)
+
+
+@pytest.mark.parametrize("word", ["2", "a", "G"])
+def test_a_one_letter_word_outside_the_alphabet_is_rejected(monkeypatch, word):
+    # geometric_lift("2") once returned a slot on G_2, which no model has
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("lift_LB", "bar_transport", "geom_projection_images"):
+        monkeypatch.setattr(lifts, name, no_work)
+    with pytest.raises(InvalidWordError):
+        geometric_lift(word)
+    assert geometric_lift("0") == {(("G_0",),): 1}
+    assert geometric_lift("1") == {(("G_1",),): 1}
 
 
 def test_unit_reads_the_model_at_the_tag_weight():
@@ -647,6 +691,42 @@ def test_geometric_lifts_are_projected():
             continue
         lift = geometric_lift(W)
         assert hain_projector(lift, model_geom(len(W))) == lift != {}, W
+
+
+def reference_bar_transport(b, images, target):
+    """Slotwise transport in Fractions, one word and one slot at a time."""
+    out: dict = {}
+    for word, c in b.items():
+        slot_images = [transport({m: ONE}, images, target).items() for m in word]
+        for choice in product(*slot_images):
+            coeff = c
+            for _, cc in choice:
+                coeff *= cc
+            add_term(out, tuple(m for m, _ in choice), coeff)
+    return out
+
+
+@pytest.mark.parametrize("W", ["01", "0011", "00101", "001011"])
+def test_bar_transport_matches_the_fraction_reference(W):
+    n = len(W)
+    cases = [
+        (lift_LB(W, "diff")[0], j_restriction_images(n), model_x(n)),
+        (lift_LB(W, "diff")[0], i1_fiber_images(n), model_point(n)),
+        (lift_LB(W, "plain")[0], geom_projection_images(n), model_geom(n)),
+    ]
+    for b, images, target in list(cases):
+        # the same maps with non-integral images, so the slot products need
+        # a common denominator across words of different lengths
+        scaled = {
+            g: {m: c / (k % 3 + 2) for m, c in image.items()}
+            for k, (g, image) in enumerate(images.items())
+        }
+        cases.append((b, scaled, target))
+    assert len({len(w) for w in cases[2][0]}) > 1
+    for b, images, target in cases:
+        got = bar_transport(b, images, target)
+        assert got == reference_bar_transport(b, images, target) != {}
+        assert all(type(c) is Fraction and c for c in got.values())
 
 
 def test_geom_basis_to_weight_4():

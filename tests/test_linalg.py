@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyndonbar import linalg
 from lyndonbar.linalg import ZERO, add_term, combine, from_numerators, solve_affine, to_numerators
 
 
@@ -355,3 +356,20 @@ def test_numerators_round_trip(vec, den, ints):
 def test_combine_with_a_fraction_scale_gives_fractions():
     got = combine((Fraction(1, 2), {"x": 3}), (1, {"x": 1}))
     assert got == {"x": Fraction(5, 2)} and type(got["x"]) is Fraction
+
+
+def test_from_numerators_builds_one_fraction_per_distinct_numerator(monkeypatch):
+    ints = {"a": 3, "b": -4, "c": 3, "d": 0, "e": 6, "f": -4, "g": 3}
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(linalg, "Fraction", CountingFraction)
+    got = from_numerators(ints, 6)
+    assert sorted(made) == [(-4, 6), (3, 6), (6, 6)]
+    assert got == {k: Fraction(v, 6) for k, v in ints.items() if v}
+    assert list(got) == ["a", "b", "c", "e", "f", "g"]
+    assert got["a"] is got["c"] is got["g"] and got["b"] is got["f"]
