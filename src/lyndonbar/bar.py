@@ -237,33 +237,73 @@ def _hain_word(p: CdgaPresentation, word: BarWord) -> tuple:
 def _hain_pattern(codes: tuple) -> tuple:
     """p of a code word as (code word, integer) pairs over lcm(1..len(codes)).
 
-    The i-th convolution power of J = id - epsilon sends a word to the
-    shuffle of its i-block deconcatenations.  Over suffixes it obeys
-    P_1(s) = [word[s:]] and P_i(s) = sum_k [word[s:k]] sh P_(i-1)(k), all in
-    integers; p = sum_i ((-1)^(i-1)/i) P_i(0) is summed over the common
-    denominator lcm(1..n).
+    Solomon's form of the first Eulerian idempotent (Reutenauer, ch. 3): p
+    sends [a_0|...|a_(n-1)] to the sum over permutations pi of
+    koszul(pi) (-1)^d / (n C(n-1, d)) [a_pi(0)|...|a_pi(n-1)], d the number
+    of i with a_(i+1) placed before a_i.  The arrangements are built by
+    inserting a_0, a_1, ... one at a time.  A state is an arrangement with
+    the index of its last inserted letter: inserting the next letter at or
+    before that index adds a descent, and moving an odd letter past an odd
+    one flips the sign.  A state's value is one integer whose d-th digit is
+    the signed count of d; states with the same key merge, so repeated
+    letters cost little.  The last step weighs the counts of each
+    arrangement by one multiplication (see below).
     """
     n = len(codes)
+    if n == 1:
+        return ((codes, 1),)
     denom = _lcm_upto(n)
-    total = {codes: denom}
-    powers = [{codes[s:]: 1} for s in range(n)]
-    for i in range(2, n + 1):
-        powers = [_shuffle_suffixes(codes, s, powers, n - i + 1) for s in range(n - i + 1)]
-        scale = denom // i if i % 2 else -(denom // i)
-        for w, c in powers[0].items():
-            total[w] = total.get(w, 0) + scale * c
-    return tuple((w, c) for w, c in total.items() if c)
-
-
-def _shuffle_suffixes(codes: tuple, s: int, powers: list, last: int) -> dict:
-    """sum over k in (s, last] of [codes[s:k]] shuffled with powers[k], in integers."""
-    out: dict = {}
-    for k in range(s + 1, last + 1):
-        head = codes[s:k]
-        for v, c in powers[k].items():
-            for w, e in _shuffle_words(head, v):
-                out[w] = out.get(w, 0) + c * e
-    return {w: c for w, c in out.items() if c}
+    # a digit is wide enough for any count times any weight: |count| <= n!
+    digit = (math.factorial(n) * denom).bit_length() + 1
+    # an arrangement is an integer with letter j at bit width * j, and a
+    # state's key puts the index of its last inserted letter below it
+    width = max(codes).bit_length() or 1
+    index_bits = n.bit_length()
+    index_mask = (1 << index_bits) - 1
+    shifts = [width * j for j in range(n)]
+    states = {codes[0] << index_bits: 1}
+    for k in range(1, n):
+        a = codes[k]
+        final = k == n - 1  # the last letter's index is not needed after it
+        places = [(j, (1 << shifts[j]) - 1, a << shifts[j]) for j in range(k + 1)]
+        nxt: dict = {}
+        get = nxt.get
+        for key, v in states.items():
+            arr = key >> index_bits
+            last = key & index_mask
+            up = v << digit  # one descent more
+            values = [up] * (last + 1) + [v] * (k - last)
+            if a & 1:
+                # inserted at j, a moves past arr[j:]
+                flip = False
+                for j in range(k - 1, -1, -1):
+                    if arr >> shifts[j] & 1:
+                        flip = not flip
+                    if flip:
+                        values[j] = -values[j]
+            for j, low, placed in places:
+                lo = arr & low
+                w = ((arr - lo) << width) | placed | lo
+                if not final:
+                    w = (w << index_bits) | j
+                nxt[w] = get(w, 0) + values[j]
+        states = nxt
+    # digit n-1 of v * weights is sum_d count_d (-1)^d denom / (n C(n-1, d));
+    # adding half to every digit of the product makes each one nonnegative
+    weights = 0
+    for d in range(n):
+        weights = (weights << digit) + (-1) ** d * denom // (n * math.comb(n - 1, d))
+    half = 1 << (digit - 1)
+    halves = sum(half << shift for shift in range(0, digit * n, digit))
+    top = digit * (n - 1)
+    mask = (1 << digit) - 1
+    letter = (1 << width) - 1
+    out = []
+    for arr, v in states.items():
+        c = (((v * weights + halves) >> top) & mask) - half
+        if c:
+            out.append((tuple(arr >> shift & letter for shift in shifts), c))
+    return tuple(out)
 
 
 def projector_numerators(b: Mapping[BarWord, int], p: CdgaPresentation, denom: int) -> dict:
@@ -326,24 +366,27 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     projected, and each output key is written once.
     """
     den, ints = to_numerators(b)
-    by_left: dict = {}
+    by_left: dict = {}  # raw left leg -> (its parity, its right legs)
     for word, c in ints.items():
         if not word:
             raise InvalidElementError("empty-word component present")
         if not all(word):
             raise InvalidElementError("bar slot outside the augmentation ideal")
         n = len(word)
+        # prefix[i]: the parity of word[:i]
+        prefix = [0] * (n + 1)
+        for i in range(1, n + 1):
+            prefix[i] = prefix[i - 1] ^ _slot(p, word[i - 1])[0]
+        odd = prefix[n]
         # u @ p(v) with the right leg v the shorter
         for i in range((n + 1) // 2, n):
-            rights = by_left.setdefault(word[:i], {})
+            rights = by_left.setdefault(word[:i], (prefix[i], {}))[1]
             v = word[i:]
             rights[v] = rights.get(v, 0) + c
         # -eps v @ p(u) with the right leg u the shorter
-        odd = _parity(p, word)
-        odd_u = 0
         for i in range(1, n // 2 + 1):
-            odd_u ^= _slot(p, word[i - 1])[0]
-            rights = by_left.setdefault(word[i:], {})
+            odd_u = prefix[i]
+            rights = by_left.setdefault(word[i:], (odd ^ odd_u, {}))[1]
             u = word[:i]
             rights[u] = rights.get(u, 0) + (c if odd_u and odd ^ odd_u else -c)
     if not by_left:
@@ -351,8 +394,7 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     # the right legs have at most half the longest word's slots
     leg_denom = _lcm_upto(max(map(len, b)) // 2)
     out: dict = {}
-    for u, rights in by_left.items():
-        odd1 = _parity(p, u)
+    for u, (odd1, rights) in by_left.items():
         long = len(u)
         for v, x in projector_numerators(rights, p, leg_denom).items():
             if x:

@@ -10,7 +10,7 @@ from itertools import accumulate, combinations, permutations, product
 
 import pytest
 from conftest import rescaled
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lyndonbar import bar
@@ -20,6 +20,7 @@ from lyndonbar.bar import (
     _hain_pattern,
     _hain_word,
     _lcm_upto,
+    _shuffle_words,
     _slot,
     bar_differential,
     cobracket_11,
@@ -257,6 +258,18 @@ def test_delta_q_projects_at_most_half_the_longest_word(monkeypatch):
         delta_Q(h, P7)
         assert max(map(len, seen)) <= max(map(len, h)) // 2
     assert max(max(map(len, h)) for h in projected) == 7
+
+
+def test_delta_q_reads_no_word_parity_in_degree_zero(monkeypatch):
+    # every slot of the degree-0 slice is even, so no sign needs a parity
+    words = weight_slice(P7, 7)
+    rng = random.Random(23)
+    projected = [hain_projector(dict.fromkeys(rng.sample(words, 3), ONE), P7) for _ in range(8)]
+    want = [merged_delta_Q(h, P7) for h in projected]
+    calls, parity = [], bar._parity
+    monkeypatch.setattr(bar, "_parity", lambda p, word: calls.append(word) or parity(p, word))
+    assert [delta_Q(h, P7) for h in projected] == want
+    assert calls == []
 
 
 def test_delta_q_antisymmetric():
@@ -666,6 +679,123 @@ def test_a_pattern_is_shared_across_models():
     assert (after.misses, after.hits) == (before.misses, before.hits + 1)
     rename = dict(zip(word_x, word_a1))
     assert got == tuple((tuple(rename[m] for m in w), c) for w, c in _hain_word(P4, word_x))
+
+
+@lru_cache(maxsize=None)
+def reference_hain_pattern(codes):
+    """p of a code word by the convolution powers of J = id - epsilon, in integers.
+
+    J^(*i) sends a word to the shuffle of its i-block deconcatenations; over
+    suffixes P_1(s) = [codes[s:]] and P_i(s) = sum_k [codes[s:k]] sh P_(i-1)(k),
+    and p = sum_i ((-1)^(i-1)/i) P_i(0) over lcm(1..n).
+    """
+    n = len(codes)
+    denom = _lcm_upto(n)
+    total = {codes: denom}
+    powers = [{codes[s:]: 1} for s in range(n)]
+    for i in range(2, n + 1):
+        last = n - i + 1
+        shuffled = []
+        for s in range(last):
+            out: dict = {}
+            for k in range(s + 1, last + 1):
+                for v, c in powers[k].items():
+                    for w, e in _shuffle_words(codes[s:k], v):
+                        out[w] = out.get(w, 0) + c * e
+            shuffled.append(out)
+        powers = shuffled
+        scale = denom // i if i % 2 else -(denom // i)
+        for w, c in powers[0].items():
+            total[w] = total.get(w, 0) + scale * c
+    return {w: c for w, c in total.items() if c}
+
+
+def restricted_growth(n):
+    """The letter patterns of n slots: each slot a new letter or an earlier one."""
+    if n == 1:
+        yield (0,)
+        return
+    for head in restricted_growth(n - 1):
+        for k in range(max(head) + 2):
+            yield head + (k,)
+
+
+def code_words(n, parities=True):
+    """Every code word of n slots, with every parity of its letters, or all even."""
+    for pattern in restricted_growth(n):
+        letters = max(pattern) + 1
+        for odd in range(1 << letters) if parities else (0,):
+            yield tuple(2 * k + (odd >> k & 1) for k in pattern)
+
+
+def assert_pattern_matches_the_recursion(codes):
+    got = _hain_pattern(codes)
+    assert all(type(c) is int and c for _, c in got)
+    assert len({w for w, _ in got}) == len(got)
+    assert dict(got) == reference_hain_pattern(codes), codes
+
+
+def test_hain_pattern_matches_the_recursion_with_every_parity_to_five_letters():
+    words = [codes for n in range(1, 6) for codes in code_words(n)]
+    assert len(words) == 2 + 6 + 22 + 94 + 454
+    for codes in words:
+        assert_pattern_matches_the_recursion(codes)
+
+
+def test_hain_pattern_matches_the_recursion_on_even_six_letter_patterns():
+    words = list(code_words(6, parities=False))
+    assert len(words) == 203
+    for codes in words:
+        assert_pattern_matches_the_recursion(codes)
+
+
+@seed(1716)
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.sampled_from(list(code_words(7))))
+def test_hain_pattern_matches_the_recursion_on_seven_letters_with_signs(codes):
+    assert_pattern_matches_the_recursion(codes)
+
+
+def eulerian(n):
+    """The number of permutations of n letters with d descents, for each d."""
+    row = [1]
+    for m in range(2, n + 1):
+        row = [(d + 1) * (row[d] if d < len(row) else 0) + (m - d) * (row[d - 1] if d else 0) for d in range(m)]
+    return row
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_hain_pattern_is_exact_past_sixty_four_bit_counts(n):
+    # every permutation of a^n gives a^n, so the count of d descents is an
+    # Eulerian number, and those pass 2^63 from n = 21 on; a^n is a shuffle
+    # power, so p kills it
+    assert sum(eulerian(n)) == math.factorial(n) and max(eulerian(n)) >= 2**63
+    assert max(eulerian(20)) < 2**63
+    assert _hain_pattern((0,) * n) == ()
+    assert hain_projector({(("L0_01",),) * n: ONE}, P4) == {}
+
+
+def test_hain_projector_is_idempotent_on_23_slots():
+    # the counts of a^11 b a^11 pass 2^63, and so do the products that weigh
+    # them: with 64-bit digits this p is not idempotent
+    a, b = ("L0_01",), ("L1_01",)
+    h = hain_projector({(a,) * 11 + (b,) + (a,) * 11: ONE}, P4)
+    assert len(h) == 23
+    assert hain_projector(h, P4) == h
+
+
+def test_hain_projector_makes_no_shuffle_lookup():
+    _hain_word.cache_clear()
+    _hain_pattern.cache_clear()
+    before = _shuffle_words.cache_info()
+    words = random.Random(3).sample(weight_slice(P7, 7), 60)
+    assert max(map(len, words)) >= 6
+    hain_projector(dict.fromkeys(words, ONE), P7)
+    for b in samples(P4, n=20):
+        hain_projector(b, P4)
+    after = _shuffle_words.cache_info()
+    assert _hain_pattern.cache_info().misses >= 30
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def reference_shuffle_words(p, w1, w2):
