@@ -360,47 +360,99 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     and y -> <b, [y, l]> lies in the image of p for every Lie element l,
     because ad_l is a derivation that keeps the kernel of e1, so the raw
     left legs sum to projected ones.  The components whose left leg is at
-    least as long as the right are built, each raw left leg's right legs
-    projected together, and the others are their mirrors under tau with the
-    opposite sign; so only words of at most half the longest length are
-    projected, and each output key is written once.
+    least as long as the right are built, and the others are their mirrors
+    under tau with the opposite sign; so only words of at most half the
+    longest length are projected, and each output key is written once.
+
+    One pass over the splits sums each raw pair (u, v), |u| >= |v|, as
+    c(uv) - eps c(vu).  eps is known at the split, and a word with no odd
+    slot has eps = 1 at every split, so it reads no parities.  p fixes a
+    single slot, so a one-slot right leg goes straight to the output; the
+    longer right legs are grouped by leg, and each is projected once.
     """
     den, ints = to_numerators(b)
-    by_left: dict = {}  # raw left leg -> (its parity, its right legs)
-    for word, c in ints.items():
-        if not word:
-            raise InvalidElementError("empty-word component present")
-        if not all(word):
-            raise InvalidElementError("bar slot outside the augmentation ideal")
-        n = len(word)
-        # prefix[i]: the parity of word[:i]
-        prefix = [0] * (n + 1)
-        for i in range(1, n + 1):
-            prefix[i] = prefix[i - 1] ^ _slot(p, word[i - 1])[0]
-        odd = prefix[n]
-        # u @ p(v) with the right leg v the shorter
-        for i in range((n + 1) // 2, n):
-            rights = by_left.setdefault(word[:i], (prefix[i], {}))[1]
-            v = word[i:]
-            rights[v] = rights.get(v, 0) + c
-        # -eps v @ p(u) with the right leg u the shorter
-        for i in range(1, n // 2 + 1):
-            odd_u = prefix[i]
-            rights = by_left.setdefault(word[i:], (odd ^ odd_u, {}))[1]
-            u = word[:i]
-            rights[u] = rights.get(u, 0) + (c if odd_u and odd ^ odd_u else -c)
-    if not by_left:
+    slots = set().union(*ints)
+    if () in slots:
+        raise InvalidElementError("bar slot outside the augmentation ideal")
+    if () in ints:
+        raise InvalidElementError("empty-word component present")
+    longest = max(map(len, ints), default=0)
+    if longest < 2:
         return {}
+    odd_slots = {m for m in slots if _slot(p, m)[0]}
+    # the raw pairs as (u, v) -> c(uv) - eps c(vu) for a one-slot v, and as
+    # v -> {u: c(uv) - eps c(vu)} for a longer v; the pairs with eps = -1,
+    # where both legs are odd, are kept apart, as their mirror keeps the sign
+    plain: tuple = ({}, {})
+    swapped: tuple = ({}, {})
+
+    def add(u, v, x, swap):
+        ones, groups = swapped if swap else plain
+        if len(v) == 1:
+            ones[(u, v)] = ones.get((u, v), 0) + x
+        else:
+            lefts = groups.setdefault(v, {})
+            lefts[u] = lefts.get(u, 0) + x
+
+    ones, groups = plain
+    for word, c in ints.items():
+        n = len(word)
+        if n < 2:
+            continue
+        if odd_slots.isdisjoint(word):
+            key = word[:-1], word[-1:]
+            ones[key] = ones.get(key, 0) + c
+            key = word[1:], word[:1]
+            ones[key] = ones.get(key, 0) - c
+            for i in range(2, n // 2 + 1):
+                # u @ p(v) at the split n - i, -v @ p(u) at the split i
+                lefts = groups.setdefault(word[n - i :], {})
+                u = word[: n - i]
+                lefts[u] = lefts.get(u, 0) + c
+                lefts = groups.setdefault(word[:i], {})
+                u = word[i:]
+                lefts[u] = lefts.get(u, 0) - c
+            continue
+        # prefix[i]: the parity of word[:i]
+        prefix = [0]
+        for m in word:
+            prefix.append(prefix[-1] ^ (m in odd_slots))
+        odd = prefix[n]
+        for i in range(1, n):
+            u, v = word[:i], word[i:]
+            swap = prefix[i] and odd ^ prefix[i]
+            if 2 * i >= n:
+                add(u, v, c, swap)
+            if 2 * i <= n:
+                add(v, u, c if swap else -c, swap)
     # the right legs have at most half the longest word's slots
-    leg_denom = _lcm_upto(max(map(len, b)) // 2)
+    leg_denom = _lcm_upto(longest // 2)
     out: dict = {}
-    for u, (odd1, rights) in by_left.items():
-        long = len(u)
-        for v, x in projector_numerators(rights, p, leg_denom).items():
+    for (ones, groups), mirror in ((plain, -1), (swapped, 1)):
+        for (u, v), x in ones.items():
             if x:
+                x *= leg_denom
                 out[(u, v)] = x
-                if long > len(v):
-                    out[(v, u)] = x if odd1 and _parity(p, v) else -x
+                if len(u) > 1:
+                    out[(v, u)] = mirror * x
+        by_left: dict = {}  # raw left leg -> {projected right leg: numerator}
+        for v, lefts in groups.items():
+            lefts = [(u, r) for u, r in lefts.items() if r]
+            if not lefts:
+                continue
+            scale = leg_denom // _lcm_upto(len(v))
+            projected = [(w, scale * num) for w, num in _hain_word(p, v)]
+            for u, r in lefts:
+                rights = by_left.setdefault(u, {})
+                for w, num in projected:
+                    rights[w] = rights.get(w, 0) + r * num
+        for u, rights in by_left.items():
+            long = len(u)
+            for v, x in rights.items():
+                if x:
+                    out[(u, v)] = x
+                    if long > len(v):
+                        out[(v, u)] = mirror * x
     return from_numerators(out, 2 * den * leg_denom)
 
 

@@ -20,7 +20,6 @@ from itertools import product
 from .bar import (
     BarElement,
     BarTensor,
-    bar_degree,
     bar_differential,
     cobracket_11,
     delta_Q,
@@ -418,7 +417,9 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     spec = _variant(variant)
     model = spec.model(len(W))
     report.pi1_ok = pi1(b) == {(f"{spec.prefix}_{W}",): 1}
-    report.degree_zero = all(bar_degree(w, model) == 0 for w in b)
+    # the desuspended degree of each distinct slot, read once
+    degree = {m: model.monomial_degree(m) - 1 for m in set().union(*b)}
+    report.degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
     report.hain_fixed = hain_projector(b, model) == b
     report.closed = bar_differential(b, model) == {}
     report.cobracket_ok = cobracket_11(b, model) == prescribed_cobracket_11(W, variant)

@@ -113,7 +113,8 @@ def solve_affine(
     The elimination is fraction-free: each row and its right-hand side are
     scaled to primitive integers, every row operation a * row - b * pivot
     row is followed by division by the gcd, and stored rows keep a positive
-    lead.  A Fraction is made only for each solution value.
+    lead.  A Fraction is made only for each nonzero solution value; every
+    zero value is the shared ``ZERO``.
 
     ``equations`` is consumed as a stream: once every label's system is
     inconsistent no further row is pulled, and ``(None, 0)`` is returned.
@@ -175,6 +176,8 @@ def solve_affine(
             continue
         solution: dict[K, Fraction] = {v: ZERO for v in var_order}
         for lead, (prow, prhs) in pivots.items():
-            solution[lead] = Fraction(prhs.get(label, 0), prow[lead])
+            num = prhs.get(label)
+            if num:
+                solution[lead] = Fraction(num, prow[lead])
         solutions[label] = solution
     return solutions, len(var_order) - len(pivots)

@@ -10,7 +10,7 @@ from itertools import accumulate, combinations, permutations, product
 
 import pytest
 from conftest import rescaled
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lyndonbar import bar
@@ -232,16 +232,22 @@ def record_projected_words(monkeypatch):
     return seen
 
 
-def test_delta_q_projects_only_the_short_right_leg(monkeypatch):
-    # p([a|b|c]) over three distinct letters is the six arrangements; each
-    # raw left leg of two slots collects the one-slot right legs of its
-    # (2|1) and mirrored (1|2) splits, and two of the six sums cancel
+def test_delta_q_projects_no_one_slot_leg(monkeypatch):
+    # p fixes a single slot, so a one-slot right leg goes straight to the
+    # output; p([a|b|c]) over three distinct letters, the six arrangements,
+    # splits only into legs of one and two slots, so nothing is projected
     h = hain_projector({(("L0_1",), ("L1_0",), ("L0_01",)): ONE}, P4)
     assert len(h) == 6
     seen = record_projected_words(monkeypatch)
     t = delta_Q(h, P4)
-    assert len(seen) == 4 and all(len(w) == 1 for w in seen)
+    assert seen == []
     assert {(len(v1), len(v2)) for v1, v2 in t} == {(2, 1), (1, 2)}
+    # words of four and five slots, odd slots among them, do project legs
+    rng = random.Random(4)
+    for _ in range(20):
+        word = tuple(rng.choice(_P4_GENS + _P4_PAIRS) for _ in range(rng.choice((4, 5))))
+        delta_Q(hain_projector({word: ONE}, P4), P4)
+    assert seen and all(len(w) >= 2 for w in seen)
 
 
 def test_delta_q_projects_at_most_half_the_longest_word(monkeypatch):
@@ -253,11 +259,15 @@ def test_delta_q_projects_at_most_half_the_longest_word(monkeypatch):
     ]
     projected = [hain_projector(b, P7) for b in elements]
     seen = record_projected_words(monkeypatch)
+    longest_seen = 0
     for h in projected:
         del seen[:]
         delta_Q(h, P7)
-        assert max(map(len, seen)) <= max(map(len, h)) // 2
+        assert all(len(w) <= max(map(len, h)) // 2 for w in seen)
+        longest_seen = max([longest_seen, *map(len, seen)])
     assert max(max(map(len, h)) for h in projected) == 7
+    # the elements together still project legs of two slots and more
+    assert longest_seen >= 2
 
 
 def test_delta_q_reads_no_word_parity_in_degree_zero(monkeypatch):
@@ -381,6 +391,12 @@ _P4_PAIRS = [a + b for a, b in combinations(_P4_GENS, 2)]
 mixed_words = st.lists(
     st.one_of(st.sampled_from(_P4_GENS), st.sampled_from(_P4_PAIRS)), min_size=1, max_size=5
 ).map(tuple)
+# one element that takes both sign paths of delta_Q: a word of even slots
+# only, and a word whose two odd slots fall on both sides of some splits
+BOTH_SIGN_PATHS = {
+    (("L0_1",), ("L1_0",), ("L0_01",), ("L0_1",), ("K_01",)): Fraction(2),
+    (("L0_1", "L1_0"), ("L0_1",), ("L1_0", "L0_01"), ("L1_0",)): Fraction(-1),
+}
 
 
 def slice_words(max_size):
@@ -426,6 +442,7 @@ def test_hain_word_matches_the_composition_sum_in_degree_zero(word):
 
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(mixed_words, coeffs, min_size=1, max_size=2))
+@example(BOTH_SIGN_PATHS)
 def test_delta_q_matches_the_pairwise_reference_with_signs(b):
     # delta_Q needs a projected input; the reference takes the raw words,
     # so this also says that the cobracket is well defined on indecomposables
@@ -542,6 +559,7 @@ def assert_delta_q_matches_the_merged_kernel(b, p):
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(mixed_words, coeffs, min_size=1, max_size=3))
+@example(BOTH_SIGN_PATHS)
 def test_delta_q_matches_the_merged_kernel_with_signs(b):
     assert_delta_q_matches_the_merged_kernel(b, P4)
 

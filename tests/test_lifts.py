@@ -527,6 +527,18 @@ def test_claim_constants_flagged_non_closed():
     assert pi1(element) == {("L0_01",): Fraction(1, 2)}
 
 
+def test_a_lift_with_one_word_off_degree_zero_is_flagged():
+    element, report = lift_LB("0011", "plain", "oracle")
+    assert report.degree_zero and len(element) > 1
+    # the slot L0_1 L1_0 has desuspended degree 1; the word is added last
+    word = (("L0_1", "L1_0"), ("L0_01",))
+    bad = {**element, word: ONE}
+    got = verify_lift(bad, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    assert not got.degree_zero and not got.all_ok
+    got = verify_lift(element, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    assert got.degree_zero
+
+
 def test_corrupted_model_detected_at_weight_4():
     base = model_x(4)
     diff = {k: dict(v) for k, v in base.differential.items()}

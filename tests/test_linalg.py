@@ -279,6 +279,26 @@ def test_free_variables_and_mixed_feasibility():
     assert_matches_reference(equations, ["x", "y", "z", "w"])
 
 
+def test_zero_solution_values_share_zero(monkeypatch):
+    # x = 1 for "a" and 0 for "b"; y = 0 for both; z is free
+    one = Fraction(1)
+    equations = [({"x": one, "y": one}, {"a": one}), ({"y": one}, {"b": ZERO})]
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(linalg, "Fraction", CountingFraction)
+    solutions, n_free = solve_affine(equations, ["x", "y", "z"], labels=["a", "b"])
+    assert n_free == 1
+    assert solutions == {"a": {"x": 1, "y": 0, "z": 0}, "b": {"x": 0, "y": 0, "z": 0}}
+    assert all(isinstance(c, Fraction) for s in solutions.values() for c in s.values())
+    assert [c for s in solutions.values() for c in s.values() if c is not ZERO] == [1]
+    assert made == [(1, 1)]
+
+
 def test_all_labels_inconsistent():
     one = Fraction(1)
     equations = [({"x": one}, {"a": one}), ({"x": one}, {"a": 2 * one})]
