@@ -15,7 +15,6 @@ by every presentation, and the result is relabelled with the monomials.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -26,15 +25,9 @@ BarWord = tuple  # tuple[Monomial, ...]
 BarElement = dict  # BarWord -> Fraction
 BarTensor = dict  # (BarWord, BarWord) -> Fraction
 
-HALF = Fraction(1, 2)
-
 
 class InvalidElementError(ValueError):
     """Raised on bar elements with constant slots or stray empty-word terms."""
-
-
-def bar_degree(word: BarWord, p: CdgaPresentation) -> int:
-    return sum(p.monomial_degree(m) - 1 for m in word)
 
 
 def check_element(b: BarElement) -> BarElement:
@@ -454,25 +447,6 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
                     if long > len(v):
                         out[(v, u)] = mirror * x
     return from_numerators(out, 2 * den * leg_denom)
-
-
-def cobracket_11(b: BarElement, p: CdgaPresentation) -> BarTensor:
-    """The tensor-(1,1) component of :func:`delta_Q`, without the longer splits.
-
-    The projector keeps tensor length and fixes single slots, so only the
-    length-2 words [m0|m1] of ``b`` reach this component, each as
-    (1/2)(c [m0] @ [m1] - eps c [m1] @ [m0]), eps the Koszul sign of the swap.
-    """
-    out: BarTensor = {}
-    for word, c in b.items():
-        if len(word) != 2:
-            continue
-        half = HALF * c
-        m0, m1 = word
-        add_term(out, ((m0,), (m1,)), half)
-        swapped = _slot(p, m0)[0] and _slot(p, m1)[0]
-        add_term(out, ((m1,), (m0,)), half if swapped else -half)
-    return out
 
 
 def wedge_pair(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarTensor:

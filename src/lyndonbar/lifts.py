@@ -21,7 +21,6 @@ from .bar import (
     BarElement,
     BarTensor,
     bar_differential,
-    cobracket_11,
     delta_Q,
     differential_numerators,
     hain_projector,
@@ -29,7 +28,7 @@ from .bar import (
     projector_numerators,
     wedge_pair,
 )
-from .colie import ab_tables, cobracket, coefficient_table, tensor_cobracket
+from .colie import ab_tables, cobracket, coefficient_table, tensor_cobracket, wedge_add
 from .dgcore import (
     QUADRATIC_TERMS,
     CdgaPresentation,
@@ -122,21 +121,18 @@ def _slot_families(spec: VariantSpec) -> tuple:
     return tuple((s.family, s.prefix) for s in VARIANTS.values() if s.prefix in reached)
 
 
-@lru_cache(maxsize=None)
 def _generator_map(variant: str, max_weight: int) -> dict:
-    """The slot map, None where the model has no generator; built and checked
-    once per model, weight and slot families, so variants that share all
-    three (``plain`` and ``one``) share the first one's map."""
+    """The variant's checked slot map, shared by every variant with the same
+    model and slot families (``plain`` and ``one``)."""
     spec = _variant(variant)
-    slots = _slot_families(spec)
-    first = next(
-        name
-        for name, other in VARIANTS.items()
-        if other.model is spec.model and _slot_families(other) == slots
-    )
-    if first != variant:
-        return _generator_map(first, max_weight)
-    model = spec.model(max_weight)
+    return _slot_map(spec.model, max_weight, _slot_families(spec))
+
+
+@lru_cache(maxsize=None)
+def _slot_map(model_of, max_weight: int, slots: tuple) -> dict:
+    """The slot map, None where the model has no generator; built and checked
+    once per model, weight and slot families."""
+    model = model_of(max_weight)
     gmap = {
         (family, w): f"{prefix}_{w}" if f"{prefix}_{w}" in model.index else None
         for w in lyndon_words(max_weight)
@@ -222,6 +218,9 @@ def adjunction_unit(t: dict, variant: str, constants=published_constants) -> Bar
     """
     weight = max((len(w) for _, w in t), default=1)
     model, gmap = _variant(variant).model(weight), _generator_map(variant, weight)
+    for tag in t:
+        if tag not in gmap:
+            raise ValueError(f"the slot map of variant {variant!r} has no tag {tag!r}")
     total: BarElement = {}
     for tag, c in t.items():
         for n in range(1, len(tag[1]) + 1):
@@ -258,12 +257,10 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
             # lcm(1..|w|) * D, which each homogeneous row drops
             denom = math.lcm(*range(1, len(w) + 1))
             for fam in ("t0", "t1"):
-                rows: dict = {}
-                for n in range(1, len(w) + 1):
-                    part = projector_numerators(_slotify(_tree_sum((fam, w), n), gmap), model, denom)
-                    for word, c in differential_numerators(part, model)[1].items():
-                        rows.setdefault(word, {})[n] = c
-                for byn in rows.values():
+                parts = (
+                    (n, _slotify(_tree_sum((fam, w), n), gmap)) for n in range(1, len(w) + 1)
+                )
+                for byn in _closedness_rows(parts, model, denom):
                     yield byn, {"closed": -byn.pop(1, 0)}
 
     solutions, _ = solve_affine(equations(), variables, labels=["closed"])
@@ -271,6 +268,21 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
         return None
     solution = solutions["closed"]
     return (ONE,) + tuple(solution[n] for n in variables)
+
+
+def _closedness_rows(parts, model: CdgaPresentation, denom: int) -> list:
+    """The rows of d_B(p(sum_k x_k part_k)) = 0, in the order their words first appear.
+
+    ``parts`` yields ``(k, part)`` pairs of integer elements, p of each taken
+    as numerators over ``denom``.  A row maps k to its word's numerator in
+    d_B(p(part_k)); the rows are homogeneous, so the common denominator drops.
+    """
+    rows: dict = {}
+    for k, part in parts:
+        image = projector_numerators(part, model, denom)
+        for word, c in differential_numerators(image, model)[1].items():
+            rows.setdefault(word, {})[k] = c
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +338,8 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     denom = math.lcm(*range(1, max(map(len, lyndon)) + 1))
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
     equations = [({((g,),): 1}, {g: 1}) for g in labels]
-    # the closedness rows are homogeneous, so their common denominator drops
-    rows: dict = {}
-    for w in lyndon:
-        image = projector_numerators({w: 1}, model, denom)
-        for iw, c in differential_numerators(image, model)[1].items():
-            rows.setdefault(iw, {})[w] = c
-    equations.extend((row, {}) for row in rows.values())
+    rows = _closedness_rows(((w, {w: 1}) for w in lyndon), model, denom)
+    equations.extend((row, {}) for row in rows)
     solutions, n_free = solve_affine(equations, lyndon, labels=labels)
     return denom, solutions or {}, n_free
 
@@ -422,7 +429,10 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     report.degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
     report.hain_fixed = hain_projector(b, model) == b
     report.closed = bar_differential(b, model) == {}
-    report.cobracket_ok = cobracket_11(b, model) == prescribed_cobracket_11(W, variant)
+    # p keeps tensor length and fixes single slots, so only b's two-slot
+    # words reach the (1,1) part of delta_Q(b)
+    two_slot = {w: c for w, c in b.items() if len(w) == 2}
+    report.cobracket_ok = delta_Q(two_slot, model) == prescribed_cobracket_11(W, variant)
     return report
 
 
@@ -513,15 +523,6 @@ def bar_transport(b: BarElement, images: dict, target: CdgaPresentation) -> BarE
 # identity suites
 
 
-def _formal_wedge_add(out: dict, x, y, c) -> None:
-    if not c or x == y:
-        return
-    if x < y:
-        add_term(out, (x, y), c)
-    else:
-        add_term(out, (y, x), -c)
-
-
 def verify_EDQX(W: str) -> dict:
     """Three literal checks of the structure-constant form of the cobracket.
 
@@ -553,22 +554,23 @@ def verify_EDQX(W: str) -> dict:
     _, report = lift_LB(W, "plain")
     check2 = report.all_ok
 
-    # formal identity on symbols: substitute one-family = plain - constant
+    # formal identity on symbols: substitute one-family = plain - constant,
+    # the plain family as x tags and the constant family as one tags
     lhs: dict = {}
     for (w, u, v), c in a.items():
         if w == W:
-            _formal_wedge_add(lhs, ("L0", u), ("L0", v), c)
+            wedge_add(lhs, ("x", u), ("x", v), c)
     for (w, u, v), c in b.items():
         if w == W:
-            _formal_wedge_add(lhs, ("L0", u), ("L0", v), c)
-            _formal_wedge_add(lhs, ("K", u), ("L0", v), -c)
+            wedge_add(lhs, ("x", u), ("x", v), c)
+            wedge_add(lhs, ("one", u), ("x", v), -c)
     rhs: dict = {}
     for (w, u, v), c in alpha.items():
         if w == W:
-            _formal_wedge_add(rhs, ("L0", u), ("L0", v), c)
+            wedge_add(rhs, ("x", u), ("x", v), c)
     for (w, u, v), c in beta.items():
         if w == W:
-            _formal_wedge_add(rhs, ("L0", u), ("K", v), c)
+            wedge_add(rhs, ("x", u), ("one", v), c)
     check3 = lhs == rhs
 
     diagonal = {u: beta[(W, u, u)] for u in sub if (W, u, u) in beta}

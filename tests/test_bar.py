@@ -16,14 +16,12 @@ from hypothesis import strategies as st
 from lyndonbar import bar
 from lyndonbar.bar import (
     InvalidElementError,
-    bar_degree,
     _hain_pattern,
     _hain_word,
     _lcm_upto,
     _shuffle_words,
     _slot,
     bar_differential,
-    cobracket_11,
     coproduct,
     delta_Q,
     hain_projector,
@@ -46,6 +44,11 @@ P4 = model_x(4)
 P5 = model_x(5)
 P6 = model_x(6)
 P7 = model_x(7)
+
+
+def bar_degree(word, p):
+    """The sum of the desuspended slot degrees: the reference for the signs."""
+    return sum(p.monomial_degree(m) - 1 for m in word)
 
 
 def samples(p, n=100, max_weight=4, seed=42):
@@ -592,12 +595,18 @@ def test_delta_q_matches_the_merged_kernel_on_geometric_lifts(weight):
 
 
 # ---------------------------------------------------------------------------
-# the (1,1) part of the cobracket against the full delta_Q
+# the (1,1) lift check, delta_Q of the two-slot words, against the (1,1)
+# part of the full delta_Q
 
 
 def tensor_part(t, shape):
     """The component with prescribed tensor degrees on the two legs."""
     return {(w1, w2): c for (w1, w2), c in t.items() if (len(w1), len(w2)) == shape}
+
+
+def cobracket_11(b, p):
+    """delta_Q of the two-slot words of b, as the (1,1) lift check reads it."""
+    return delta_Q({w: c for w, c in b.items() if len(w) == 2}, p)
 
 
 def assert_cobracket_11_matches(b, p):

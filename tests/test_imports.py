@@ -1,12 +1,14 @@
 """Source guards: every module-level import in the package is used in its
-module, the integer layers make no Fraction, and every package name the
-README cites exists."""
+module, the integer layers make no Fraction, every package name the README
+cites exists, and every module-level function and class is named somewhere
+else in the package or in the README."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import lyndonbar
@@ -122,3 +124,56 @@ def test_guard_catches_a_stale_readme_reference():
 
 def test_readme_names_only_what_the_package_defines():
     assert stale_references(README.read_text()) == []
+
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read, imported or looked up as an attribute in ``tree``."""
+    counts: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name] += 1
+    return counts
+
+
+def unnamed_definitions(sources: dict[str, str], readme: str) -> list[str]:
+    """``module.name`` of each module-level function and class in ``sources``
+    (module name -> source) that nothing outside its own body names, and that
+    no backticked span of ``readme`` names; fenced code blocks are ignored."""
+    cited = set()
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)):
+        cited.update(re.findall(r"[A-Za-z_]\w*", span))
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum(map(names_read, trees.values()), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in cited
+        and total[node.name] == names_read(node)[node.name]
+    ]
+
+
+def test_guard_catches_a_dead_definition():
+    sources = {
+        "a": "class Kept:\n    pass\n\ndef used():\n    return dead\n\n"
+        "def dead():\n    return dead()\n\ndef documented():\n    pass\n",
+        "b": "from .a import used\n\nx = a.Kept\n",
+    }
+    readme = "`a.documented(x)`\n```sh\ndead\n```\n"
+    assert unnamed_definitions(sources, readme) == []
+    del sources["b"]
+    assert unnamed_definitions(sources, readme) == ["a.Kept", "a.used"]
+    sources["a"] = sources["a"].replace("return dead\n", "return 1\n")
+    assert unnamed_definitions(sources, readme) == ["a.Kept", "a.used", "a.dead"]
+    assert unnamed_definitions(sources, "") == ["a.Kept", "a.used", "a.dead", "a.documented"]
+
+
+def test_every_definition_is_named_outside_itself():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_definitions(sources, README.read_text()) == []

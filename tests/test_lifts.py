@@ -244,23 +244,24 @@ def test_generator_map_is_fresh_each_call():
 
 
 def test_each_generator_map_is_checked_once(monkeypatch):
-    # every check runs while one (variant, weight) map is built, once per map
+    # every check runs while one (model, weight, slot families) map is
+    # built, once per map
     building, checked = [], []
-    check, build = lifts.check_generator_map, lifts._generator_map
+    check, build = lifts.check_generator_map, lifts._slot_map
 
     def recording_check(gmap, model):
         checked.append(building[-1] if building else None)
         return check(gmap, model)
 
-    def recording_build(variant, max_weight):
-        building.append((variant, max_weight))
+    def recording_build(model_of, max_weight, slots):
+        building.append((model_of, max_weight, slots))
         try:
-            return build(variant, max_weight)
+            return build(model_of, max_weight, slots)
         finally:
             building.pop()
 
     monkeypatch.setattr(lifts, "check_generator_map", recording_check)
-    monkeypatch.setattr(lifts, "_generator_map", recording_build)
+    monkeypatch.setattr(lifts, "_slot_map", recording_build)
     build.cache_clear()
     lifts._lift_LB.cache_clear()
     assert all(r.status != "fail" for r in run_suites(["lifts", "edqx"], 5))
@@ -279,7 +280,7 @@ def test_plain_and_one_share_one_checked_map(monkeypatch):
         return check(gmap, model)
 
     monkeypatch.setattr(lifts, "check_generator_map", recording_check)
-    lifts._generator_map.cache_clear()
+    lifts._slot_map.cache_clear()
     maps = {variant: generator_map(variant, 4) for variant in lifts.VARIANTS}
     assert lifts._generator_map("plain", 4) is lifts._generator_map("one", 4)
     assert maps["plain"] == maps["one"] == reference_generator_map("one", 4)
@@ -343,6 +344,24 @@ def test_unit_reads_the_model_at_the_tag_weight():
     assert unit == hain_projector(total, model_x(4)) == lift_LB("0011", "plain", "claim")[0]
     assert pi1(unit) == {("L0_0011",): Fraction(1, 2)}
     assert adjunction_unit({}, "plain") == {}
+
+
+@pytest.mark.parametrize("tag", [("x", "01"), ("t0", "10"), ("one", "0011")])
+def test_unit_rejects_a_tag_the_slot_map_does_not_name(monkeypatch, tag):
+    # such tags once gave {} without an error
+    def no_work(*args, **kwargs):
+        raise AssertionError("a tree sum was built")
+
+    monkeypatch.setattr(lifts, "_tree_sum", no_work)
+    with pytest.raises(ValueError, match=rf"variant 'plain'.*{tag[0]!r}, {tag[1]!r}"):
+        adjunction_unit({tag: ONE}, "plain")
+
+
+def test_unit_keeps_the_tags_the_slot_map_names_with_none():
+    # t0_0 is killed in model_x, so its tree sum has no slot and adds nothing
+    assert generator_map("plain", 1)[("t0", "0")] is None
+    assert adjunction_unit({("t0", "0"): ONE}, "plain") == {}
+    assert adjunction_unit({("t1", "0"): ONE}, "plain") == {(("L1_0",),): Fraction(1, 2)}
 
 
 def test_solved_constants_drop_the_power_of_two():
@@ -688,6 +707,16 @@ def test_verify_edqx_weight_2_to_4():
             continue
         r = verify_EDQX(W)
         assert r["ok"], (W, r)
+
+
+def test_edqx_alpha_beta_form_sees_one_flipped_b_entry(monkeypatch):
+    # a wedge helper that dropped every term once passed every test
+    assert verify_EDQX("0011")["alpha_beta_form"]
+    a, b, *rest = lifts.ab_tables(4)
+    key = next(k for k, c in sorted(b.items()) if k[0] == "0011" and c)
+    flipped = {**b, key: -b[key]}
+    monkeypatch.setattr(lifts, "ab_tables", lambda n: (a, flipped, *rest))
+    assert not verify_EDQX("0011")["alpha_beta_form"]
 
 
 def test_edqx_reports_nonzero_beta_diagonal():
