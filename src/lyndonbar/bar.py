@@ -6,16 +6,19 @@ multilinearly so that slots are always single monomials.  The bar degree of a
 word is the sum of the desuspended slot degrees (slot degree minus one), and
 all signs below are Koszul signs computed on desuspended degrees.
 
-The shuffle product and Hain's projector depend on a word only through its
-letter pattern: which slots hold the same monomial, and the parity of each
-slot.  Both are computed once per pattern, on words of integer codes shared
-by every presentation, and the result is relabelled with the monomials.
+Hain's projector depends on a word only through its letter pattern: which
+slots hold the same monomial, and the parity of each slot.  It is computed
+once per pattern, on words of integer codes shared by every presentation,
+and the result is relabelled with the monomials.  The shuffle product runs
+on the bar words themselves.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
+from operator import xor
 from typing import Mapping
 
 from .dgcore import CdgaPresentation
@@ -115,37 +118,14 @@ def coproduct(b: BarElement) -> BarTensor:
     return out
 
 
-def _encode(p: CdgaPresentation, word: BarWord) -> tuple:
-    """The letter pattern of ``word``: ``(codes, letters)``.
-
-    A slot's code is 2k + parity: k counts the distinct monomials before the
-    first occurrence of the slot's monomial, and parity is that of its
-    desuspended degree.  ``letters`` maps each code back to its monomial.
-    """
-    first: dict = {}
-    for m in word:
-        if m not in first:
-            first[m] = 2 * len(first) + _slot(p, m)[0]
-    return tuple(map(first.__getitem__, word)), {code: m for m, code in first.items()}
-
-
-def _relabel(pairs: tuple, letters: dict) -> tuple:
-    """(code word, integer) pairs as (bar word, integer) pairs."""
-    get = letters.__getitem__
-    return tuple((tuple(map(get, w)), c) for w, c in pairs)
-
-
-@lru_cache(maxsize=None)
-def _shuffle_words(w1: tuple, w2: tuple) -> tuple:
-    """The signed shuffle of two code words: (code word, integer) pairs.
-
-    A code's low bit is the parity of its slot, which sets the Koszul signs.
-    """
+def _shuffle_pair(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
+    """The signed shuffle of two bar words: (bar word, integer) pairs."""
     n1, n2 = len(w1), len(w2)
+    odd2 = [_slot(p, m)[0] for m in w2]
     # tail1[i]: the parity of w1[i:]
     tail1 = [0] * (n1 + 1)
     for i in range(n1 - 1, -1, -1):
-        tail1[i] = tail1[i + 1] ^ (w1[i] & 1)
+        tail1[i] = tail1[i + 1] ^ _slot(p, w1[i])[0]
 
     def rec(i: int, j: int):
         if i == n1:
@@ -157,7 +137,7 @@ def _shuffle_words(w1: tuple, w2: tuple) -> tuple:
         for rest, s in rec(i + 1, j):
             yield (w1[i],) + rest, s
         # moving w2[j] past the rest of w1 is odd only when both are odd
-        factor = -1 if w2[j] & 1 and tail1[i] else 1
+        factor = -1 if odd2[j] and tail1[i] else 1
         for rest, s in rec(i, j + 1):
             yield (w2[j],) + rest, s * factor
 
@@ -165,13 +145,6 @@ def _shuffle_words(w1: tuple, w2: tuple) -> tuple:
     for word, s in rec(0, 0):
         out[word] = out.get(word, 0) + s
     return tuple((word, c) for word, c in out.items() if c)
-
-
-def _shuffle_pair(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
-    """The signed shuffle of two bar words: (bar word, integer) pairs."""
-    codes, letters = _encode(p, w1 + w2)
-    n1 = len(w1)
-    return _relabel(_shuffle_words(codes[:n1], codes[n1:]), letters)
 
 
 def _parity(p: CdgaPresentation, word: BarWord) -> int:
@@ -203,9 +176,10 @@ def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTens
         odd2 = _parity(p, x2)
         for (y1, y2), c2 in t2.items():
             c = -c1 * c2 if odd2 and _parity(p, y1) else c1 * c2
+            right = _shuffle_pair(p, x2, y2)
             for u, cu in _shuffle_pair(p, x1, y1):
                 ccu = c * cu
-                for v, cv in _shuffle_pair(p, x2, y2):
+                for v, cv in right:
                     add_term(out, (u, v), ccu * cv)
     return out
 
@@ -220,10 +194,18 @@ def _lcm_upto(n: int) -> int:
 def _hain_word(p: CdgaPresentation, word: BarWord) -> tuple:
     """p([word]) as (bar word, integer) pairs over lcm(1..len(word)).
 
-    The pattern's projection relabelled with the word's monomials.
+    p([word]) depends on the word only through its letter pattern.  A slot's
+    code is 2k + parity: k counts the distinct monomials before the first
+    occurrence of the slot's monomial, and parity is that of its desuspended
+    degree.  The pattern's projection is relabelled with the monomials.
     """
-    codes, letters = _encode(p, word)
-    return _relabel(_hain_pattern(codes), letters)
+    first: dict = {}
+    for m in word:
+        if m not in first:
+            first[m] = 2 * len(first) + _slot(p, m)[0]
+    letter = {code: m for m, code in first.items()}.__getitem__
+    codes = tuple(map(first.__getitem__, word))
+    return tuple((tuple(map(letter, w)), c) for w, c in _hain_pattern(codes))
 
 
 @lru_cache(maxsize=None)
@@ -354,14 +336,16 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     because ad_l is a derivation that keeps the kernel of e1, so the raw
     left legs sum to projected ones.  The components whose left leg is at
     least as long as the right are built, and the others are their mirrors
-    under tau with the opposite sign; so only words of at most half the
-    longest length are projected, and each output key is written once.
+    X(v, u) = -eps X(u, v); so only words of at most half the longest
+    length are projected, and each output key is written once.
 
-    One pass over the splits sums each raw pair (u, v), |u| >= |v|, as
-    c(uv) - eps c(vu).  eps is known at the split, and a word with no odd
-    slot has eps = 1 at every split, so it reads no parities.  p fixes a
-    single slot, so a one-slot right leg goes straight to the output; the
-    longer right legs are grouped by leg, and each is projected once.
+    One loop over the splits sums each raw pair (u, v), |u| >= |v|, as
+    c(uv) - eps c(vu).  eps is read from the word's prefix parities, built
+    only when the word has an odd slot.  p fixes a single slot, so a pair
+    with a one-slot right leg is final; the longer right legs are grouped
+    by leg, and each is projected once.  p permutes letters, so a projected
+    leg has its raw leg's parity, and each mirror's sign is counted from the
+    odd slots when it is written.
     """
     den, ints = to_numerators(b)
     slots = set().union(*ints)
@@ -373,79 +357,56 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     if longest < 2:
         return {}
     odd_slots = {m for m in slots if _slot(p, m)[0]}
-    # the raw pairs as (u, v) -> c(uv) - eps c(vu) for a one-slot v, and as
-    # v -> {u: c(uv) - eps c(vu)} for a longer v; the pairs with eps = -1,
-    # where both legs are odd, are kept apart, as their mirror keeps the sign
-    plain: tuple = ({}, {})
-    swapped: tuple = ({}, {})
-
-    def add(u, v, x, swap):
-        ones, groups = swapped if swap else plain
-        if len(v) == 1:
-            ones[(u, v)] = ones.get((u, v), 0) + x
-        else:
-            lefts = groups.setdefault(v, {})
-            lefts[u] = lefts.get(u, 0) + x
-
-    ones, groups = plain
-    for word, c in ints.items():
-        n = len(word)
-        if n < 2:
-            continue
-        if odd_slots.isdisjoint(word):
-            key = word[:-1], word[-1:]
-            ones[key] = ones.get(key, 0) + c
-            key = word[1:], word[:1]
-            ones[key] = ones.get(key, 0) - c
-            for i in range(2, n // 2 + 1):
-                # u @ p(v) at the split n - i, -v @ p(u) at the split i
-                lefts = groups.setdefault(word[n - i :], {})
-                u = word[: n - i]
-                lefts[u] = lefts.get(u, 0) + c
-                lefts = groups.setdefault(word[:i], {})
-                u = word[i:]
-                lefts[u] = lefts.get(u, 0) - c
-            continue
-        # prefix[i]: the parity of word[:i]
-        prefix = [0]
-        for m in word:
-            prefix.append(prefix[-1] ^ (m in odd_slots))
-        odd = prefix[n]
-        for i in range(1, n):
-            u, v = word[:i], word[i:]
-            swap = prefix[i] and odd ^ prefix[i]
-            if 2 * i >= n:
-                add(u, v, c, swap)
-            if 2 * i <= n:
-                add(v, u, c if swap else -c, swap)
     # the right legs have at most half the longest word's slots
     leg_denom = _lcm_upto(longest // 2)
-    out: dict = {}
-    for (ones, groups), mirror in ((plain, -1), (swapped, 1)):
-        for (u, v), x in ones.items():
-            if x:
-                x *= leg_denom
-                out[(u, v)] = x
-                if len(u) > 1:
-                    out[(v, u)] = mirror * x
-        by_left: dict = {}  # raw left leg -> {projected right leg: numerator}
-        for v, lefts in groups.items():
-            lefts = [(u, r) for u, r in lefts.items() if r]
-            if not lefts:
+    # raw left leg u -> {projected right leg v: numerator over leg_denom};
+    # the pairs with a longer raw right leg v wait in groups, as
+    # v -> {u: c(uv) - eps c(vu)}, until v is projected
+    by_left: dict = {}
+    groups: dict = {}
+    for word, c in ints.items():
+        n = len(word)
+        prefix = None  # prefix[i]: the parity of word[:i], if a slot is odd
+        if not odd_slots.isdisjoint(word):
+            prefix = list(accumulate((m in odd_slots for m in word), xor, initial=0))
+        for i in range(1, n // 2 + 1):
+            # u @ p(v) at the split n - i, -eps v @ p(u) at the split i
+            x = c if prefix and prefix[i] and prefix[n] ^ prefix[i] else -c
+            if i == 1:
+                rights = by_left.setdefault(word[:-1], {})
+                v = word[-1:]
+                rights[v] = rights.get(v, 0) + c * leg_denom
+                rights = by_left.setdefault(word[1:], {})
+                v = word[:1]
+                rights[v] = rights.get(v, 0) + x * leg_denom
                 continue
-            scale = leg_denom // _lcm_upto(len(v))
-            projected = [(w, scale * num) for w, num in _hain_word(p, v)]
-            for u, r in lefts:
-                rights = by_left.setdefault(u, {})
-                for w, num in projected:
-                    rights[w] = rights.get(w, 0) + r * num
-        for u, rights in by_left.items():
-            long = len(u)
-            for v, x in rights.items():
-                if x:
-                    out[(u, v)] = x
-                    if long > len(v):
-                        out[(v, u)] = mirror * x
+            lefts = groups.setdefault(word[n - i :], {})
+            u = word[: n - i]
+            lefts[u] = lefts.get(u, 0) + c
+            lefts = groups.setdefault(word[:i], {})
+            u = word[i:]
+            lefts[u] = lefts.get(u, 0) + x
+    for v, lefts in groups.items():
+        lefts = [(u, r) for u, r in lefts.items() if r]
+        if not lefts:
+            continue
+        scale = leg_denom // _lcm_upto(len(v))
+        projected = [(w, scale * num) for w, num in _hain_word(p, v)]
+        for u, r in lefts:
+            rights = by_left.setdefault(u, {})
+            for w, num in projected:
+                rights[w] = rights.get(w, 0) + r * num
+    out: dict = {}
+    for u, rights in by_left.items():
+        long = len(u)
+        odd_u = odd_slots and sum(m in odd_slots for m in u) % 2
+        for v, x in rights.items():
+            if x:
+                out[(u, v)] = x
+                if long > len(v):
+                    # the mirror X(v, u) = -eps X(u, v)
+                    odd = odd_u and sum(m in odd_slots for m in v) % 2
+                    out[(v, u)] = x if odd else -x
     return from_numerators(out, 2 * den * leg_denom)
 
 

@@ -235,14 +235,16 @@ def cobar_colie(L: CoLiePresentation, name: str = "cobar") -> CdgaPresentation:
 def colie_presentation(max_weight: int, which: str = "t01") -> CoLiePresentation:
     """The dual coalgebra truncated at ``max_weight`` as a cobar input.
 
-    ``which`` selects the t01 basis of the full coalgebra ("t01"), its x1
-    basis ("x1"), or the subcoalgebra spanned by the (one, W) tags ("one").
-    All tags sit in degree 0; the tensor-form cobracket of a wedge pair u ^ v
-    is (1/2)(u @ v - v @ u), the normalization under which the quadratic
+    ``which`` selects the t01 basis of the full coalgebra ("t01") or the
+    subcoalgebra spanned by the (one, W) tags ("one").  All tags sit in
+    degree 0; the tensor-form cobracket of a wedge pair u ^ v is
+    (1/2)(u @ v - v @ u), the normalization under which the quadratic
     differential of the models reproduces the stated tables coefficient for
     coefficient.
     """
-    families = {"t01": ("t0", "t1"), "x1": ("x", "one"), "one": ("one",)}[which]
+    families = {"t01": ("t0", "t1"), "one": ("one",)}.get(which)
+    if families is None:
+        raise ValueError(f"unknown coalgebra {which!r}: expected 't01' or 'one'")
     tags = [
         (fam, w)
         for w in lyndon_words(max_weight)

@@ -23,7 +23,7 @@ from .freelie import (
     lie_bracket,
     lie_to_word_poly,
     rewrite_in_lyndon,
-    word_product,
+    word_commutator,
 )
 from .linalg import add_term, combine
 from .words import lyndon_words
@@ -45,8 +45,7 @@ def _word_derivation(p: WordPoly, image_of_one: WordPoly) -> WordPoly:
 def special_derivation(f: LieElement, g: LieElement) -> LieElement:
     """D_f(g): the derivation with D_f(X0) = 0, D_f(X1) = [X1, f]."""
     fp = lie_to_word_poly(f)
-    x1 = expand("1")
-    image_of_one = combine((1, word_product(x1, fp)), (-1, word_product(fp, x1)))
+    image_of_one = word_commutator(expand("1"), fp)
     return rewrite_in_lyndon(_word_derivation(lie_to_word_poly(g), image_of_one))
 
 
@@ -109,8 +108,8 @@ def beta_gamma_tables(
             if len(u) + len(v) > max_weight:
                 continue
             eu, ev = basis_element(u), basis_element(v)
-            for w, c in combine((-1, special_derivation(ev, eu))).items():
-                beta[(w, u, v)] = _integral(c, f"beta[{w},{u},{v}]")
+            for w, c in special_derivation(ev, eu).items():
+                beta[(w, u, v)] = _integral(-c, f"beta[{w},{u},{v}]")
             if u < v:
                 for w, c in ihara_bracket(eu, ev).items():
                     gamma[(w, u, v)] = _integral(c, f"gamma[{w},{u},{v}]")

@@ -19,7 +19,6 @@ from lyndonbar.bar import (
     _hain_pattern,
     _hain_word,
     _lcm_upto,
-    _shuffle_words,
     _slot,
     bar_differential,
     coproduct,
@@ -709,6 +708,20 @@ def test_a_pattern_is_shared_across_models():
 
 
 @lru_cache(maxsize=None)
+def shuffle_codes(w1, w2):
+    """The signed shuffle of two code words as a dict; a code's low bit is its parity."""
+    if not w1 or not w2:
+        return {w1 + w2: 1}
+    out: dict = {}
+    for rest, c in shuffle_codes(w1[1:], w2).items():
+        add_term(out, (w1[0],) + rest, c)
+    odd = w2[0] & 1 and sum(w1) & 1
+    for rest, c in shuffle_codes(w1, w2[1:]).items():
+        add_term(out, (w2[0],) + rest, -c if odd else c)
+    return out
+
+
+@lru_cache(maxsize=None)
 def reference_hain_pattern(codes):
     """p of a code word by the convolution powers of J = id - epsilon, in integers.
 
@@ -727,7 +740,7 @@ def reference_hain_pattern(codes):
             out: dict = {}
             for k in range(s + 1, last + 1):
                 for v, c in powers[k].items():
-                    for w, e in _shuffle_words(codes[s:k], v):
+                    for w, e in shuffle_codes(codes[s:k], v).items():
                         out[w] = out.get(w, 0) + c * e
             shuffled.append(out)
         powers = shuffled
@@ -811,18 +824,22 @@ def test_hain_projector_is_idempotent_on_23_slots():
     assert hain_projector(h, P4) == h
 
 
-def test_hain_projector_makes_no_shuffle_lookup():
+def test_hain_projector_makes_no_shuffle_lookup(monkeypatch):
     _hain_word.cache_clear()
     _hain_pattern.cache_clear()
-    before = _shuffle_words.cache_info()
+
+    def refuse(p, w1, w2):
+        raise AssertionError("hain_projector reached the shuffle")
+
+    monkeypatch.setattr(bar, "_shuffle_pair", refuse)
     words = random.Random(3).sample(weight_slice(P7, 7), 60)
     assert max(map(len, words)) >= 6
     hain_projector(dict.fromkeys(words, ONE), P7)
     for b in samples(P4, n=20):
         hain_projector(b, P4)
-    after = _shuffle_words.cache_info()
     assert _hain_pattern.cache_info().misses >= 30
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    with pytest.raises(AssertionError, match="reached the shuffle"):
+        shuffle({(("L0_1",),): ONE}, {(("L1_0",),): ONE}, P4)
 
 
 def reference_shuffle_words(p, w1, w2):
@@ -847,6 +864,32 @@ def test_shuffle_matches_the_recursion_on_monomials(b1, b2):
             for w, c in reference_shuffle_words(P4, w1, w2).items():
                 add_term(want, w, c * c1 * c2)
     assert shuffle(b1, b2, P4) == want
+
+
+# a tensor term is a mixed word cut in two, so either leg may be empty
+mixed_tensors = st.dictionaries(
+    st.tuples(mixed_words, st.integers(0, 5)).map(lambda t: (t[0][: t[1]], t[0][t[1] :])),
+    coeffs,
+    max_size=2,
+)
+
+
+def reference_tensor_shuffle(t1, t2, p):
+    """(x1 @ x2)(y1 @ y2) = (-1)^(|x2||y1|) (x1 sh y1) @ (x2 sh y2), term by term."""
+    out: dict = {}
+    for (x1, x2), c1 in t1.items():
+        for (y1, y2), c2 in t2.items():
+            c = (-1) ** (bar_degree(x2, p) * bar_degree(y1, p)) * c1 * c2
+            for u, cu in shuffle({x1: ONE}, {y1: ONE}, p).items():
+                for v, cv in shuffle({x2: ONE}, {y2: ONE}, p).items():
+                    add_term(out, (u, v), c * cu * cv)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_tensors, mixed_tensors)
+def test_tensor_shuffle_matches_the_legwise_koszul_rule(t1, t2):
+    assert tensor_shuffle(t1, t2, P4) == reference_tensor_shuffle(t1, t2, P4)
 
 
 def reference_wedge_pair(b1, b2, p):

@@ -190,6 +190,12 @@ def test_cobar_subcoalgebra_matches_constant_model():
         assert image == mp.differential[f"N_{w}"]
 
 
+@pytest.mark.parametrize("which", ["x1", "T01", ""])
+def test_colie_presentation_rejects_an_unknown_coalgebra(which):
+    with pytest.raises(ValueError, match="'t01' or 'one'"):
+        colie_presentation(4, which)
+
+
 def test_corrupted_cobracket_detected():
     cp = colie_presentation(4, "t01")
     cobr = {n: dict(t) for n, t in cp.cobracket.items()}
