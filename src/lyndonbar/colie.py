@@ -35,7 +35,7 @@ _BASIS_OF_FAMILY = {"x": "x1", "one": "x1", "t0": "t01", "t1": "t01"}
 _FAMILY_RANK = {"x": 0, "one": 1, "t0": 0, "t1": 1}
 # the printed form FAMILY:WORD of a tag, as the command line reads and writes it
 TAG_PREFIX = {"t0": "T0", "t1": "T1", "x": "Tx", "one": "T@1"}
-# the structure-constant tables that coefficient_table serves
+# the structure-constant tables that coefficient_table and coefficient_rows serve
 TABLE_NAMES = ("alpha", "beta", "gamma", "a", "b", "aprime", "bprime")
 
 
@@ -116,20 +116,12 @@ def _wedge_change_basis(w: WedgeElement, target: str) -> WedgeElement:
 def _x1_tag_cobracket(fam: str, word: str) -> tuple:
     if len(word) < 2:
         return ()
+    # (table, left family, right family): table[W, U, V] * (left, U) ^ (right, V)
+    terms = (("alpha", "x", "x"), ("beta", "x", "one")) if fam == "x" else (("gamma", "one", "one"),)
     out: WedgeElement = {}
-    alpha = alpha_table(len(word))
-    beta, gamma = beta_gamma_tables(len(word))
-    if fam == "x":
-        for (w, u, v), a in alpha.items():
-            if w == word:
-                wedge_add(out, ("x", u), ("x", v), a)
-        for (w, u, v), b in beta.items():
-            if w == word:
-                wedge_add(out, ("x", u), ("one", v), b)
-    else:
-        for (w, u, v), g in gamma.items():
-            if w == word:
-                wedge_add(out, ("one", u), ("one", v), g)
+    for table, left, right in terms:
+        for u, v, c in coefficient_rows(table, len(word)).get(word, ()):
+            wedge_add(out, (left, u), (right, v), c)
     return tuple(sorted(out.items()))
 
 
@@ -309,3 +301,16 @@ def coefficient_table(family: str, max_weight: int) -> Mapping:
         return beta if family == "beta" else gamma
     a, b, ap, bp = ab_tables(max_weight)
     return {"a": a, "b": b, "aprime": ap, "bprime": bp}[family]
+
+
+@lru_cache(maxsize=None)
+def coefficient_rows(family: str, max_weight: int) -> Mapping:
+    """One table's entries by word: W -> ((U, V, c), ...), in table order.
+
+    A word with no entry is absent.  Cached per table and weight, and
+    read-only: the mapping is a view and each word's rows are a tuple.
+    """
+    rows: dict = {}
+    for (w, u, v), c in coefficient_table(family, max_weight).items():
+        rows.setdefault(w, []).append((u, v, c))
+    return MappingProxyType({w: tuple(r) for w, r in rows.items()})

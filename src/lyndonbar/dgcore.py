@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .colie import TAG_PREFIX, coefficient_table
+from .colie import TAG_PREFIX, coefficient_rows
 from .colie import cobracket as colie_cobracket
 from .freelie import TableInconsistencyError
 from .linalg import add_term
@@ -268,7 +268,9 @@ def colie_presentation(max_weight: int, which: str = "t01") -> CoLiePresentation
 
 # The quadratic differential of each generator family: (table, left family,
 # right family) triples, each adding -table[W, U, V] * left_U right_V to
-# d(family_W).  Tables are named as in colie.coefficient_table.
+# d(family_W) for every row (U, V, c) of W in colie.coefficient_rows(table).
+# The same terms without the minus are the prescribed tensor-(1,1) cobracket
+# of a lift and the alpha form of a projected one (lifts.table_wedge).
 QUADRATIC_TERMS = {
     "L0": (("a", "L0", "L0"), ("b", "L1", "L0")),
     "L1": (("aprime", "L1", "L1"), ("bprime", "L1", "L0")),
@@ -296,19 +298,14 @@ def _table_model(families, max_weight: int, name: str) -> CdgaPresentation:
         if w not in killed
     ]
     index = {g.name: i for i, g in enumerate(gens)}
-    by_word: dict[str, dict[str, list]] = {}  # table -> W -> [(U, V, c)]
-    for fam, _ in families:
-        for table, _, _ in QUADRATIC_TERMS[fam]:
-            if max_weight >= 2 and table not in by_word:
-                grouped = by_word[table] = {}
-                for (w, u, v), c in coefficient_table(table, max_weight).items():
-                    grouped.setdefault(w, []).append((u, v, c))
     differential: dict[str, CdgaElement] = {}
     for g in gens:
         fam, w = g.name.split("_", 1)
         image: CdgaElement = {}
-        for table, left, right in QUADRATIC_TERMS[fam]:
-            for u, v, c in by_word.get(table, {}).get(w, ()):
+        # weight-1 generators are closed, and the tables start at weight 2
+        terms = QUADRATIC_TERMS[fam] if len(w) > 1 else ()
+        for table, left, right in terms:
+            for u, v, c in coefficient_rows(table, max_weight).get(w, ()):
                 x, y = f"{left}_{u}", f"{right}_{v}"
                 if x not in index or y not in index:
                     raise TableInconsistencyError(

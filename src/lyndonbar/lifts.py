@@ -28,7 +28,7 @@ from .bar import (
     projector_numerators,
     wedge_pair,
 )
-from .colie import ab_tables, cobracket, coefficient_table, tensor_cobracket, wedge_add
+from .colie import cobracket, coefficient_rows, tensor_cobracket, wedge_add
 from .dgcore import (
     QUADRATIC_TERMS,
     CdgaPresentation,
@@ -41,8 +41,6 @@ from .dgcore import (
     model_x,
     transport,
 )
-from .freelie import alpha_table
-from .ihara import beta_gamma_tables
 from .linalg import add_term, combine, from_numerators, solve_affine, to_numerators
 from .words import InvalidWordError, is_lyndon, is_lyndon_sequence, lyndon_words
 
@@ -403,20 +401,18 @@ class LiftReport:
         )
 
 
-def prescribed_cobracket_11(W: str, variant: str) -> BarTensor:
-    """The stated tensor-(1,1) cobracket of the lift: tables without the minus.
+def table_wedge(W: str, prefix: str, model: CdgaPresentation, slot) -> BarTensor:
+    """sum c * slot(left, U) ^ slot(right, V) over the quadratic terms of prefix_W.
 
-    The model, built from the same tables, has the generators of every entry.
+    The terms are ``QUADRATIC_TERMS[prefix]`` and their rows (U, V, c) of W,
+    without the model's minus sign; ``slot(family, U)`` is the bar element on
+    each leg, and the wedges are taken over ``model``.
     """
-    spec = _variant(variant)
-    model = spec.model(len(W))
     out: BarTensor = {}
-    for table, pu, pv in QUADRATIC_TERMS[spec.prefix]:
-        for (w, u, v), c in coefficient_table(table, len(W)).items():
-            if w == W:
-                lhs, rhs = {((f"{pu}_{u}",),): ONE}, {((f"{pv}_{v}",),): ONE}
-                for key, val in wedge_pair(lhs, rhs, model).items():
-                    add_term(out, key, c * val)
+    for table, left, right in QUADRATIC_TERMS[prefix]:
+        for u, v, c in coefficient_rows(table, len(W)).get(W, ()):
+            for key, val in wedge_pair(slot(left, u), slot(right, v), model).items():
+                add_term(out, key, c * val)
     return out
 
 
@@ -432,7 +428,10 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     # p keeps tensor length and fixes single slots, so only b's two-slot
     # words reach the (1,1) part of delta_Q(b)
     two_slot = {w: c for w, c in b.items() if len(w) == 2}
-    report.cobracket_ok = delta_Q(two_slot, model) == prescribed_cobracket_11(W, variant)
+    # the prescribed component, one generator on each leg: the model, built
+    # from the same tables, has the generators of every row
+    prescribed = table_wedge(W, spec.prefix, model, lambda fam, u: {((f"{fam}_{u}",),): ONE})
+    report.cobracket_ok = delta_Q(two_slot, model) == prescribed
     return report
 
 
@@ -538,18 +537,18 @@ def verify_EDQX(W: str) -> dict:
     if len(W) < 2 or not is_lyndon(W):
         raise InvalidWordError(f"{W!r} is not a Lyndon word of weight >= 2")
     n = len(W)
-    alpha = alpha_table(n)
-    beta, _ = beta_gamma_tables(n)
-    a, b, _, _ = ab_tables(n)
-    zero = Fraction(0)
+    # W's rows of each table, keyed (U, V)
+    alpha, beta, a, b = (
+        {(u, v): c for u, v, c in coefficient_rows(name, n).get(W, ())}
+        for name in ("alpha", "beta", "a", "b")
+    )
     sub = lyndon_words(n - 1)
     pairs = [(u, v) for u in sub for v in sub if len(u) + len(v) == n]
     check1 = all(
-        a.get((W, u, v), zero)
-        == alpha.get((W, u, v), zero) + beta.get((W, u, v), zero) - beta.get((W, v, u), zero)
+        a.get((u, v), 0) == alpha.get((u, v), 0) + beta.get((u, v), 0) - beta.get((v, u), 0)
         for (u, v) in pairs
         if u < v
-    ) and all(b.get((W, u, v), zero) == beta.get((W, v, u), zero) for (u, v) in pairs)
+    ) and all(b.get((u, v), 0) == beta.get((v, u), 0) for (u, v) in pairs)
 
     _, report = lift_LB(W, "plain")
     check2 = report.all_ok
@@ -557,23 +556,19 @@ def verify_EDQX(W: str) -> dict:
     # formal identity on symbols: substitute one-family = plain - constant,
     # the plain family as x tags and the constant family as one tags
     lhs: dict = {}
-    for (w, u, v), c in a.items():
-        if w == W:
-            wedge_add(lhs, ("x", u), ("x", v), c)
-    for (w, u, v), c in b.items():
-        if w == W:
-            wedge_add(lhs, ("x", u), ("x", v), c)
-            wedge_add(lhs, ("one", u), ("x", v), -c)
+    for (u, v), c in a.items():
+        wedge_add(lhs, ("x", u), ("x", v), c)
+    for (u, v), c in b.items():
+        wedge_add(lhs, ("x", u), ("x", v), c)
+        wedge_add(lhs, ("one", u), ("x", v), -c)
     rhs: dict = {}
-    for (w, u, v), c in alpha.items():
-        if w == W:
-            wedge_add(rhs, ("x", u), ("x", v), c)
-    for (w, u, v), c in beta.items():
-        if w == W:
-            wedge_add(rhs, ("x", u), ("one", v), c)
+    for (u, v), c in alpha.items():
+        wedge_add(rhs, ("x", u), ("x", v), c)
+    for (u, v), c in beta.items():
+        wedge_add(rhs, ("x", u), ("one", v), c)
     check3 = lhs == rhs
 
-    diagonal = {u: beta[(W, u, u)] for u in sub if (W, u, u) in beta}
+    diagonal = {u: beta[(u, u)] for u in sub if (u, u) in beta}
     return {
         "word": W,
         "coefficient_identities": check1,
@@ -613,7 +608,6 @@ def verify_geom_basis(max_weight: int) -> dict:
     """
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
-    alpha = alpha_table(max_weight)
     zero = Fraction(0)
     cobracket_ok: dict = {}
     pairing_ok: dict = {}
@@ -623,17 +617,13 @@ def verify_geom_basis(max_weight: int) -> dict:
             continue
         model = model_geom(n)
         got = delta_Q(geometric_lift(W), model)
-        expected: BarTensor = {}
-        for (w, u, v), c in alpha.items():
-            if w != W:
-                continue
-            # lower-weight lifts transfer verbatim: generator names are
-            # stable across the nested presentations
-            for key, val in wedge_pair(geometric_lift(u), geometric_lift(v), model).items():
-                add_term(expected, key, c * val)
+        # lower-weight lifts transfer verbatim: generator names are stable
+        # across the nested presentations
+        expected = table_wedge(W, "G", model, lambda _, u: geometric_lift(u))
         cobracket_ok[W] = got == expected
+        alpha = {(u, v): c for u, v, c in coefficient_rows("alpha", n).get(W, ())}
         pairing_ok[W] = all(
-            2 * got.get((((f"G_{u}",),), ((f"G_{v}",),)), zero) == alpha.get((W, u, v), zero)
+            2 * got.get((((f"G_{u}",),), ((f"G_{v}",),)), zero) == alpha.get((u, v), zero)
             for u in lyndon_words(n - 1)
             for v in lyndon_words(n - 1)
             if u < v and len(u) + len(v) == n

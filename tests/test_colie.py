@@ -16,6 +16,7 @@ from lyndonbar.colie import (
     change_basis,
     co_jacobi_defect,
     cobracket,
+    coefficient_rows,
     coefficient_table,
     tensor_cobracket,
     wedge_coefficient,
@@ -268,5 +269,32 @@ def test_coefficient_table_rejects_an_unknown_name_before_building_tables(monkey
 
     for builder in ("alpha_table", "beta_gamma_tables", "ab_tables"):
         monkeypatch.setattr(colie, builder, no_table)
-    with pytest.raises(ValueError, match="'zzz'; expected one of alpha, beta, gamma, a, b, aprime, bprime"):
-        coefficient_table("zzz", 3)
+    for reader in (coefficient_table, coefficient_rows):
+        with pytest.raises(ValueError, match="'zzz'; expected one of alpha, beta, gamma, a, b, aprime, bprime"):
+            reader("zzz", 3)
+
+
+@pytest.mark.parametrize("max_weight", range(2, 9))
+def test_coefficient_rows_are_the_word_filter_of_the_table(max_weight):
+    for name in TABLE_NAMES:
+        table = coefficient_table(name, max_weight)
+        rows = coefficient_rows(name, max_weight)
+        assert list(rows) == list(dict.fromkeys(w for w, _, _ in table)), name
+        for W, got in rows.items():
+            expected = [(u, v, c) for (w, u, v), c in table.items() if w == W]
+            assert got == tuple(expected), (name, W)
+
+
+def test_coefficient_rows_cannot_be_changed_by_a_caller():
+    rows = coefficient_rows("b", 4)
+    before = dict(rows)
+    with pytest.raises(TypeError):
+        rows["0011"] = ()
+    with pytest.raises(TypeError):
+        del rows["0011"]
+    with pytest.raises(AttributeError):
+        rows.pop("0011")
+    assert type(rows["0011"]) is tuple and all(type(r) is tuple for r in rows["0011"])
+    with pytest.raises(TypeError):
+        rows["0011"][0] = ("0", "0", 0)
+    assert coefficient_rows("b", 4) is rows and dict(rows) == before

@@ -14,9 +14,10 @@ import pytest
 from conftest import rescaled
 from lyndonbar import lifts
 from lyndonbar.verify import run_suites
-from lyndonbar.bar import bar_differential, hain_projector, pi1
-from lyndonbar.colie import tensor_cobracket
+from lyndonbar.bar import bar_differential, hain_projector, pi1, wedge_pair
+from lyndonbar.colie import coefficient_table, tensor_cobracket
 from lyndonbar.dgcore import (
+    QUADRATIC_TERMS,
     CdgaPresentation,
     geom_projection_images,
     i1_fiber_images,
@@ -27,6 +28,7 @@ from lyndonbar.dgcore import (
     transport,
 )
 from lyndonbar.lifts import (
+    VARIANTS,
     InfeasibleLiftError,
     InvalidMorphismError,
     LiftReport,
@@ -43,6 +45,7 @@ from lyndonbar.lifts import (
     published_constants,
     relate_families,
     solve_unit_constants,
+    table_wedge,
     verify_EDQX,
     verify_fiber_identity,
     verify_geom_basis,
@@ -307,7 +310,7 @@ def test_a_word_that_is_not_lyndon_is_rejected_before_any_work(monkeypatch, word
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("solve_unit_constants", "adjunction_unit", "closed_lift_oracle", "alpha_table"):
+    for name in ("solve_unit_constants", "adjunction_unit", "closed_lift_oracle", "coefficient_rows"):
         monkeypatch.setattr(lifts, name, no_work)
     for method in ("auto", "claim", "oracle"):
         with pytest.raises(InvalidWordError):
@@ -709,14 +712,72 @@ def test_verify_edqx_weight_2_to_4():
         assert r["ok"], (W, r)
 
 
+def flip_one_row(monkeypatch, table, W):
+    """Make ``lifts`` read ``table`` with the first row of W negated, and only that row.
+
+    Callers read the lift of W before, so the cached lift and its report were
+    made from the true tables.
+    """
+    true_rows = lifts.coefficient_rows
+    rows = true_rows(table, len(W))[W]
+    u, v, c = rows[0]
+    assert c
+    flipped = ((u, v, -c),) + rows[1:]
+
+    def rows_with_one_flipped(name, max_weight):
+        found = true_rows(name, max_weight)
+        return {**found, W: flipped} if name == table and W in found else found
+
+    monkeypatch.setattr(lifts, "coefficient_rows", rows_with_one_flipped)
+
+
 def test_edqx_alpha_beta_form_sees_one_flipped_b_entry(monkeypatch):
     # a wedge helper that dropped every term once passed every test
     assert verify_EDQX("0011")["alpha_beta_form"]
-    a, b, *rest = lifts.ab_tables(4)
-    key = next(k for k, c in sorted(b.items()) if k[0] == "0011" and c)
-    flipped = {**b, key: -b[key]}
-    monkeypatch.setattr(lifts, "ab_tables", lambda n: (a, flipped, *rest))
+    flip_one_row(monkeypatch, "b", "0011")
     assert not verify_EDQX("0011")["alpha_beta_form"]
+
+
+def test_edqx_alpha_beta_form_sees_one_flipped_alpha_row(monkeypatch):
+    assert verify_EDQX("0011")["alpha_beta_form"]
+    flip_one_row(monkeypatch, "alpha", "0011")
+    assert not verify_EDQX("0011")["alpha_beta_form"]
+
+
+def reference_prescribed_cobracket_11(W, variant):
+    """The tables without the minus, one generator on each leg, from a scan of each whole table."""
+    spec = VARIANTS[variant]
+    model = spec.model(len(W))
+    out: dict = {}
+    for table, left, right in QUADRATIC_TERMS[spec.prefix]:
+        for (w, u, v), c in coefficient_table(table, len(W)).items():
+            if w == W:
+                legs = {((f"{left}_{u}",),): ONE}, {((f"{right}_{v}",),): ONE}
+                for key, val in wedge_pair(*legs, model).items():
+                    add_term(out, key, c * val)
+    return out
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_table_wedge_of_generators_is_the_prescribed_cobracket(variant):
+    spec = VARIANTS[variant]
+    nonzero = 0
+    for W in lyndon_words(6):
+        if len(W) < 2:
+            continue
+        model = spec.model(len(W))
+        got = table_wedge(W, spec.prefix, model, lambda fam, u: {((f"{fam}_{u}",),): ONE})
+        assert got == reference_prescribed_cobracket_11(W, variant), W
+        nonzero += bool(got)
+    assert nonzero
+
+
+def test_geom_basis_sees_one_flipped_alpha_row(monkeypatch):
+    assert verify_geom_basis(4)["cobracket_alpha_form"]["0011"]
+    flip_one_row(monkeypatch, "alpha", "0011")
+    report = verify_geom_basis(4)
+    assert not report["cobracket_alpha_form"]["0011"] and not report["ok"]
+    assert all(ok for W, ok in report["cobracket_alpha_form"].items() if W != "0011")
 
 
 def test_edqx_reports_nonzero_beta_diagonal():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lyndonbar
-from lyndonbar import bar, cli
+from lyndonbar import bar, cli, verify
 from lyndonbar.cli import build_parser, main
 from lyndonbar.colie import TABLE_NAMES
 from lyndonbar.verify import run_suites
@@ -50,6 +50,18 @@ def test_a_suite_named_twice_runs_once(capsys):
     # in the order first named
     names = [r.check for r in run_suites(["signs", "words", "signs"], max_weight=2)]
     assert names == [r.check for r in run_suites(["signs", "words"], max_weight=2)]
+
+
+@pytest.mark.parametrize("names", [["lifts"], ["all"], ["edqx", "words"], ["words"]])
+@pytest.mark.parametrize("max_weight", [1, 0, -3])
+def test_a_weight_below_2_is_rejected_before_any_suite_runs(monkeypatch, names, max_weight):
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, no_suite)
+    with pytest.raises(ValueError, match=f"max_weight must be >= 2, not {max_weight}$"):
+        run_suites(names, max_weight=max_weight)
 
 
 def test_unknown_suite_rejected():
