@@ -37,6 +37,12 @@ class TableInconsistencyError(AssertionError):
 
 @lru_cache(maxsize=None)
 def _expand(w: str) -> tuple[tuple[str, int], ...]:
+    """The expansion of [w] as sorted (word, coefficient) pairs, cached.
+
+    A word that is not Lyndon raises on every call: exceptions are not cached.
+    """
+    if not is_lyndon(w):
+        raise NotALieElementError(f"{w!r} is not a Lyndon word")
     if len(w) == 1:
         return ((w, 1),)
     u, v = standard_factorization(w)
@@ -45,8 +51,6 @@ def _expand(w: str) -> tuple[tuple[str, int], ...]:
 
 def expand(w: str) -> WordPoly:
     """Noncommutative expansion of the Lyndon bracket [w], via [u, v] = uv - vu."""
-    if not is_lyndon(w):
-        raise NotALieElementError(f"{w!r} is not a Lyndon word")
     return dict(_expand(w))
 
 
@@ -86,7 +90,7 @@ def rewrite_in_lyndon(p: WordPoly) -> LieElement:
                 raise NotALieElementError(f"support word {w!r} is not Lyndon")
             c = rest[w]
             add_term(out, w, c)
-            for wx, cx in expand(w).items():
+            for wx, cx in _expand(w):
                 add_term(rest, wx, -c * cx)
     return out
 

@@ -104,17 +104,21 @@ def solve_affine(
 
     Each equation's right-hand side is a sparse dict from label to value, and
     the system of a label reads ``rhs.get(label, 0)`` in every row; a
-    right-hand side naming a label outside ``labels`` raises ``ValueError``.
-    Values are ints or Fractions.  Pivots are chosen from the rows alone, as
-    the smallest variable (in ``var_order`` position) of each reduced row, so
-    all labels share one elimination and each gets exactly the solution a
-    solve for that label alone would give.
+    right-hand side naming a label outside ``labels`` raises ``ValueError``,
+    as do a variable repeated in ``var_order`` (before any row is pulled) and
+    a row naming a variable outside it.  Values are ints or Fractions.
+    Pivots are chosen from the rows alone, as the smallest variable (in
+    ``var_order`` position) of each reduced row, so all labels share one
+    elimination and each gets exactly the solution a solve for that label
+    alone would give.
 
     The elimination is fraction-free: each row and its right-hand side are
     scaled to primitive integers, every row operation a * row - b * pivot
     row is followed by division by the gcd, and stored rows keep a positive
-    lead.  A Fraction is made only for each nonzero solution value; every
-    zero value is the shared ``ZERO``.
+    lead.  A new pivot is eliminated only from the stored rows that hold its
+    variable, found through a column index kept in insertion-ordered dicts.
+    A Fraction is made only for each nonzero solution value; every zero value
+    is the shared ``ZERO``.
 
     ``equations`` is consumed as a stream: once every label's system is
     inconsistent no further row is pulled, and ``(None, 0)`` is returned.
@@ -123,22 +127,26 @@ def solve_affine(
     label's system is inconsistent.
     """
     labels = dict.fromkeys(labels)
-    dead: set = set()
     pos = {v: i for i, v in enumerate(var_order)}
+    if len(pos) != len(var_order):
+        repeated = [v for v in pos if var_order.count(v) > 1]
+        raise ValueError(f"variables {repeated!r} appear more than once in var_order")
+    dead: set = set()
     pivots: dict[K, tuple[dict[K, int], dict[L, int]]] = {}
+    # free variable -> {lead: None} for the stored rows that hold it
+    holders: dict[K, dict[K, None]] = {}
     for row, rhs in equations:
         unknown = [k for k in rhs if k not in labels]
         if unknown:
             raise ValueError(f"right-hand side labels {unknown!r} are not in labels")
+        if not row.keys() <= pos.keys():
+            unknown = [k for k in row if k not in pos]
+            raise ValueError(f"variables {unknown!r} are not in var_order")
         work, work_rhs = _integer_equation(row, rhs)
-        # fully reduce against existing pivots; stored rows reference only
-        # their own lead plus free variables, so each pivot variable present
-        # in the row needs one elimination and none reappear
-        while True:
-            present = [v for v in work if v in pivots]
-            if not present:
-                break
-            var = min(present, key=pos.__getitem__)
+        # stored rows hold only their own lead plus free variables, so
+        # eliminating one pivot adds no other: the pivots the row holds are
+        # listed once
+        for var in sorted([v for v in work if v in pivots], key=pos.__getitem__):
             prow, prhs = pivots[var]
             lead, c = prow[var], work[var]
             g = math.gcd(lead, c)
@@ -156,16 +164,26 @@ def solve_affine(
         if work[lead] < 0:
             work = {k: -v for k, v in work.items()}
             work_rhs = {k: -v for k, v in work_rhs.items()}
-        # eliminate the new lead from every stored row; a > 0 keeps its lead positive
+        # eliminate the new lead from the stored rows that hold it; a > 0
+        # keeps their leads positive
         top = work[lead]
-        for orow, orhs in pivots.values():
-            c = orow.get(lead)
-            if c:
-                g = math.gcd(top, c)
-                a, b = top // g, c // g
-                _subtract(orow, a, b, work)
-                _subtract(orhs, a, b, work_rhs)
-                _primitive(orow, orhs)
+        free = [k for k in work if k != lead]
+        for k in free:
+            holders.setdefault(k, {})[lead] = None
+        for olead in holders.pop(lead, ()):
+            orow, orhs = pivots[olead]
+            c = orow[lead]
+            g = math.gcd(top, c)
+            a, b = top // g, c // g
+            _subtract(orow, a, b, work)
+            _subtract(orhs, a, b, work_rhs)
+            _primitive(orow, orhs)
+            # the subtraction both fills in and cancels the new row's free variables
+            for k in free:
+                if k in orow:
+                    holders[k][olead] = None
+                else:
+                    holders[k].pop(olead, None)
         pivots[lead] = (work, work_rhs)
     # with fully reduced rows and free variables set to 0, each pivot value
     # is its reduced right-hand side over its lead

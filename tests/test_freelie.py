@@ -40,8 +40,27 @@ def test_rewrite_weight_two():
 
 
 def test_non_lie_input_rejected():
-    with pytest.raises(NotALieElementError):
+    # [01] strips to -10, whose smallest word is not Lyndon
+    with pytest.raises(NotALieElementError, match="support word '10' is not Lyndon"):
         rewrite_in_lyndon({"01": Fraction(1)})
+
+
+def test_expand_rejects_a_non_lyndon_word_on_every_call():
+    # the expansions are cached, exceptions are not
+    for _ in range(2):
+        with pytest.raises(NotALieElementError, match="'10' is not a Lyndon word"):
+            expand("10")
+
+
+def test_expand_returns_a_new_dict_each_call():
+    got = expand("01")
+    got["01"] = 7
+    got["11"] = 1
+    del got["10"]
+    assert expand("01") == {"01": 1, "10": -1}
+    assert expand("01") is not expand("01")
+    assert lie_bracket(basis_element("0"), basis_element("01")) == {"001": 1}
+    assert lie_bracket(basis_element("01"), basis_element("1")) == {"011": 1}
 
 
 def test_bracket_examples():

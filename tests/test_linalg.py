@@ -1,7 +1,9 @@
-"""The fraction-free multi-label solver against two Fraction references.
+"""The fraction-free multi-label solver against three references.
 
-One reference solves one right-hand side at a time; the other is the
-multi-label elimination in Fractions that the integer solver replaced.
+One reference solves one right-hand side at a time; another is the
+multi-label elimination in Fractions that the integer solver replaced; the
+third is the integer elimination that reads every stored row for each new
+pivot, which the column-indexed one replaced.
 """
 
 from __future__ import annotations
@@ -13,8 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyndonbar import linalg
-from lyndonbar.linalg import ZERO, add_term, combine, from_numerators, solve_affine, to_numerators
+from lyndonbar import dgcore, lifts, linalg
+from lyndonbar.linalg import (
+    ZERO,
+    _integer_equation,
+    _primitive,
+    _subtract,
+    add_term,
+    combine,
+    from_numerators,
+    solve_affine,
+    to_numerators,
+)
 
 
 def solve_single(equations, var_order):
@@ -117,6 +129,67 @@ def solve_fractions(equations, var_order, *, labels):
     return solutions, len(var_order) - len(pivots)
 
 
+def reference_solve_affine(equations, var_order, *, labels):
+    """The integer elimination before the column index, kept as a reference.
+
+    Same contract and the same primitive integer rows as ``solve_affine``;
+    it finds the next pivot to eliminate by a fresh ``min`` after every
+    step, and back-substitutes each new pivot by reading every stored row.
+    """
+    labels = dict.fromkeys(labels)
+    dead = set()
+    pos = {v: i for i, v in enumerate(var_order)}
+    pivots = {}
+    for row, rhs in equations:
+        unknown = [k for k in rhs if k not in labels]
+        if unknown:
+            raise ValueError(f"right-hand side labels {unknown!r} are not in labels")
+        work, work_rhs = _integer_equation(row, rhs)
+        while True:
+            present = [v for v in work if v in pivots]
+            if not present:
+                break
+            var = min(present, key=pos.__getitem__)
+            prow, prhs = pivots[var]
+            lead, c = prow[var], work[var]
+            g = math.gcd(lead, c)
+            a, b = lead // g, c // g
+            _subtract(work, a, b, prow)
+            _subtract(work_rhs, a, b, prhs)
+            _primitive(work, work_rhs)
+        if not work:
+            dead.update(work_rhs)
+            if work_rhs and len(dead) == len(labels):
+                return None, 0
+            continue
+        lead = min(work, key=pos.__getitem__)
+        if work[lead] < 0:
+            work = {k: -v for k, v in work.items()}
+            work_rhs = {k: -v for k, v in work_rhs.items()}
+        top = work[lead]
+        for orow, orhs in pivots.values():
+            c = orow.get(lead)
+            if c:
+                g = math.gcd(top, c)
+                a, b = top // g, c // g
+                _subtract(orow, a, b, work)
+                _subtract(orhs, a, b, work_rhs)
+                _primitive(orow, orhs)
+        pivots[lead] = (work, work_rhs)
+    solutions = {}
+    for label in labels:
+        if label in dead:
+            solutions[label] = None
+            continue
+        solution = {v: ZERO for v in var_order}
+        for lead, (prow, prhs) in pivots.items():
+            num = prhs.get(label)
+            if num:
+                solution[lead] = Fraction(num, prow[lead])
+        solutions[label] = solution
+    return solutions, len(var_order) - len(pivots)
+
+
 def single_rows(equations, label):
     """The one-right-hand-side system of ``label``."""
     return [(row, rhs.get(label, ZERO)) for row, rhs in equations]
@@ -146,6 +219,10 @@ def assert_matches_reference(equations, var_order):
             yield eq
 
     assert solve_fractions(ref_stream(), var_order, labels=labels) == (solutions, n_free)
+    assert len(ref_pulled) == len(pulled)
+    # and so does the integer elimination without the column index
+    ref_pulled.clear()
+    assert reference_solve_affine(ref_stream(), var_order, labels=labels) == (solutions, n_free)
     assert len(ref_pulled) == len(pulled)
     for solution in (solutions or {}).values():
         assert solution is None or all(type(c) is Fraction for c in solution.values())
@@ -328,6 +405,139 @@ def test_a_label_outside_labels_raises():
         solve_affine(equations, ["x"], labels=["a"])
     with pytest.raises(ValueError):
         solve_affine(equations, ["x"], labels=[])
+
+
+def test_a_repeated_variable_raises_before_any_row_is_pulled():
+    def stream():
+        raise AssertionError("a row was pulled")
+        yield
+
+    with pytest.raises(ValueError, match="'x'"):
+        solve_affine(stream(), ["x", "x"], labels=["a"])
+    # x = 1 is fully determined; counting the repeat would report a free variable
+    with pytest.raises(ValueError, match="more than once"):
+        solve_affine([({"x": 1}, {})], ["x", "x"], labels=["a"])
+
+
+def test_a_variable_outside_var_order_raises_when_its_row_is_pulled():
+    pulled = []
+
+    def stream():
+        for eq in [({"x": 1}, {"a": 1}), ({"x": 1, "y": 2}, {"a": 3}), ({"x": 2}, {"a": 1})]:
+            pulled.append(eq)
+            yield eq
+
+    with pytest.raises(ValueError, match=r"variables \['y'\] are not in var_order"):
+        solve_affine(stream(), ["x"], labels=["a"])
+    assert len(pulled) == 2
+
+
+def test_back_substitution_fills_in_and_cancels_free_variables():
+    """Stored rows gain and lose free variables; the column index follows both.
+
+    Pivot z (row 3) cancels w from row 1 and puts w into row 2 (fill-in), so
+    pivot w (row 4) must reach row 2 and not look for w in row 1.  Pivot w
+    puts t into rows 2 and 3, and pivot t (row 5) must reach both.
+    """
+    var_order = ["x", "y", "z", "w", "t"]
+    equations = [
+        ({"x": 1, "z": 1, "w": 1}, {"a": 1}),
+        ({"y": 2, "z": -1}, {"a": 2, "b": 1}),
+        ({"z": 3, "w": 3}, {"a": 1}),
+        ({"w": 2, "t": -1}, {"b": 1}),
+        ({"t": 3}, {"a": 5, "b": -1}),
+    ]
+    solutions, n_free = solve_affine(equations, var_order, labels=["a", "b"])
+    assert n_free == 0
+    for label, solution in solutions.items():
+        for row, rhs in equations:
+            assert sum(c * solution[k] for k, c in row.items()) == rhs.get(label, 0)
+    assert_matches_reference(equations, var_order)
+    # without the last row t stays free, in rows 2, 3 and 4
+    assert_matches_reference(equations[:4], var_order)
+
+
+def test_no_later_pivot_reads_a_stored_row(monkeypatch):
+    """x_i = i for 200 variables: each new pivot is in no stored row.
+
+    The rows are counted through the dict the integer scaling returns; a
+    read of row j while row i > j is processed is a stored row read by a
+    later pivot.  Reading every stored row for each pivot would make
+    200 * 199 / 2 = 19,900 such reads.
+    """
+    n = 200
+    state = {"current": -1}
+    stored_reads = []
+
+    class CountingRow(dict):
+        def _read(self):
+            if state["current"] is not None and self.owner < state["current"]:
+                stored_reads.append(self.owner)
+
+        def get(self, *args):
+            self._read()
+            return super().get(*args)
+
+        def __getitem__(self, key):
+            self._read()
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            self._read()
+            return super().__contains__(key)
+
+        def __iter__(self):
+            self._read()
+            return super().__iter__()
+
+        def items(self):
+            self._read()
+            return super().items()
+
+        def keys(self):
+            self._read()
+            return super().keys()
+
+        def values(self):
+            self._read()
+            return super().values()
+
+    def counting_equation(row, rhs):
+        work, work_rhs = _integer_equation(row, rhs)
+        state["current"] += 1
+        counted = CountingRow(work)
+        counted.owner = state["current"]
+        return counted, work_rhs
+
+    def stream():
+        for i in range(n):
+            yield {i: 1}, {"a": i}
+        state["current"] = None  # the stream is spent: the solution is read out
+
+    monkeypatch.setattr(linalg, "_integer_equation", counting_equation)
+    solutions, n_free = solve_affine(stream(), list(range(n)), labels=["a"])
+    assert n_free == 0
+    assert solutions == {"a": {i: i for i in range(n)}}
+    assert state["current"] is None
+    assert stored_reads == []
+
+
+@pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
+def test_oracle_systems_match_the_reference_elimination(monkeypatch, model, weight):
+    """Each oracle system, built as the oracle builds it, against the old loop."""
+    calls = []
+
+    def recording_solve(equations, var_order, *, labels):
+        equations, labels = list(equations), list(labels)
+        got = solve_affine(equations, var_order, labels=labels)
+        calls.append((equations, var_order, labels, got))
+        return got
+
+    monkeypatch.setattr(lifts, "solve_affine", recording_solve)
+    lifts._oracle_solve.__wrapped__(getattr(dgcore, model)(weight), weight)
+    [(equations, var_order, labels, got)] = calls
+    assert reference_solve_affine(equations, var_order, labels=labels) == got
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,31 @@ def test_deterministic_output(capsys):
     assert v1 == v2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "lifts", "edqx", "basis", "--max-weight", "5", "--format", "json"],
+        ["lift", "001011", "--variant", "one"],
+    ],
+)
+def test_output_does_not_depend_on_the_hash_seed(args):
+    # string hashing is seeded per process, so only separate processes can
+    # show an order that follows it
+    src = str(Path(lyndonbar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "lyndonbar", *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_weight_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["coeffs", "--family", "alpha", "--max-weight", "9"])
