@@ -119,32 +119,29 @@ def coproduct(b: BarElement) -> BarTensor:
 
 
 def _shuffle_pair(p: CdgaPresentation, w1: BarWord, w2: BarWord) -> tuple:
-    """The signed shuffle of two bar words: (bar word, integer) pairs."""
-    n1, n2 = len(w1), len(w2)
+    """The signed shuffle of two bar words: (bar word, integer) pairs.
+
+    row[j] is the shuffle of w1[i:] and w2[j:], built as i runs down: its
+    words start with w1[i] (from the row before) or with w2[j] (from
+    row[j + 1]), and moving w2[j] past w1[i:] is odd only when both are odd.
+    """
+    n2 = len(w2)
     odd2 = [_slot(p, m)[0] for m in w2]
-    # tail1[i]: the parity of w1[i:]
-    tail1 = [0] * (n1 + 1)
-    for i in range(n1 - 1, -1, -1):
-        tail1[i] = tail1[i + 1] ^ _slot(p, w1[i])[0]
-
-    def rec(i: int, j: int):
-        if i == n1:
-            yield w2[j:], 1
-            return
-        if j == n2:
-            yield w1[i:], 1
-            return
-        for rest, s in rec(i + 1, j):
-            yield (w1[i],) + rest, s
-        # moving w2[j] past the rest of w1 is odd only when both are odd
-        factor = -1 if odd2[j] and tail1[i] else 1
-        for rest, s in rec(i, j + 1):
-            yield (w2[j],) + rest, s * factor
-
-    out: dict = {}
-    for word, s in rec(0, 0):
-        out[word] = out.get(word, 0) + s
-    return tuple((word, c) for word, c in out.items() if c)
+    row = [{w2[j:]: 1} for j in range(n2 + 1)]
+    tail = 0  # the parity of w1[i:]
+    for i in range(len(w1) - 1, -1, -1):
+        first = w1[i]
+        tail ^= _slot(p, first)[0]
+        row[n2] = {w1[i:]: 1}
+        for j in range(n2 - 1, -1, -1):
+            out = {(first,) + rest: s for rest, s in row[j].items()}
+            lead = w2[j]
+            sign = -1 if odd2[j] and tail else 1
+            for rest, s in row[j + 1].items():
+                word = (lead,) + rest
+                out[word] = out.get(word, 0) + sign * s
+            row[j] = out
+    return tuple((word, c) for word, c in row[0].items() if c)
 
 
 def _parity(p: CdgaPresentation, word: BarWord) -> int:
@@ -156,13 +153,16 @@ def _parity(p: CdgaPresentation, word: BarWord) -> int:
 
 
 def shuffle(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarElement:
-    out: BarElement = {}
-    for w1, c1 in b1.items():
-        for w2, c2 in b2.items():
+    """The shuffle product, summed in integers over one common denominator."""
+    den1, ints1 = to_numerators(b1)
+    den2, ints2 = to_numerators(b2)
+    out: dict = {}
+    for w1, c1 in ints1.items():
+        for w2, c2 in ints2.items():
             c12 = c1 * c2
             for word, c in _shuffle_pair(p, w1, w2):
-                add_term(out, word, c * c12)
-    return out
+                out[word] = out.get(word, 0) + c * c12
+    return from_numerators(out, den1 * den2)
 
 
 def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTensor:
@@ -170,18 +170,21 @@ def tensor_shuffle(t1: BarTensor, t2: BarTensor, p: CdgaPresentation) -> BarTens
 
     (x1 @ x2)(y1 @ y2) = (-1)^(|x2||y1|) (x1 sh y1) @ (x2 sh y2), so that the
     coproduct is an algebra map: coproduct(a sh b) = coproduct(a) * coproduct(b).
+    The terms are summed in integers over one common denominator.
     """
-    out: BarTensor = {}
-    for (x1, x2), c1 in t1.items():
+    den1, ints1 = to_numerators(t1)
+    den2, ints2 = to_numerators(t2)
+    out: dict = {}
+    for (x1, x2), c1 in ints1.items():
         odd2 = _parity(p, x2)
-        for (y1, y2), c2 in t2.items():
+        for (y1, y2), c2 in ints2.items():
             c = -c1 * c2 if odd2 and _parity(p, y1) else c1 * c2
             right = _shuffle_pair(p, x2, y2)
             for u, cu in _shuffle_pair(p, x1, y1):
                 ccu = c * cu
                 for v, cv in right:
-                    add_term(out, (u, v), ccu * cv)
-    return out
+                    out[(u, v)] = out.get((u, v), 0) + ccu * cv
+    return from_numerators(out, den1 * den2)
 
 
 @lru_cache(maxsize=None)

@@ -69,16 +69,6 @@ def wedge_add(out: WedgeElement, a: Tag, b: Tag, coeff: int | Fraction) -> None:
         add_term(out, (b, a), -coeff)
 
 
-def wedge_coefficient(w: WedgeElement, a: Tag, b: Tag) -> int | Fraction:
-    """Signed coefficient of a ^ b in ``w``."""
-    ka, kb = _tag_key(a), _tag_key(b)
-    if ka == kb:
-        return 0
-    if ka < kb:
-        return w.get((a, b), 0)
-    return -w.get((b, a), 0)
-
-
 def change_basis(t: CoLieElement, target: str) -> CoLieElement:
     """Invertible change between the x1 and t01 bases (round trip is identity)."""
     if target not in ("x1", "t01"):
@@ -178,12 +168,11 @@ def co_jacobi_defect(t: CoLieElement) -> dict:
 def _closed_ab_tables(max_weight: int):
     alpha = alpha_table(max_weight)
     beta, _ = beta_gamma_tables(max_weight)
-    words = lyndon_words(max_weight)
     a: dict = {}
     b: dict = {}
     ap: dict = {}
     bp: dict = {}
-    for w in words:
+    for w in lyndon_words(max_weight):
         if len(w) < 2:
             continue
         for u in lyndon_words(len(w) - 1):
@@ -193,34 +182,24 @@ def _closed_ab_tables(max_weight: int):
                 bval = beta.get((w, v, u), 0)
                 if bval:
                     b[(w, u, v)] = bval
-                if u < v:
-                    aval = (
-                        alpha.get((w, u, v), 0)
-                        + beta.get((w, u, v), 0)
-                        - beta.get((w, v, u), 0)
-                    )
-                    if aval:
-                        a[(w, u, v)] = aval
-                        ap[(w, u, v)] = -aval
-    for w in words:
-        if len(w) < 2:
-            continue
-        for u in lyndon_words(len(w) - 1):
-            for v in lyndon_words(len(w) - 1):
-                if len(u) + len(v) != len(w):
-                    continue
-                if u < v:
-                    val = a.get((w, u, v), 0) + b.get((w, u, v), 0)
-                elif v < u:
-                    val = -a.get((w, v, u), 0) + b.get((w, u, v), 0)
-                else:
-                    val = b.get((w, u, u), 0)
-                if val:
-                    bp[(w, u, v)] = val
+                # a of the unordered pair (0 for u = v): b' is b + a for u < v, b - a otherwise
+                lo, hi = sorted((u, v))
+                aval = alpha.get((w, lo, hi), 0) + beta.get((w, lo, hi), 0) - beta.get((w, hi, lo), 0)
+                if u < v and aval:
+                    a[(w, u, v)] = aval
+                    ap[(w, u, v)] = -aval
+                bpval = bval + aval if u < v else bval - aval
+                if bpval:
+                    bp[(w, u, v)] = bpval
     return a, b, ap, bp
 
 
 def _extracted_ab_tables(max_weight: int):
+    """a, b, a', b' read off the t01 cobracket of each tag, term by term.
+
+    In the cobracket of (fam, W), fam^fam at (U, V) is a (t0) or a' (t1) at
+    (W, U, V), and t0_U ^ t1_V is -b (t0) or -b' (t1) at (W, V, U).
+    """
     a: dict = {}
     b: dict = {}
     ap: dict = {}
@@ -228,37 +207,17 @@ def _extracted_ab_tables(max_weight: int):
     for w in lyndon_words(max_weight):
         if len(w) < 2:
             continue
-        sub = lyndon_words(len(w) - 1)
-        pairs = [
-            (u, v) for u in sub for v in sub if len(u) + len(v) == len(w)
-        ]
-        d0 = cobracket({("t0", w): 1})
-        d1 = cobracket({("t1", w): 1})
-        rebuilt0: WedgeElement = {}
-        rebuilt1: WedgeElement = {}
-        for u, v in pairs:
-            if u < v:
-                c = wedge_coefficient(d0, ("t0", u), ("t0", v))
-                if c:
-                    a[(w, u, v)] = c
-                    wedge_add(rebuilt0, ("t0", u), ("t0", v), c)
-                c = wedge_coefficient(d1, ("t1", u), ("t1", v))
-                if c:
-                    ap[(w, u, v)] = c
-                    wedge_add(rebuilt1, ("t1", u), ("t1", v), c)
-            c = wedge_coefficient(d0, ("t1", u), ("t0", v))
-            if c:
-                b[(w, u, v)] = c
-                wedge_add(rebuilt0, ("t1", u), ("t0", v), c)
-            c = wedge_coefficient(d1, ("t1", u), ("t0", v))
-            if c:
-                bp[(w, u, v)] = c
-                wedge_add(rebuilt1, ("t1", u), ("t0", v), c)
-        if rebuilt0 != d0 or rebuilt1 != d1:
-            raise TableInconsistencyError(
-                f"cobracket of weight-{len(w)} tags has terms outside the "
-                "expected wedge families"
-            )
+        for fam, same, mixed in (("t0", a, b), ("t1", ap, bp)):
+            for ((fu, u), (fv, v)), c in cobracket({(fam, w): 1}).items():
+                if fu == fv == fam:
+                    same[(w, u, v)] = c
+                elif fu != fv:
+                    mixed[(w, v, u)] = -c
+                else:
+                    raise TableInconsistencyError(
+                        f"cobracket of weight-{len(w)} tags has terms outside the "
+                        "expected wedge families"
+                    )
     return a, b, ap, bp
 
 

@@ -19,9 +19,8 @@ from lyndonbar.colie import (
     coefficient_rows,
     coefficient_table,
     tensor_cobracket,
-    wedge_coefficient,
 )
-from lyndonbar.freelie import alpha_table, basis_element, lie_bracket
+from lyndonbar.freelie import TableInconsistencyError, alpha_table, basis_element, lie_bracket
 from lyndonbar.ihara import (
     SemidirectElement,
     beta_gamma_tables,
@@ -52,7 +51,7 @@ def test_weight_two_cobracket():
 def test_weight_two_cobracket_t01():
     got = cobracket({("t0", "01"): ONE})
     assert got == {(("t0", "1"), ("t1", "0")): -1}
-    assert wedge_coefficient(got, ("t1", "0"), ("t0", "1")) == 1
+    assert -got[(("t0", "1"), ("t1", "0"))] == 1  # the coefficient of t1_0 ^ t0_1
 
 
 def test_one_family_cobracket_matches_gamma():
@@ -177,12 +176,74 @@ def _wedge(ta, tb):
     return out
 
 
-def test_corrupted_alpha_breaks_co_jacobi():
-    # flipping one structure constant must violate co-Jacobi somewhere; done
-    # here by hand on the tensor level for W = 001
-    t = tensor_cobracket({("x", "0011"): ONE})
-    defect = co_jacobi_defect({("x", "0011"): ONE})
-    assert defect == {} and t  # sanity: nonzero cobracket, zero defect
+def test_corrupted_alpha_breaks_co_jacobi(monkeypatch):
+    # flipping one structure constant, alpha[0011, 0, 011], violates co-Jacobi
+    tag = {("x", "0011"): ONE}
+    assert co_jacobi_defect(tag) == {}
+    rows = colie.coefficient_rows
+
+    def corrupted(family, max_weight):
+        table = rows(family, max_weight)
+        if family != "alpha" or "0011" not in table:
+            return table
+        assert table["0011"] == (("0", "011", 1), ("001", "1", 1))
+        return {**table, "0011": (("0", "011", -1), ("001", "1", 1))}
+
+    colie._x1_tag_cobracket.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(colie, "coefficient_rows", corrupted)
+            assert co_jacobi_defect(tag) != {}
+    finally:
+        colie._x1_tag_cobracket.cache_clear()
+    assert co_jacobi_defect(tag) == {}
+
+
+def _ab_tables_with(monkeypatch, name, replacement):
+    """ab_tables(5) built afresh with colie.<name> replaced; the cache is cleared after."""
+    ab_tables.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(colie, name, replacement)
+            return ab_tables(5)
+    finally:
+        ab_tables.cache_clear()
+
+
+def test_cross_check_fires_on_a_wrong_closed_entry(monkeypatch):
+    closed = colie._closed_ab_tables
+
+    def negated(max_weight):
+        a, b, ap, bp = closed(max_weight)
+        key = next(iter(a))
+        a[key] = -a[key]
+        return a, b, ap, bp
+
+    with pytest.raises(TableInconsistencyError, match="table a: closed formula and basis-change"):
+        _ab_tables_with(monkeypatch, "_closed_ab_tables", negated)
+
+
+def _cobracket_with(extra):
+    """colie.cobracket, with one more term in the t0 cobracket of 0011."""
+    original = colie.cobracket
+
+    def patched(t):
+        out = original(t)
+        return {**out, extra: 1} if t == {("t0", "0011"): 1} else out
+
+    return patched
+
+
+def test_cross_check_fires_on_a_term_outside_the_wedge_families(monkeypatch):
+    t1_t1 = (("t1", "0"), ("t1", "011"))
+    with pytest.raises(TableInconsistencyError, match="outside the expected wedge families"):
+        _ab_tables_with(monkeypatch, "cobracket", _cobracket_with(t1_t1))
+
+
+def test_cross_check_fires_on_a_term_of_the_wrong_weight(monkeypatch):
+    t0_t0 = (("t0", "0"), ("t0", "01"))
+    with pytest.raises(TableInconsistencyError):
+        _ab_tables_with(monkeypatch, "cobracket", _cobracket_with(t0_t0))
 
 
 def test_cached_tables_are_read_only():
