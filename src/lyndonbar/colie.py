@@ -25,7 +25,7 @@ from types import MappingProxyType
 from .freelie import TableInconsistencyError, alpha_table
 from .ihara import beta_gamma_tables
 from .linalg import add_term
-from .words import lyndon_words
+from .words import lyndon_words, lyndon_words_of_length
 
 Tag = tuple  # (family, word)
 CoLieElement = dict  # Tag -> int or Fraction
@@ -176,9 +176,7 @@ def _closed_ab_tables(max_weight: int):
         if len(w) < 2:
             continue
         for u in lyndon_words(len(w) - 1):
-            for v in lyndon_words(len(w) - 1):
-                if len(u) + len(v) != len(w):
-                    continue
+            for v in lyndon_words_of_length(len(w) - len(u)):
                 bval = beta.get((w, v, u), 0)
                 if bval:
                     b[(w, u, v)] = bval

@@ -2,11 +2,12 @@
 
 Planar rooted trivalent trees drive the tree cobracket; averaging it over
 trees with stated per-degree constants and projecting with the Hain projector
-realizes the adjunction unit, which lifts each dual-basis tag to a closed bar
-element whose tensor-degree-1 part is the corresponding model generator.  An
-independent exact linear solver produces the same lifts from their defining
-properties alone; the published normalization of the unit formula is treated
-as a hypothesis and audited against both closedness and the solver.
+realizes the adjunction unit.  It reads each model generator's quadratic
+differential as the dual cobracket and lifts the generator to a closed bar
+element whose tensor-degree-1 part is that generator.  An independent exact
+linear solver produces the same lifts from their defining properties alone;
+the published normalization of the unit formula is treated as a hypothesis
+and audited against both closedness and the solver.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bar import (
     projector_numerators,
     wedge_pair,
 )
-from .colie import cobracket, coefficient_rows, tensor_cobracket, wedge_add
+from .colie import coefficient_rows, wedge_add
 from .dgcore import (
     QUADRATIC_TERMS,
     CdgaPresentation,
@@ -45,10 +46,6 @@ from .linalg import add_term, combine, from_numerators, solve_affine, to_numerat
 from .words import InvalidWordError, is_lyndon, is_lyndon_sequence, lyndon_words
 
 ONE = Fraction(1)
-
-
-class InvalidMorphismError(ValueError):
-    """Raised when a tag-to-generator map is not differential-compatible."""
 
 
 class InfeasibleLiftError(ValueError):
@@ -82,22 +79,21 @@ def enumerate_trees(n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# lift variants: coLie source family, model, and generator map
+# lift variants: generator family and model
 
 
 @dataclass(frozen=True)
 class VariantSpec:
-    family: str  # coLie tag family feeding the lift
     prefix: str  # generator family in the target model
     model: object  # max_weight -> CdgaPresentation
 
 
 VARIANTS = {
-    "plain": VariantSpec("t0", "L0", model_x),
-    "one": VariantSpec("t1", "L1", model_x),
-    "diff": VariantSpec("one", "M", model_a1),
-    "const": VariantSpec("one", "K", model_x),
-    "point": VariantSpec("one", "N", model_point),
+    "plain": VariantSpec("L0", model_x),
+    "one": VariantSpec("L1", model_x),
+    "diff": VariantSpec("M", model_a1),
+    "const": VariantSpec("K", model_x),
+    "point": VariantSpec("N", model_point),
 }
 
 
@@ -105,65 +101,6 @@ def _variant(variant: str) -> VariantSpec:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
     return VARIANTS[variant]
-
-
-def generator_map(variant: str, max_weight: int) -> dict:
-    """tag -> generator name (or None), the slot map of the given lift family; a new dict."""
-    return dict(_generator_map(variant, max_weight))
-
-
-def _slot_families(spec: VariantSpec) -> tuple:
-    """(tag family, generator prefix) of each variant whose generators the
-    differential of this variant's reaches."""
-    reached = {fam for _, *pair in QUADRATIC_TERMS[spec.prefix] for fam in pair}
-    return tuple((s.family, s.prefix) for s in VARIANTS.values() if s.prefix in reached)
-
-
-def _generator_map(variant: str, max_weight: int) -> dict:
-    """The variant's checked slot map, shared by every variant with the same
-    model and slot families (``plain`` and ``one``)."""
-    spec = _variant(variant)
-    return _slot_map(spec.model, max_weight, _slot_families(spec))
-
-
-@lru_cache(maxsize=None)
-def _slot_map(model_of, max_weight: int, slots: tuple) -> dict:
-    """The slot map, None where the model has no generator; built and checked
-    once per model, weight and slot families."""
-    model = model_of(max_weight)
-    gmap = {
-        (family, w): f"{prefix}_{w}" if f"{prefix}_{w}" in model.index else None
-        for w in lyndon_words(max_weight)
-        for family, prefix in slots
-    }
-    check_generator_map(gmap, model)
-    return gmap
-
-
-def check_generator_map(gmap: dict, model: CdgaPresentation) -> None:
-    """Differential compatibility: d(psi(tag)) must be -psi-image of the cobracket.
-
-    Degree-1 generators anticommute, so a ^ b maps to its wedge coefficient whole.
-    """
-    bad = [gen for gen in gmap.values() if gen is not None and model.degree.get(gen) != 1]
-    if bad:
-        raise InvalidMorphismError(f"{bad[0]!r} is not a degree-1 generator of {model.name}")
-    for tag, gen in gmap.items():
-        image: dict = {}
-        for (a, b), c in cobracket({tag: 1}).items():
-            ga, gb = gmap.get(a), gmap.get(b)
-            if ga is None or gb is None:
-                continue
-            prod = model.multiply_monomials((ga,), (gb,))
-            if prod is None:
-                continue
-            s, m = prod
-            add_term(image, m, -s * c)
-        expected = model.differential[gen] if gen is not None else {}
-        if image != expected:
-            raise InvalidMorphismError(
-                f"generator map is not differential-compatible at tag {tag}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -176,57 +113,51 @@ def published_constants(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _tree_sum(tag, n: int) -> tuple:
-    """The sum of the tree cobrackets of ``tag`` over all trees with n leaves, in integers.
+def _tree_sum(model: CdgaPresentation, gen: str, n: int) -> tuple:
+    """The sum of the tree cobrackets of ``gen`` over all trees with n leaves, in integers.
 
-    A tree splits at its root into trees with k and n - k leaves, so with
-    (a, b): c the terms of the tensor cobracket of ``tag``,
-    S(tag, n) = sum_{(a, b)} c * sum_{k=1}^{n-1} S(a, k) @ S(b, n - k).
+    The cobracket is the model's own differential: d(gen) = sum c * x y
+    gives delta(gen) = sum -c * (x @ y - y @ x).  A tree splits at its root
+    into trees with k and n - k leaves, so with (a, b): c the terms of
+    delta(gen), S(gen, n) = sum_{(a, b)} c * sum_{k=1}^{n-1} S(a, k) @ S(b, n - k).
+    Returns the bar words of one-generator slots with their integer
+    coefficients, sorted.
     """
     if n == 1:
-        return (((tag,), 1),)
+        return ((((gen,),), 1),)
     out: dict = {}
-    for (a, b), c in tensor_cobracket({tag: 1}).items():
-        for k in range(1, n):
-            for ka, ca in _tree_sum(a, k):
-                for kb, cb in _tree_sum(b, n - k):
-                    add_term(out, ka + kb, c * ca * cb)
+    for (x, y), c in model.differential[gen].items():
+        if c.denominator != 1:
+            raise ValueError(f"d({gen}) in {model.name} has the non-integral coefficient {c}")
+        for a, b, cab in ((x, y, -c.numerator), (y, x, c.numerator)):
+            for k in range(1, n):
+                for ka, ca in _tree_sum(model, a, k):
+                    for kb, cb in _tree_sum(model, b, n - k):
+                        add_term(out, ka + kb, cab * ca * cb)
     return tuple(sorted(out.items()))
 
 
-def _slotify(tensors, gmap) -> BarElement:
-    """Tensors of tags as bar words of generator slots, keeping the coefficient ring."""
-    out: BarElement = {}
-    for key, c in tensors:
-        gens = [gmap.get(tag) for tag in key]
-        if any(g is None for g in gens):
-            continue
-        add_term(out, tuple((g,) for g in gens), c)
-    return out
+def adjunction_unit(W: str, variant: str, constants=published_constants) -> BarElement:
+    """phi(prefix_W): Hain projection of the constant-weighted tree-cobracket sum.
 
-
-def adjunction_unit(t: dict, variant: str, constants=published_constants) -> BarElement:
-    """phi(t): Hain projection of the constant-weighted tree-cobracket sum.
-
-    Over the variant's model and map at the largest tag weight of ``t``.
-    ``constants`` maps the tensor degree n to the coefficient of the sum over
-    all trees with n leaves; the series truncates at n = weight(t).  The
+    Over the variant's model at weight |W|, whose generator prefix_W is the
+    source.  ``constants`` maps the tensor degree n to the coefficient of the
+    sum over all trees with n leaves; the series truncates at n = |W|.  The
     result need not be closed for arbitrary constants; callers decide what to
     do with a nonzero bar differential.
     """
-    weight = max((len(w) for _, w in t), default=1)
-    model, gmap = _variant(variant).model(weight), _generator_map(variant, weight)
-    for tag in t:
-        if tag not in gmap:
-            raise ValueError(f"the slot map of variant {variant!r} has no tag {tag!r}")
+    spec = _variant(variant)
+    model = spec.model(len(W))
+    gen = f"{spec.prefix}_{W}"
+    if gen not in model.index:
+        raise ValueError(f"{gen} is not a generator of {model.name}")
     total: BarElement = {}
-    for tag, c in t.items():
-        for n in range(1, len(tag[1]) + 1):
-            cn = constants(n)
-            if not cn:
-                continue
-            for word, d in _slotify(_tree_sum(tag, n), gmap).items():
-                add_term(total, word, c * cn * d)
+    for n in range(1, len(W) + 1):
+        cn = constants(n)
+        if not cn:
+            continue
+        for word, d in _tree_sum(model, gen, n):
+            add_term(total, word, cn * d)
     return hain_projector(total, model)
 
 
@@ -235,29 +166,26 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     """Per-degree constants making the unit formula closed, solved exactly.
 
     Normalizes c_1 = 1 (forced by the tensor-degree-1 property) and solves
-    the linear system expressing d_B(phi(tag)) = 0 for every source tag of
-    weight <= max_weight of the principal lift family.  Returns a tuple
+    the linear system expressing d_B(phi(g)) = 0 for every source generator
+    L0_w and L1_w of weight 2..max_weight.  Returns a tuple
     (c_1, ..., c_max_weight), or None if no per-degree constants exist.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     model = model_x(max_weight)
-    gmap = _generator_map("plain", max_weight)
     variables = list(range(2, max_weight + 1))
 
     def equations():
-        # one tag's rows at a time, so the solve stops building tree sums at
-        # the first tag that makes the system inconsistent
+        # one source's rows at a time, so the solve stops building tree sums
+        # at the first source that makes the system inconsistent
         for w in lyndon_words(max_weight):
             if len(w) < 2:
                 continue
             # every degree's d_B(p(...)) is in integers over the same
             # lcm(1..|w|) * D, which each homogeneous row drops
             denom = math.lcm(*range(1, len(w) + 1))
-            for fam in ("t0", "t1"):
-                parts = (
-                    (n, _slotify(_tree_sum((fam, w), n), gmap)) for n in range(1, len(w) + 1)
-                )
+            for gen in (f"L0_{w}", f"L1_{w}"):
+                parts = ((n, dict(_tree_sum(model, gen, n))) for n in range(1, len(w) + 1))
                 for byn in _closedness_rows(parts, model, denom):
                     yield byn, {"closed": -byn.pop(1, 0)}
 
@@ -455,12 +383,11 @@ def lift_LB(W: str, variant: str, method: str = "auto") -> tuple:
 
 @lru_cache(maxsize=None)
 def _lift_LB(W: str, variant: str, method: str) -> tuple:
-    spec = _variant(variant)
+    _variant(variant)
     if len(W) < 2 or not is_lyndon(W):
         raise InvalidWordError(f"{W!r} is not a Lyndon word of weight >= 2")
-    source_tag = (spec.family, W)
     if method == "claim":
-        element = adjunction_unit({source_tag: ONE}, variant)
+        element = adjunction_unit(W, variant)
         report = verify_lift(element, W, variant, LiftReport(W, variant, "claim"))
         if not report.closed:
             report.notes.append("NON-CLOSED with published constants")
@@ -469,9 +396,7 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
     if method == "auto":
         consts = solve_unit_constants(len(W))
         if consts is not None:
-            element = adjunction_unit(
-                {source_tag: ONE}, variant, constants=lambda n: consts[n - 1]
-            )
+            element = adjunction_unit(W, variant, constants=lambda n: consts[n - 1])
             report = verify_lift(element, W, variant, LiftReport(W, variant, "unit"))
             if report.all_ok:
                 return element, report
@@ -679,7 +604,7 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
             _, claim = lift_LB(W, "plain", "claim")
             closed_published &= claim.closed
             pi1_published &= claim.pi1_ok
-            unit = adjunction_unit({("t0", W): ONE}, "plain", constants=lambda n: consts[n - 1])
+            unit = adjunction_unit(W, "plain", constants=lambda n: consts[n - 1])
             closed_solved &= bar_differential(unit, model) == {}
             oracle, n_free = closed_lift_oracle(W, "plain")
             if n_free == 0:

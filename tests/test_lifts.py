@@ -13,9 +13,8 @@ import pytest
 
 from conftest import rescaled
 from lyndonbar import lifts
-from lyndonbar.verify import run_suites
 from lyndonbar.bar import bar_differential, hain_projector, pi1, wedge_pair
-from lyndonbar.colie import coefficient_table, tensor_cobracket
+from lyndonbar.colie import cobracket, coefficient_table, tensor_cobracket
 from lyndonbar.dgcore import (
     QUADRATIC_TERMS,
     CdgaPresentation,
@@ -30,16 +29,13 @@ from lyndonbar.dgcore import (
 from lyndonbar.lifts import (
     VARIANTS,
     InfeasibleLiftError,
-    InvalidMorphismError,
     LiftReport,
     adjunction_unit,
     audit_adjunction_unit,
     bar_transport,
     catalan,
-    check_generator_map,
     closed_lift_oracle,
     enumerate_trees,
-    generator_map,
     geometric_lift,
     lift_LB,
     published_constants,
@@ -182,32 +178,87 @@ def test_cherry_order_independence():
                 assert delta_tree_by_cherries(tree, {tag: ONE}, "last") == ref
 
 
-def test_generator_maps_compatible():
-    for variant in ("plain", "one", "diff", "const", "point"):
-        from lyndonbar.lifts import VARIANTS
+def name_map(variant, max_weight):
+    """tag -> generator name, or None where the variant's model has no such generator.
 
-        spec = VARIANTS[variant]
-        check_generator_map(generator_map(variant, 4), spec.model(4))
+    The tags whose cobracket the variant's model differential is: t0 -> L0
+    and t1 -> L1 over model_x, one -> K, M or N.
+    """
+    spec = VARIANTS[variant]
+    model = spec.model(max_weight)
+    families = {"t0": "L0", "t1": "L1"} if spec.prefix in ("L0", "L1") else {"one": spec.prefix}
+    return {
+        (family, w): f"{prefix}_{w}" if f"{prefix}_{w}" in model.index else None
+        for w in lyndon_words(max_weight)
+        for family, prefix in families.items()
+    }
+
+
+def check_generator_map(gmap: dict, model: CdgaPresentation) -> None:
+    """Differential compatibility: d(psi(tag)) must be -psi-image of the cobracket.
+
+    Degree-1 generators anticommute, so a ^ b maps to its wedge coefficient whole.
+    """
+    bad = [gen for gen in gmap.values() if gen is not None and model.degree.get(gen) != 1]
+    if bad:
+        raise ValueError(f"{bad[0]!r} is not a degree-1 generator of {model.name}")
+    for tag, gen in gmap.items():
+        image: dict = {}
+        for (a, b), c in cobracket({tag: 1}).items():
+            ga, gb = gmap.get(a), gmap.get(b)
+            if ga is None or gb is None:
+                continue
+            prod = model.multiply_monomials((ga,), (gb,))
+            if prod is None:
+                continue
+            s, m = prod
+            add_term(image, m, -s * c)
+        expected = model.differential[gen] if gen is not None else {}
+        if image != expected:
+            raise ValueError(f"generator map is not differential-compatible at tag {tag}")
+
+
+def test_generator_maps_compatible():
+    # the models' differentials are the coLie cobracket by name, for every
+    # variant to weight 8: the one place the unit formula's reading of d as
+    # the dual cobracket is checked against the tag cobracket
+    for variant, spec in VARIANTS.items():
+        for max_weight in range(2, 9):
+            check_generator_map(name_map(variant, max_weight), spec.model(max_weight))
+
+
+@pytest.mark.parametrize("variant, gen", [("plain", "L0_0011"), ("const", "K_0001011")])
+def test_generator_map_check_sees_one_flipped_model_coefficient(variant, gen):
+    spec = VARIANTS[variant]
+    max_weight = len(gen.split("_")[1])
+    base = spec.model(max_weight)
+    diff = {k: dict(v) for k, v in base.differential.items()}
+    monomial = next(iter(diff[gen]))
+    diff[gen][monomial] = -diff[gen][monomial]
+    bad = CdgaPresentation(base.generators, diff, name="bad", validate=False)
+    check_generator_map(name_map(variant, max_weight), base)
+    with pytest.raises(ValueError, match="not differential-compatible"):
+        check_generator_map(name_map(variant, max_weight), bad)
 
 
 def test_incompatible_generator_map_rejected():
-    gmap = generator_map("plain", 3)
+    gmap = name_map("plain", 3)
     gmap[("t0", "01")] = "L1_01"
     gmap[("t1", "01")] = "L0_01"
-    with pytest.raises(InvalidMorphismError):
+    with pytest.raises(ValueError, match="not differential-compatible"):
         check_generator_map(gmap, model_x(3))
 
 
 def test_generator_map_naming_a_non_generator_rejected():
     # L0_0 is killed in model_x: a map naming it raised a bare KeyError
-    gmap = generator_map("plain", 3)
+    gmap = name_map("plain", 3)
     gmap[("t0", "001")] = "L0_0"
-    with pytest.raises(InvalidMorphismError, match="'L0_0' is not a degree-1 generator"):
+    with pytest.raises(ValueError, match="'L0_0' is not a degree-1 generator"):
         check_generator_map(gmap, model_x(3))
 
 
 def reference_generator_map(variant, max_weight):
-    """The slot map as it was written out before it was read from the models."""
+    """The name map written out, with the killed words of the first models."""
     killed = {"plain": ("0",), "one": ("1",)}.get(variant, ("0", "1"))
     prefix = {"diff": "M", "const": "K", "point": "N"}.get(variant)
     gmap = {}
@@ -222,11 +273,13 @@ def reference_generator_map(variant, max_weight):
 
 @pytest.mark.parametrize("max_weight", range(1, 9))
 def test_generator_maps_read_from_the_models(max_weight):
-    # the models have M_0, M_1, N_0 and N_1, which the written-out maps
-    # killed; no table entry has a weight-1 leg, so no lift changes
+    # the name map that the compatibility check reads maps only the models'
+    # killed generators to None, so the check cannot pass by skipping tags:
+    # the models have M_0, M_1, N_0 and N_1, which the first models killed,
+    # and no table entry has a weight-1 leg
     differ = {}
     for variant in lifts.VARIANTS:
-        got, ref = generator_map(variant, max_weight), reference_generator_map(variant, max_weight)
+        got, ref = name_map(variant, max_weight), reference_generator_map(variant, max_weight)
         assert list(got) == list(ref), variant
         differ.update({(variant, tag): gen for tag, gen in got.items() if gen != ref[tag]})
     assert differ == {
@@ -237,67 +290,12 @@ def test_generator_maps_read_from_the_models(max_weight):
     }
 
 
-def test_generator_map_is_fresh_each_call():
-    gmap = generator_map("plain", 3)
-    expected = dict(gmap)
-    gmap[("t0", "001")] = "L0_0"
-    gmap.pop(("t1", "01"))
-    assert generator_map("plain", 3) == expected
-    assert generator_map("plain", 3) is not generator_map("plain", 3)
-
-
-def test_each_generator_map_is_checked_once(monkeypatch):
-    # every check runs while one (model, weight, slot families) map is
-    # built, once per map
-    building, checked = [], []
-    check, build = lifts.check_generator_map, lifts._slot_map
-
-    def recording_check(gmap, model):
-        checked.append(building[-1] if building else None)
-        return check(gmap, model)
-
-    def recording_build(model_of, max_weight, slots):
-        building.append((model_of, max_weight, slots))
-        try:
-            return build(model_of, max_weight, slots)
-        finally:
-            building.pop()
-
-    monkeypatch.setattr(lifts, "check_generator_map", recording_check)
-    monkeypatch.setattr(lifts, "_slot_map", recording_build)
-    build.cache_clear()
-    lifts._lift_LB.cache_clear()
-    assert all(r.status != "fail" for r in run_suites(["lifts", "edqx"], 5))
-    assert checked and None not in checked
-    assert len(checked) == len(set(checked))
-
-
-def test_plain_and_one_share_one_checked_map(monkeypatch):
-    # both read model_x with the slot families t0 and t1, so one map is
-    # built and checked for the two
-    checked = []
-    check = lifts.check_generator_map
-
-    def recording_check(gmap, model):
-        checked.append(model.name)
-        return check(gmap, model)
-
-    monkeypatch.setattr(lifts, "check_generator_map", recording_check)
-    lifts._slot_map.cache_clear()
-    maps = {variant: generator_map(variant, 4) for variant in lifts.VARIANTS}
-    assert lifts._generator_map("plain", 4) is lifts._generator_map("one", 4)
-    assert maps["plain"] == maps["one"] == reference_generator_map("one", 4)
-    assert maps["const"] != maps["plain"]
-    assert sorted(checked) == ["M@4", "N@4", "x@4", "x@4"]
-
-
 def test_unknown_variant_is_a_value_error_naming_the_variants():
     calls = (
         lambda: lift_LB("01", "bogus"),
         lambda: closed_lift_oracle("01", "bogus"),
-        lambda: generator_map("bogus", 3),
         lambda: verify_lift({}, "01", "bogus", LiftReport("01", "bogus", "oracle")),
-        lambda: adjunction_unit({("t0", "01"): ONE}, "bogus"),
+        lambda: adjunction_unit("01", "bogus"),
     )
     message = "unknown variant 'bogus'; expected one of plain, one, diff, const, point"
     for call in calls:
@@ -336,35 +334,37 @@ def test_a_one_letter_word_outside_the_alphabet_is_rejected(monkeypatch, word):
     assert geometric_lift("1") == {(("G_1",),): 1}
 
 
-def test_unit_reads_the_model_at_the_tag_weight():
-    # a model lighter than the tag once gave a wrong, non-empty element
-    tag = ("t0", "0011")
-    gmap, total = generator_map("plain", 4), {}
+def test_unit_reads_the_model_at_the_tag_weight(monkeypatch):
+    # a model lighter than the source once gave a wrong, non-empty element
+    model, total = model_x(4), {}
     for n in range(1, 5):
-        for word, d in lifts._slotify(lifts._tree_sum(tag, n), gmap).items():
+        for word, d in lifts._tree_sum(model, "L0_0011", n):
             add_term(total, word, published_constants(n) * d)
-    unit = adjunction_unit({tag: ONE}, "plain")
-    assert unit == hain_projector(total, model_x(4)) == lift_LB("0011", "plain", "claim")[0]
+    weights = []
+
+    def recording_model_x(max_weight):
+        weights.append(max_weight)
+        return model_x(max_weight)
+
+    monkeypatch.setitem(lifts.VARIANTS, "plain", lifts.VariantSpec("L0", recording_model_x))
+    unit = adjunction_unit("0011", "plain")
+    assert weights == [4]
+    assert unit == hain_projector(total, model) == lift_LB("0011", "plain", "claim")[0]
     assert pi1(unit) == {("L0_0011",): Fraction(1, 2)}
-    assert adjunction_unit({}, "plain") == {}
 
 
-@pytest.mark.parametrize("tag", [("x", "01"), ("t0", "10"), ("one", "0011")])
+@pytest.mark.parametrize("tag", [("plain", "0"), ("one", "1"), ("plain", "10")])
 def test_unit_rejects_a_tag_the_slot_map_does_not_name(monkeypatch, tag):
-    # such tags once gave {} without an error
+    # the source (variant, W) names prefix_W, which the model at weight |W|
+    # must have; the killed L0_0 once gave {} without an error
     def no_work(*args, **kwargs):
         raise AssertionError("a tree sum was built")
 
+    variant, word = tag
+    gen = f"{VARIANTS[variant].prefix}_{word}"
     monkeypatch.setattr(lifts, "_tree_sum", no_work)
-    with pytest.raises(ValueError, match=rf"variant 'plain'.*{tag[0]!r}, {tag[1]!r}"):
-        adjunction_unit({tag: ONE}, "plain")
-
-
-def test_unit_keeps_the_tags_the_slot_map_names_with_none():
-    # t0_0 is killed in model_x, so its tree sum has no slot and adds nothing
-    assert generator_map("plain", 1)[("t0", "0")] is None
-    assert adjunction_unit({("t0", "0"): ONE}, "plain") == {}
-    assert adjunction_unit({("t1", "0"): ONE}, "plain") == {(("L1_0",),): Fraction(1, 2)}
+    with pytest.raises(ValueError, match=rf"^{gen} is not a generator of x@{len(word)}$"):
+        adjunction_unit(word, variant)
 
 
 def test_solved_constants_drop_the_power_of_two():
@@ -390,61 +390,88 @@ def test_solved_constants_drop_the_power_of_two():
 def test_no_per_degree_constants_at_weight_6(monkeypatch):
     assert solve_unit_constants(6) is None
     # the probe streams its rows into the solve, which stops at the first
-    # contradiction: the tree sums of the 42 source tags are built only up
-    # to the ninth, t0:000101.  _tree_sum recurses through the module name,
-    # so from cold caches the recorder also sees the inner calls; it records
-    # only the outermost ones, the probe's own.
+    # contradiction: the tree sums of the 42 source generators are built
+    # only up to the ninth, L0_000101.  _tree_sum recurses through the module
+    # name, so from cold caches the recorder also sees the inner calls; it
+    # records only the outermost ones, the probe's own.
     tree_sum = lifts._tree_sum
     built = []
     depth = 0
 
-    def recording_tree_sum(tag, n):
+    def recording_tree_sum(model, gen, n):
         nonlocal depth
-        if depth == 0 and tag not in built:
-            built.append(tag)
+        if depth == 0:
+            built.append((model, gen, n))
         depth += 1
         try:
-            return tree_sum(tag, n)
+            return tree_sum(model, gen, n)
         finally:
             depth -= 1
 
     monkeypatch.setattr(lifts, "_tree_sum", recording_tree_sum)
     tree_sum.cache_clear()
     assert solve_unit_constants.__wrapped__(6) is None
-    tags = [(fam, w) for w in lyndon_words(6) if len(w) > 1 for fam in ("t0", "t1")]
-    assert len(tags) == 42
-    assert built == tags[:9] and built[-1] == ("t0", "000101")
+    sources = [(f"{p}_{w}", len(w)) for w in lyndon_words(6) if len(w) > 1 for p in ("L0", "L1")]
+    assert len(sources) == 42
+    model = model_x(6)
+    assert built == [(model, gen, n) for gen, w in sources[:9] for n in range(1, w + 1)]
+    assert built[-1] == (model, "L0_000101", 6)
+
+
+def reference_tree_sum(tag, n, gmap) -> dict:
+    """The tag's tree cobrackets summed over the enumerated trees with n leaves,
+    as bar words of generator slots in Fractions, sorted; words with a tag
+    that ``gmap`` sends to None drop out."""
+    out: dict = {}
+    for tree in enumerate_trees(n):
+        for key, c in fraction_delta_tree(tree, tag).items():
+            gens = [gmap.get(t) for t in key]
+            if None not in gens:
+                add_term(out, tuple((g,) for g in gens), c)
+    return dict(sorted(out.items()))
 
 
 def test_integer_tree_sums_match_the_fraction_reference():
-    # the split recursion against the sum over enumerated trees, to weight 7
-    for w in lyndon_words(7):
-        for fam in ("t0", "t1"):
+    # the split recursion over the model's differential against the sum over
+    # enumerated trees of the tag cobracket, to weight 7
+    for variant, spec in VARIANTS.items():
+        model, gmap = spec.model(7), name_map(variant, 7)
+        sources = {gen: tag for tag, gen in gmap.items() if gen}
+        for w in lyndon_words(7):
+            gen = f"{spec.prefix}_{w}"
+            if gen not in sources:
+                continue
             for n in range(1, len(w) + 1):
-                ref: dict = {}
-                for tree in enumerate_trees(n):
-                    for key, c in fraction_delta_tree(tree, (fam, w)).items():
-                        add_term(ref, key, c)
+                ref = reference_tree_sum(sources[gen], n, gmap)
                 assert all(type(c) is Fraction for c in ref.values())
-                got = dict(lifts._tree_sum((fam, w), n))
-                assert all(type(c) is int for c in got.values())
-                assert got == ref, (fam, w, n)
-                slots = lifts._slotify(lifts._tree_sum((fam, w), n), generator_map("plain", 7))
-                assert all(type(c) is int for c in slots.values())
+                got = lifts._tree_sum(model, gen, n)
+                assert all(type(c) is int for _, c in got)
+                assert dict(got) == ref, (gen, n)
+                assert list(dict(got)) == list(ref)
+
+
+def test_tree_sums_reject_a_non_integral_differential():
+    # an isomorphic model whose d(L0_001) has non-integral coefficients: the
+    # integer sums must not truncate them
+    model = rescaled(model_x(3), "rescaled x@3")
+    assert any(c.denominator > 1 for c in model.differential["L0_001"].values())
+    assert lifts._tree_sum(model, "L0_001", 1) == (((("L0_001",),), 1),)
+    with pytest.raises(ValueError, match=r"^d\(L0_001\) in rescaled x@3 has the non-integral"):
+        lifts._tree_sum(model, "L0_001", 2)
 
 
 def fraction_probe_rows(max_weight):
-    """The unit probe's rows through the Fraction projector and differential."""
+    """The unit probe's rows from the tag reference, through the Fraction
+    projector and differential."""
     model = model_x(max_weight)
-    gmap = generator_map("plain", max_weight)
+    gmap = name_map("plain", max_weight)
     for w in lyndon_words(max_weight):
         if len(w) < 2:
             continue
         for fam in ("t0", "t1"):
             rows: dict = {}
             for n in range(1, len(w) + 1):
-                tensors = [(k, Fraction(c)) for k, c in lifts._tree_sum((fam, w), n)]
-                part = hain_projector(lifts._slotify(tensors, gmap), model)
+                part = hain_projector(reference_tree_sum((fam, w), n, gmap), model)
                 for word, c in bar_differential(part, model).items():
                     rows.setdefault(word, {})[n] = c
             for byn in rows.values():
@@ -472,10 +499,10 @@ def test_probe_rows_are_the_fraction_rows_in_integers(monkeypatch, max_weight):
 
 
 def test_unit_on_weight_one_tag():
-    unit = adjunction_unit(
-        {("t0", "1"): ONE}, "plain", constants=lambda n: solve_unit_constants(2)[n - 1]
-    )
+    # weight-1 generators are closed: one slot, weighted by the degree-1 constant
+    unit = adjunction_unit("1", "plain", constants=lambda n: solve_unit_constants(2)[n - 1])
     assert unit == {(("L0_1",),): 1}
+    assert adjunction_unit("0", "one") == {(("L1_0",),): Fraction(1, 2)}
 
 
 def test_weight_two_lift_value():
@@ -866,9 +893,12 @@ def test_adjunction_audit():
 
 
 def test_unit_degree_one_part_is_the_generator_map():
-    gmap = generator_map("plain", 4)
     consts = solve_unit_constants(4)
-    for tag, gen in gmap.items():
-        unit = adjunction_unit({tag: ONE}, "plain", constants=lambda n: consts[n - 1])
-        expected = {} if gen is None else {(gen,): 1}
-        assert pi1(unit) == expected, tag
+    for variant, spec in VARIANTS.items():
+        for W in lyndon_words(4):
+            gen = f"{spec.prefix}_{W}"
+            if gen not in spec.model(len(W)).index:
+                continue
+            solved = adjunction_unit(W, variant, constants=lambda n: consts[n - 1])
+            assert pi1(solved) == {(gen,): 1}, (variant, W)
+            assert pi1(adjunction_unit(W, variant)) == {(gen,): Fraction(1, 2)}, (variant, W)
