@@ -420,15 +420,25 @@ def wedge_pair(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarTensor
     """
     den1, ints1 = to_numerators(b1)
     den2, ints2 = to_numerators(b2)
+    return from_numerators(wedge_numerators(ints1, ints2, p), 2 * den1 * den2)
+
+
+def wedge_numerators(
+    b1: Mapping[BarWord, int], b2: Mapping[BarWord, int], p: CdgaPresentation
+) -> dict:
+    """2 (b1 ^ b2) of elements with integer coefficients, without Fractions.
+
+    A numerator is zero where terms cancel.
+    """
     out: dict = {}
-    right = [(w2, c2, _parity(p, w2)) for w2, c2 in ints2.items()]
-    for w1, c1 in ints1.items():
+    right = [(w2, c2, _parity(p, w2)) for w2, c2 in b2.items()]
+    for w1, c1 in b1.items():
         odd1 = _parity(p, w1)
         for w2, c2, odd2 in right:
             c = c1 * c2
             out[(w1, w2)] = out.get((w1, w2), 0) + c
             out[(w2, w1)] = out.get((w2, w1), 0) + (c if odd1 and odd2 else -c)
-    return from_numerators(out, 2 * den1 * den2)
+    return out
 
 
 def pi1(b: BarElement) -> dict:

@@ -22,12 +22,13 @@ from .bar import (
     BarElement,
     BarTensor,
     bar_differential,
+    check_element,
     delta_Q,
     differential_numerators,
     hain_projector,
     pi1,
     projector_numerators,
-    wedge_pair,
+    wedge_numerators,
 )
 from .colie import coefficient_rows, wedge_add
 from .dgcore import (
@@ -202,12 +203,27 @@ def _closedness_rows(parts, model: CdgaPresentation, denom: int) -> list:
     ``parts`` yields ``(k, part)`` pairs of integer elements, p of each taken
     as numerators over ``denom``.  A row maps k to its word's numerator in
     d_B(p(part_k)); the rows are homogeneous, so the common denominator drops.
+    d_B of each distinct image word is computed once per call, and d_B(p(part_k))
+    is summed from those in integers.  No word repeats within one word's d_B,
+    so nothing cancels there and every word first appears where the d_B of
+    the whole image would first write it.
     """
     rows: dict = {}
+    word_differentials: dict = {}
     for k, part in parts:
-        image = projector_numerators(part, model, denom)
-        for word, c in differential_numerators(image, model)[1].items():
-            rows.setdefault(word, {})[k] = c
+        out: dict = {}
+        for image_word, c in projector_numerators(part, model, denom).items():
+            if not c:  # skipped as d_B of the whole image skips it: no word's place moves
+                continue
+            terms = word_differentials.get(image_word)
+            if terms is None:
+                terms = differential_numerators({image_word: 1}, model)[1].items()
+                word_differentials[image_word] = terms
+            for word, v in terms:
+                out[word] = out.get(word, 0) + c * v
+        for word, c in out.items():
+            if c:
+                rows.setdefault(word, {})[k] = c
     return list(rows.values())
 
 
@@ -295,8 +311,8 @@ def closed_lift_oracle(
         raise InfeasibleLiftError(
             f"no closed projector-fixed lift of {target} exists"
         )
-    # sum c_l p(l) = p(sum c_l l), in integers
-    den, ints = to_numerators(coefficients)
+    # sum c_l p(l) = p(sum c_l l), in integers, over the nonzero c_l
+    den, ints = to_numerators({l: c for l, c in coefficients.items() if c})
     element = from_numerators(projector_numerators(ints, model, denom), den * denom)
     return {w: element[w] for w in sorted(element, key=_slice_order)}, n_free
 
@@ -336,12 +352,20 @@ def table_wedge(W: str, prefix: str, model: CdgaPresentation, slot) -> BarTensor
     without the model's minus sign; ``slot(family, U)`` is the bar element on
     each leg, and the wedges are taken over ``model``.
     """
-    out: BarTensor = {}
+    terms = []
     for table, left, right in QUADRATIC_TERMS[prefix]:
         for u, v, c in coefficient_rows(table, len(W)).get(W, ()):
-            for key, val in wedge_pair(slot(left, u), slot(right, v), model).items():
-                add_term(out, key, c * val)
-    return out
+            den1, ints1 = to_numerators(slot(left, u))
+            den2, ints2 = to_numerators(slot(right, v))
+            terms.append((c, den1 * den2, wedge_numerators(ints1, ints2, model)))
+    # the wedges summed in integers over one denominator
+    den = math.lcm(*(d for _, d, _ in terms))
+    out: dict = {}
+    for c, d, wedge in terms:
+        scale = c * (den // d)
+        for key, val in wedge.items():
+            out[key] = out.get(key, 0) + scale * val
+    return from_numerators(out, 2 * den)
 
 
 def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> LiftReport:
@@ -351,8 +375,13 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     # the desuspended degree of each distinct slot, read once
     degree = {m: model.monomial_degree(m) - 1 for m in set().union(*b)}
     report.degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
-    report.hain_fixed = hain_projector(b, model) == b
-    report.closed = bar_differential(b, model) == {}
+    # p(b) == b and d_B(b) == 0 as integer equalities on b's numerators
+    _, ints = to_numerators(check_element(b))
+    denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
+    image = projector_numerators(ints, model, denom)
+    scaled = {w: denom * c for w, c in ints.items()}
+    report.hain_fixed = {w: c for w, c in image.items() if c} == scaled
+    report.closed = not differential_numerators(ints, model)[1]
     # p keeps tensor length and fixes single slots, so only b's two-slot
     # words reach the (1,1) part of delta_Q(b)
     two_slot = {w: c for w, c in b.items() if len(w) == 2}

@@ -86,10 +86,17 @@ def _subtract(dst: dict, a: int, b: int, src: dict) -> None:
 
 
 def _integer_equation(row: Mapping, rhs: Mapping) -> tuple[dict, dict]:
-    """One equation scaled to integers, as the primitive (row, rhs) pair."""
-    den = math.lcm(*(v.denominator for v in row.values()), *(v.denominator for v in rhs.values()))
-    row = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
-    rhs = {k: v.numerator * (den // v.denominator) for k, v in rhs.items() if v}
+    """One equation scaled to integers, as the primitive (row, rhs) pair.
+
+    An equation whose values are all ints is copied without the lcm.
+    """
+    if {*map(type, row.values()), *map(type, rhs.values())} <= {int}:
+        row = {k: v for k, v in row.items() if v}
+        rhs = {k: v for k, v in rhs.items() if v}
+    else:
+        den = math.lcm(*(v.denominator for v in row.values()), *(v.denominator for v in rhs.values()))
+        row = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+        rhs = {k: v.numerator * (den // v.denominator) for k, v in rhs.items() if v}
     _primitive(row, rhs)
     return row, rhs
 
@@ -117,6 +124,9 @@ def solve_affine(
     row is followed by division by the gcd, and stored rows keep a positive
     lead.  A new pivot is eliminated only from the stored rows that hold its
     variable, found through a column index kept in insertion-ordered dicts.
+    An equation whose primitive row and right-hand side, signed so that the
+    entry of its first variable is positive, equal an earlier equation's
+    entry for entry is implied by it, and is pulled but not reduced again.
     A Fraction is made only for each nonzero solution value; every zero value
     is the shared ``ZERO``.
 
@@ -132,6 +142,9 @@ def solve_affine(
         repeated = [v for v in pos if var_order.count(v) > 1]
         raise ValueError(f"variables {repeated!r} appear more than once in var_order")
     dead: set = set()
+    # the equations taken so far: variables in var_order position, their
+    # values, and the right-hand side's items
+    seen: set = set()
     pivots: dict[K, tuple[dict[K, int], dict[L, int]]] = {}
     # free variable -> {lead: None} for the stored rows that hold it
     holders: dict[K, dict[K, None]] = {}
@@ -143,10 +156,22 @@ def solve_affine(
             unknown = [k for k in row if k not in pos]
             raise ValueError(f"variables {unknown!r} are not in var_order")
         work, work_rhs = _integer_equation(row, rhs)
+        # an equation equal to an earlier one, both primitive with the first
+        # variable's entry positive, is implied by it: it is pulled and skipped
+        order = sorted(work, key=pos.__getitem__)
+        if order and work[order[0]] < 0:
+            for k in order:
+                work[k] = -work[k]
+            for k in work_rhs:
+                work_rhs[k] = -work_rhs[k]
+        key = tuple(order), tuple(map(work.__getitem__, order)), frozenset(work_rhs.items())
+        if key in seen:
+            continue
+        seen.add(key)
         # stored rows hold only their own lead plus free variables, so
         # eliminating one pivot adds no other: the pivots the row holds are
         # listed once
-        for var in sorted([v for v in work if v in pivots], key=pos.__getitem__):
+        for var in [v for v in order if v in pivots]:
             prow, prhs = pivots[var]
             lead, c = prow[var], work[var]
             g = math.gcd(lead, c)

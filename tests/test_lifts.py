@@ -12,9 +12,16 @@ from itertools import product
 import pytest
 
 from conftest import rescaled
-from lyndonbar import lifts
-from lyndonbar.bar import bar_differential, hain_projector, pi1, wedge_pair
-from lyndonbar.colie import cobracket, coefficient_table, tensor_cobracket
+from lyndonbar import dgcore, lifts
+from lyndonbar.bar import (
+    bar_differential,
+    differential_numerators,
+    hain_projector,
+    pi1,
+    projector_numerators,
+    wedge_pair,
+)
+from lyndonbar.colie import cobracket, coefficient_rows, coefficient_table, tensor_cobracket
 from lyndonbar.dgcore import (
     QUADRATIC_TERMS,
     CdgaPresentation,
@@ -47,7 +54,7 @@ from lyndonbar.lifts import (
     verify_geom_basis,
     verify_lift,
 )
-from lyndonbar.linalg import _integer_equation, add_term, solve_affine
+from lyndonbar.linalg import _integer_equation, add_term, solve_affine, to_numerators
 from lyndonbar.words import InvalidWordError, lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
@@ -588,6 +595,87 @@ def test_a_lift_with_one_word_off_degree_zero_is_flagged():
     assert got.degree_zero
 
 
+@pytest.mark.parametrize("delta", [ONE, Fraction(1, 7)])
+def test_a_lift_with_one_coefficient_changed_is_not_hain_fixed(delta):
+    element, report = lift_LB("00101", "plain", "oracle")
+    assert report.all_ok
+    # p fixes no word of two slots or more, so the changed lift is not p-fixed
+    word = next(w for w in element if len(w) > 1)
+    bad = {**element, word: element[word] + delta}
+    assert (to_numerators(bad)[0] % 7 == 0) == (delta == Fraction(1, 7))
+    assert to_numerators(element)[0] % 7
+    got = verify_lift(bad, "00101", "plain", LiftReport("00101", "plain", "oracle"))
+    assert not got.hain_fixed and not got.all_ok
+    assert got.pi1_ok and got.degree_zero
+
+
+def test_a_lift_with_one_extra_degree_zero_word_is_not_closed():
+    element, report = lift_LB("0011", "plain", "oracle")
+    assert report.closed
+    # d_B of the lift is 0, so the extended lift's d_B is the new word's
+    model = model_x(4)
+    word = next(
+        w
+        for w in lifts._degree_zero_words(model, 4)
+        if len(w) > 1 and w not in element and bar_differential({w: ONE}, model)
+    )
+    got = verify_lift({**element, word: ONE}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    assert not got.closed and not got.all_ok
+    assert got.pi1_ok and got.degree_zero
+
+
+@pytest.mark.parametrize(
+    "W, variant", [("01", "plain"), ("0011", "plain"), ("00101", "diff"), ("001011", "point")]
+)
+def test_the_empty_element_reads_closed_and_hain_fixed_only(W, variant):
+    got = verify_lift({}, W, variant, LiftReport(W, variant, "oracle"))
+    flags = (got.pi1_ok, got.hain_fixed, got.degree_zero, got.closed, got.cobracket_ok)
+    assert flags == (False, True, True, True, False)
+
+
+def reference_closedness_rows(parts, model, denom) -> list:
+    """The closedness rows with d_B taken of each part's whole image."""
+    rows: dict = {}
+    for k, part in parts:
+        image = projector_numerators(part, model, denom)
+        for word, c in differential_numerators(image, model)[1].items():
+            rows.setdefault(word, {})[k] = c
+    return list(rows.values())
+
+
+def closedness_rows_against_the_reference(monkeypatch, build, *args) -> int:
+    """Run ``build(*args)`` with every ``_closedness_rows`` call checked, row order and
+    key order included, against the per-part reference; returns the calls made."""
+    calls = []
+    kernel = lifts._closedness_rows
+
+    def checked(parts, model, denom):
+        parts = list(parts)
+        got = kernel(parts, model, denom)
+        ref = reference_closedness_rows(parts, model, denom)
+        assert got == ref
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in ref]
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(lifts, "_closedness_rows", checked)
+    build(*args)
+    return len(calls)
+
+
+@pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
+def test_oracle_closedness_rows_match_the_per_part_reference(monkeypatch, model, weight):
+    solve, presentation = lifts._oracle_solve.__wrapped__, getattr(dgcore, model)(weight)
+    assert closedness_rows_against_the_reference(monkeypatch, solve, presentation, weight) == 1
+
+
+@pytest.mark.parametrize("max_weight", [2, 3, 4, 5, 6])
+def test_probe_closedness_rows_match_the_per_part_reference(monkeypatch, max_weight):
+    probe = solve_unit_constants.__wrapped__
+    assert closedness_rows_against_the_reference(monkeypatch, probe, max_weight) > 0
+
+
 def test_corrupted_model_detected_at_weight_4():
     base = model_x(4)
     diff = {k: dict(v) for k, v in base.differential.items()}
@@ -797,6 +885,39 @@ def test_table_wedge_of_generators_is_the_prescribed_cobracket(variant):
         assert got == reference_prescribed_cobracket_11(W, variant), W
         nonzero += bool(got)
     assert nonzero
+
+
+def reference_table_wedge(W, prefix, model, slot):
+    """The rows' wedges summed one by one in Fractions."""
+    out: dict = {}
+    for table, left, right in QUADRATIC_TERMS[prefix]:
+        for u, v, c in coefficient_rows(table, len(W)).get(W, ()):
+            for key, val in wedge_pair(slot(left, u), slot(right, v), model).items():
+                add_term(out, key, c * val)
+    return out
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_table_wedge_sums_legs_of_different_denominators(variant):
+    """Legs over |U| and |V|, so the rows' wedges have different denominators."""
+    spec = VARIANTS[variant]
+    model = spec.model(6)
+
+    def slot(fam, u):
+        return {((f"{fam}_{u}",),): Fraction(1, len(u)), ((f"{fam}_{u}",), (f"{fam}_{u}",)): ONE}
+
+    for W in lyndon_words_of_length(6):
+        got = table_wedge(W, spec.prefix, model, slot)
+        assert got == reference_table_wedge(W, spec.prefix, model, slot), W
+
+
+def test_table_wedge_of_projected_lifts_matches_the_fraction_sum():
+    for W in lyndon_words(6):
+        if len(W) > 1:
+            model = model_geom(len(W))
+            got = table_wedge(W, "G", model, lambda _, u: geometric_lift(u))
+            assert got == reference_table_wedge(W, "G", model, lambda _, u: geometric_lift(u)), W
+            assert got, W
 
 
 def test_geom_basis_sees_one_flipped_alpha_row(monkeypatch):

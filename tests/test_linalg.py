@@ -8,6 +8,7 @@ pivot, which the column-indexed one replaced.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -320,6 +321,133 @@ def test_mixed_denominator_systems_match_both_references(system):
 def test_large_entry_systems_match_both_references(system):
     equations, var_order = system
     assert_matches_reference(equations, var_order)
+
+
+@st.composite
+def resent_systems(draw, values=integers):
+    """Systems in which some equations arrive again, each time scaled.
+
+    A resent equation is an earlier one with its row and right-hand side
+    multiplied by the same nonzero integer, negative ones included, its row's
+    entries in any order, put anywhere after the equation it repeats.  Returns the equations, the
+    variable order and the positions of the resent equations.
+    """
+    equations, var_order = draw(systems(values))
+    resent = set()
+    for _ in range(draw(st.integers(0, 4))):
+        if not equations:
+            break
+        i = draw(st.integers(0, len(equations) - 1))
+        scale = draw(st.integers(-5, 5).filter(bool))
+        row, rhs = equations[i]
+        keys = draw(st.permutations(list(row)))
+        copy = ({k: scale * row[k] for k in keys}, {k: scale * v for k, v in rhs.items()})
+        j = draw(st.integers(i + 1, len(equations)))
+        equations.insert(j, copy)
+        resent = {k + (k >= j) for k in resent} | {j}
+    return equations, var_order, resent
+
+
+def pulled_rows(solve, equations, var_order):
+    """``solve`` run on ``equations`` as a stream: its result and the number of rows it pulled."""
+    pulled = []
+
+    def stream():
+        for eq in equations:
+            pulled.append(eq)
+            yield eq
+
+    labels = list(dict.fromkeys(label for _, rhs in equations for label in rhs))
+    return solve(stream(), var_order, labels=labels), len(pulled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(resent_systems())
+def test_resent_int_equations_match_the_reference(system):
+    equations, var_order, resent = system
+    got, pulled = pulled_rows(solve_affine, equations, var_order)
+    assert (got, pulled) == pulled_rows(reference_solve_affine, equations, var_order)
+    # a resent equation is implied by the one it repeats, so it never stops the stream
+    assert got[0] is not None or pulled - 1 not in resent
+    assert_matches_reference(equations, var_order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(resent_systems(mixed))
+def test_resent_fraction_equations_match_the_reference(system):
+    equations, var_order, _ = system
+    assert pulled_rows(solve_affine, equations, var_order) == pulled_rows(
+        reference_solve_affine, equations, var_order
+    )
+
+
+def counting_subtractions(monkeypatch) -> list:
+    """Record every row operation ``solve_affine`` makes, as its factors (a, b)."""
+    calls = []
+
+    def counting(dst, a, b, src):
+        calls.append((a, b))
+        _subtract(dst, a, b, src)
+
+    monkeypatch.setattr(linalg, "_subtract", counting)
+    return calls
+
+
+def test_the_same_row_with_another_right_hand_side_is_not_skipped(monkeypatch):
+    calls = counting_subtractions(monkeypatch)
+    equations = [
+        ({"x": 1, "y": 2}, {"a": 1, "b": 1}),
+        ({"x": -2, "y": -4}, {"a": -2, "b": -3}),  # the row again: a agrees, b does not
+    ]
+    solutions, n_free = solve_affine(equations, ["x", "y"], labels=["a", "b"])
+    assert solutions == {"a": {"x": 1, "y": 0}, "b": None} and n_free == 1
+    # the second row was reduced against the first: row and right-hand side
+    assert len(calls) == 2
+    assert_matches_reference(equations, ["x", "y"])
+
+
+def test_the_same_values_on_other_variables_are_not_a_repeat():
+    equations = [({"x": 1, "y": 2}, {"a": 1}), ({"y": 1, "x": 2}, {"a": 1})]
+    solutions, n_free = solve_affine(equations, ["x", "y"], labels=["a"])
+    assert solutions == {"a": {"x": Fraction(1, 3), "y": Fraction(1, 3)}} and n_free == 0
+    assert_matches_reference(equations, ["x", "y"])
+
+
+def test_a_repeat_with_its_entries_in_another_order_is_skipped(monkeypatch):
+    calls = counting_subtractions(monkeypatch)
+    equations = [({"x": 1, "y": 2}, {"a": 1}), ({"y": -4, "x": -2}, {"a": -2})]
+    assert solve_affine(equations, ["x", "y"], labels=["a"]) == ({"a": {"x": 1, "y": 0}}, 1)
+    assert calls == []
+    assert_matches_reference(equations, ["x", "y"])
+
+
+def test_a_repeat_of_a_back_substituted_pivot_row_is_skipped(monkeypatch):
+    """Row 1 is stored with pivot x, then pivot y (row 2) is eliminated from
+    it; its repeat still equals row 1 as it arrived, and is skipped."""
+    calls = counting_subtractions(monkeypatch)
+    equations = [({"x": 1, "y": 1}, {"a": 1}), ({"y": 1}, {"a": 2})]
+    solutions, _ = solve_affine(equations, ["x", "y"], labels=["a"])
+    assert solutions == {"a": {"x": -1, "y": 2}} and len(calls) == 2
+    calls.clear()
+    resent = equations + [({"x": -3, "y": -3}, {"a": -3})]
+    assert solve_affine(resent, ["x", "y"], labels=["a"]) == (solutions, 0)
+    assert len(calls) == 2  # the back-substitution only: the repeat made no row operation
+    assert_matches_reference(resent, ["x", "y"])
+
+
+def test_a_repeat_is_never_the_stopping_row():
+    def stream():
+        yield {"x": 1}, {"a": 1, "b": 1}
+        yield {"x": 1}, {"a": 2, "b": 1}  # kills a
+        yield {"x": -3}, {"a": -6, "b": -3}  # the row that killed a, again
+        yield {"x": 2}, {"a": 4, "b": 2}  # and once more
+        yield {"x": 1}, {"b": 2}  # kills b, the last live label
+        raise AssertionError("a row after the last live label died was pulled")
+
+    assert solve_affine(stream(), ["x"], labels=["a", "b"]) == (None, 0)
+    rows = list(itertools.islice(stream(), 5))
+    assert pulled_rows(solve_affine, rows, ["x"]) == ((None, 0), 5)
+    assert pulled_rows(reference_solve_affine, rows, ["x"]) == ((None, 0), 5)
 
 
 def test_hilbert_system_needs_large_numerators():

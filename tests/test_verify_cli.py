@@ -282,6 +282,25 @@ def test_verify_all_weight_6_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_W6
 
 
+# the same at weight 7, where the lift systems are largest: 5,778 equations
+# over model_x(7), about half of them repeats
+GOLDEN_VERIFY_W7 = "8e59cbb94f59442605bfd122be6bd0c3b3ef9e6ff0ba545e15d1086e5fd93ccf"
+
+
+def test_verify_all_weight_7_matches_golden_digest():
+    src = str(Path(lyndonbar.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "LYNDONBAR_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "lyndonbar", "verify", "--suite", "all", "--max-weight", "7", "--format", "json"],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_VERIFY_W7
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "words.json"
     code, out = run_cli(
