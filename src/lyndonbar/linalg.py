@@ -9,7 +9,6 @@ from typing import Hashable, Iterable, Mapping, TypeVar
 K = TypeVar("K", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
 
-Vec = dict
 ZERO = Fraction(0)  # the value of a free variable in a solution
 
 

@@ -596,7 +596,7 @@ def suite_basis(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     out = [
         _result(
             "projected-cobracket-alpha-form",
-            all(r["cobracket_alpha_form"].values()) and all(r["pairing"].values()),
+            all(r["cobracket_alpha_form"].values()),
             max_weight,
         ),
         _result(

@@ -1,7 +1,7 @@
 """Source guards: every module-level import in the package is used in its
 module, the integer layers make no Fraction, every package name the README
-cites exists, and every module-level function and class is named somewhere
-else in the package or in the README."""
+cites exists, and every module-level function, class and assigned name is
+named somewhere else in the package or in the README."""
 
 from __future__ import annotations
 
@@ -140,22 +140,34 @@ def names_read(tree: ast.AST) -> Counter:
     return counts
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or class, or the
+    plain names an assignment binds (dunders like ``__version__`` excepted)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def unnamed_definitions(sources: dict[str, str], readme: str) -> list[str]:
-    """``module.name`` of each module-level function and class in ``sources``
-    (module name -> source) that nothing outside its own body names, and that
-    no backticked span of ``readme`` names; fenced code blocks are ignored."""
+    """``module.name`` of each module-level function, class and assigned name in
+    ``sources`` (module name -> source) that nothing outside its own statement
+    names, and that no backticked span of ``readme`` names; fenced code blocks
+    are ignored."""
     cited = set()
     for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)):
         cited.update(re.findall(r"[A-Za-z_]\w*", span))
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum(map(names_read, trees.values()), Counter())
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in cited
-        and total[node.name] == names_read(node)[node.name]
+        for name in defined_names(node)
+        if name not in cited and total[name] == names_read(node)[name]
     ]
 
 
@@ -172,6 +184,16 @@ def test_guard_catches_a_dead_definition():
     sources["a"] = sources["a"].replace("return dead\n", "return 1\n")
     assert unnamed_definitions(sources, readme) == ["a.Kept", "a.used", "a.dead"]
     assert unnamed_definitions(sources, "") == ["a.Kept", "a.used", "a.dead", "a.documented"]
+    # module-level assignments, annotated and unpacked ones too
+    sources = {
+        "a": "ONE = 1\nTree = tuple  # a note\nK: int = ONE\nLO, HI = 0, 1\n"
+        "__version__ = '0'\n\ndef f(x: K):\n    return HI\n",
+        "b": "from .a import f\n",
+    }
+    assert unnamed_definitions(sources, "") == ["a.Tree", "a.LO"]
+    assert unnamed_definitions(sources, "`a.Tree`") == ["a.LO"]
+    sources["b"] += "print(a.Tree, LO)\n"
+    assert unnamed_definitions(sources, "") == []
 
 
 def test_every_definition_is_named_outside_itself():

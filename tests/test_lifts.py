@@ -643,37 +643,55 @@ def reference_closedness_rows(parts, model, denom) -> list:
     return list(rows.values())
 
 
-def closedness_rows_against_the_reference(monkeypatch, build, *args) -> int:
+def closedness_rows_against_the_reference(monkeypatch, build, *args) -> list:
     """Run ``build(*args)`` with every ``_closedness_rows`` call checked, row order and
-    key order included, against the per-part reference; returns the calls made."""
+    key order included, against the per-part reference; returns the d_B dict of each call."""
     calls = []
     kernel = lifts._closedness_rows
 
-    def checked(parts, model, denom):
+    def checked(parts, model, denom, word_differentials):
         parts = list(parts)
-        got = kernel(parts, model, denom)
+        got = kernel(parts, model, denom, word_differentials)
         ref = reference_closedness_rows(parts, model, denom)
         assert got == ref
         assert [list(row.items()) for row in got] == [list(row.items()) for row in ref]
-        calls.append(len(got))
+        calls.append(word_differentials)
         return got
 
     monkeypatch.setattr(lifts, "_closedness_rows", checked)
     build(*args)
-    return len(calls)
+    return calls
 
 
 @pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
 @pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
 def test_oracle_closedness_rows_match_the_per_part_reference(monkeypatch, model, weight):
     solve, presentation = lifts._oracle_solve.__wrapped__, getattr(dgcore, model)(weight)
-    assert closedness_rows_against_the_reference(monkeypatch, solve, presentation, weight) == 1
+    assert len(closedness_rows_against_the_reference(monkeypatch, solve, presentation, weight)) == 1
 
 
 @pytest.mark.parametrize("max_weight", [2, 3, 4, 5, 6])
 def test_probe_closedness_rows_match_the_per_part_reference(monkeypatch, max_weight):
     probe = solve_unit_constants.__wrapped__
-    assert closedness_rows_against_the_reference(monkeypatch, probe, max_weight) > 0
+    calls = closedness_rows_against_the_reference(monkeypatch, probe, max_weight)
+    assert calls and all(shared is calls[0] for shared in calls)
+
+
+@pytest.mark.parametrize("max_weight", [5, 6])
+def test_probe_takes_each_image_words_differential_once(monkeypatch, max_weight):
+    # the sources of one probe share their image words, and each word's d_B
+    # is taken once for all of them
+    seen = []
+    kernel = lifts.differential_numerators
+
+    def counted(b, p):
+        seen.extend(b)
+        return kernel(b, p)
+
+    monkeypatch.setattr(lifts, "differential_numerators", counted)
+    solve_unit_constants.__wrapped__(max_weight)
+    assert len(seen) > len(lyndon_words(max_weight))
+    assert len(seen) == len(set(seen))
 
 
 def test_corrupted_model_detected_at_weight_4():
@@ -846,17 +864,18 @@ def flip_one_row(monkeypatch, table, W):
     monkeypatch.setattr(lifts, "coefficient_rows", rows_with_one_flipped)
 
 
-def test_edqx_alpha_beta_form_sees_one_flipped_b_entry(monkeypatch):
-    # a wedge helper that dropped every term once passed every test
-    assert verify_EDQX("0011")["alpha_beta_form"]
+def test_edqx_coefficient_identities_see_one_flipped_b_entry(monkeypatch):
+    assert verify_EDQX("0011")["coefficient_identities"]
     flip_one_row(monkeypatch, "b", "0011")
-    assert not verify_EDQX("0011")["alpha_beta_form"]
+    report = verify_EDQX("0011")
+    assert not report["coefficient_identities"] and not report["ok"]
 
 
-def test_edqx_alpha_beta_form_sees_one_flipped_alpha_row(monkeypatch):
-    assert verify_EDQX("0011")["alpha_beta_form"]
+def test_edqx_coefficient_identities_see_one_flipped_alpha_row(monkeypatch):
+    assert verify_EDQX("0011")["coefficient_identities"]
     flip_one_row(monkeypatch, "alpha", "0011")
-    assert not verify_EDQX("0011")["alpha_beta_form"]
+    report = verify_EDQX("0011")
+    assert not report["coefficient_identities"] and not report["ok"]
 
 
 def reference_prescribed_cobracket_11(W, variant):
@@ -926,6 +945,36 @@ def test_geom_basis_sees_one_flipped_alpha_row(monkeypatch):
     report = verify_geom_basis(4)
     assert not report["cobracket_alpha_form"]["0011"] and not report["ok"]
     assert all(ok for W, ok in report["cobracket_alpha_form"].items() if W != "0011")
+
+
+def change_geometric_lift(monkeypatch, W, change):
+    """Make ``lifts`` read the projected lift of W through ``change`` (word -> new coefficient)."""
+    true_lift = lifts.geometric_lift
+    lift = true_lift(W)
+    changed = {**lift, **change(lift)}
+    monkeypatch.setattr(lifts, "geometric_lift", lambda U: dict(changed) if U == W else true_lift(U))
+
+
+def test_geom_basis_sees_a_degree_one_coefficient_of_two(monkeypatch):
+    change_geometric_lift(monkeypatch, "0011", lambda lift: {(("G_0011",),): 2 * ONE})
+    report = verify_geom_basis(4)
+    assert not report["ok"] and not report["triangular_unital"]["0011"]
+    assert all(ok for W, ok in report["triangular_unital"].items() if W != "0011")
+    assert all(report["cobracket_alpha_form"].values())
+
+
+def test_geom_basis_sees_a_doubled_two_slot_coefficient_through_the_alpha_form(monkeypatch):
+    # the ((G_u), (G_v)) coefficients are checked by the full cobracket
+    # identity: at 001 itself and wherever 001 is a leg
+    def double_one(lift):
+        word = min(w for w in lift if len(w) == 2)
+        return {word: 2 * lift[word]}
+
+    change_geometric_lift(monkeypatch, "001", double_one)
+    report = verify_geom_basis(4)
+    failed = {W for W, ok in report["cobracket_alpha_form"].items() if not ok}
+    assert failed == {"001", "0001", "0011"} and not report["ok"]
+    assert all(report["triangular_unital"].values())
 
 
 def test_edqx_reports_nonzero_beta_diagonal():
