@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .freelie import TableInconsistencyError, alpha_table
+from .freelie import TableInconsistencyError, alpha_table, check_lyndon
 from .ihara import beta_gamma_tables
 from .linalg import add_term
 from .words import lyndon_words, lyndon_words_of_length
@@ -44,8 +44,16 @@ class MixedBasisError(ValueError):
 
 
 def basis_of(t: CoLieElement) -> str | None:
-    """The basis flag shared by all tags of ``t`` (None for the zero element)."""
-    found = {_BASIS_OF_FAMILY[fam] for fam, _ in t}
+    """The basis flag shared by all tags of ``t`` (None for the zero element).
+
+    A tag of an unknown family raises ValueError.
+    """
+    try:
+        found = {_BASIS_OF_FAMILY[fam] for fam, _ in t}
+    except KeyError as exc:
+        raise ValueError(
+            f"unknown tag family {exc.args[0]!r}; expected one of {', '.join(_BASIS_OF_FAMILY)}"
+        ) from None
     if len(found) > 1:
         raise MixedBasisError(f"element mixes bases: {sorted(found)}")
     return found.pop() if found else None
@@ -104,7 +112,8 @@ def _wedge_change_basis(w: WedgeElement, target: str) -> WedgeElement:
 
 @lru_cache(maxsize=None)
 def _x1_tag_cobracket(fam: str, word: str) -> tuple:
-    if len(word) < 2:
+    # a word that is not Lyndon names no tag, and raises on every call
+    if len(check_lyndon(word)) < 2:
         return ()
     # (table, left family, right family): table[W, U, V] * (left, U) ^ (right, V)
     terms = (("alpha", "x", "x"), ("beta", "x", "one")) if fam == "x" else (("gamma", "one", "one"),)
@@ -122,6 +131,8 @@ def cobracket(t: CoLieElement) -> WedgeElement:
     ``sum_{U<V} alpha[W,U,V] (x,U)^(x,V) + sum_{U,V} beta[W,U,V] (x,U)^(one,V)``
     (the beta sum over all ordered pairs, including U = V) and (one, W) maps to
     ``sum_{U<V} gamma[W,U,V] (one,U)^(one,V)``.  Weight-1 tags are closed.
+    A tag whose word is not Lyndon raises NotALieElementError (InvalidWordError
+    for a word that is not binary), and one of an unknown family ValueError.
     """
     source = basis_of(t)
     if source is None:

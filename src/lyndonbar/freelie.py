@@ -9,9 +9,12 @@ Two sparse representations are used side by side:
 
 The Lyndon brackets are a Z-basis of the free Lie ring, so the basis
 elements, their expansions and the alpha table are built with int
-coefficients.  Every operation works in the ring of its inputs: Fraction
-coefficients in give Fraction coefficients out.  Zero coefficients are never
-stored.
+coefficients.  The bracket of two basis elements is computed once, in the
+word algebra, and cached; ``lie_bracket`` is bilinear over those cached
+brackets.  Sums run on integer numerators over one common denominator, and
+every operation works in the ring of its inputs: int coefficients in give
+ints out, and a Fraction coefficient in gives Fractions out.  Zero
+coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .linalg import add_term, combine
+from .linalg import add_term, combine, in_ring_of, to_numerators
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 WordPoly = dict  # word -> int or Fraction
@@ -36,14 +39,25 @@ class TableInconsistencyError(AssertionError):
 
 
 @lru_cache(maxsize=None)
+def check_lyndon(w: str) -> str:
+    """``w`` itself, once it is known to be a Lyndon word, cached.
+
+    Raises :class:`NotALieElementError` for a binary word that is not Lyndon
+    and :class:`InvalidWordError` for a word that is not binary, on every
+    call: exceptions are not cached.
+    """
+    if not is_lyndon(w):
+        raise NotALieElementError(f"{w!r} is not a Lyndon word")
+    return w
+
+
+@lru_cache(maxsize=None)
 def _expand(w: str) -> tuple[tuple[str, int], ...]:
     """The expansion of [w] as sorted (word, coefficient) pairs, cached.
 
     A word that is not Lyndon raises on every call: exceptions are not cached.
     """
-    if not is_lyndon(w):
-        raise NotALieElementError(f"{w!r} is not a Lyndon word")
-    if len(w) == 1:
+    if len(check_lyndon(w)) == 1:
         return ((w, 1),)
     u, v = standard_factorization(w)
     return tuple(sorted(word_commutator(expand(u), expand(v)).items()))
@@ -68,7 +82,13 @@ def word_commutator(p: WordPoly, q: WordPoly) -> WordPoly:
 
 
 def lie_to_word_poly(e: LieElement) -> WordPoly:
-    return combine(*((c, expand(w)) for w, c in e.items()))
+    """The word polynomial of ``e``, summed in integers over one denominator."""
+    den, ints = to_numerators(e)
+    out: WordPoly = {}
+    for w, c in ints.items():
+        for wx, cx in _expand(w):
+            out[wx] = out.get(wx, 0) + c * cx
+    return in_ring_of(out, den, e)
 
 
 def rewrite_in_lyndon(p: WordPoly) -> LieElement:
@@ -77,11 +97,13 @@ def rewrite_in_lyndon(p: WordPoly) -> LieElement:
     The lex-smallest word of expand(W) is W itself with coefficient 1, so
     repeatedly stripping the smallest support word terminates.  A nonzero
     remainder whose smallest word is not Lyndon means ``p`` is not a Lie
-    element.
+    element.  The elimination runs on integer numerators over one
+    denominator.
     """
+    den, ints = to_numerators(p)
     out: LieElement = {}
     by_weight: dict[int, WordPoly] = {}
-    for w, c in p.items():
+    for w, c in ints.items():
         add_term(by_weight.setdefault(len(w), {}), w, c)
     for rest in by_weight.values():
         while rest:
@@ -89,23 +111,56 @@ def rewrite_in_lyndon(p: WordPoly) -> LieElement:
             if not is_lyndon(w):
                 raise NotALieElementError(f"support word {w!r} is not Lyndon")
             c = rest[w]
-            add_term(out, w, c)
+            out[w] = c
             for wx, cx in _expand(w):
                 add_term(rest, wx, -c * cx)
-    return out
+    return in_ring_of(out, den, p)
+
+
+@lru_cache(maxsize=None)
+def _basis_bracket(u: str, v: str) -> tuple[tuple[str, int], ...]:
+    """[[u], [v]] for Lyndon u and v as sorted (Lyndon word, int) pairs, cached.
+
+    Computed once in the word algebra for u < v, as the commutator of the
+    two expansions rewritten into the basis; [[v], [u]] is its negation and
+    [[u], [u]] is empty.
+    """
+    if v < u:
+        return tuple((w, -c) for w, c in _basis_bracket(v, u))
+    if u == v:
+        return ()
+    return tuple(sorted(rewrite_in_lyndon(word_commutator(expand(u), expand(v))).items()))
+
+
+def _bilinear(f: LieElement, g: LieElement, on_basis) -> LieElement:
+    """sum f_U g_V on_basis(U, V), for ``on_basis`` a map from pairs of Lyndon
+    words to (Lyndon word, int) tuples.
+
+    Every key of ``f`` and ``g`` must be a Lyndon word.  The sum runs on
+    integer numerators over one denominator.
+    """
+    for w in (*f, *g):
+        check_lyndon(w)
+    if not f or not g:
+        return {}
+    den_f, ints_f = to_numerators(f)
+    den_g, ints_g = to_numerators(g)
+    out: LieElement = {}
+    for u, cu in ints_f.items():
+        for v, cv in ints_g.items():
+            c = cu * cv
+            for w, cw in on_basis(u, v):
+                out[w] = out.get(w, 0) + c * cw
+    return in_ring_of(out, den_f * den_g, f, g)
 
 
 def lie_bracket(f: LieElement, g: LieElement) -> LieElement:
-    """[f, g], computed in the word algebra and rewritten into the basis."""
-    return rewrite_in_lyndon(
-        word_commutator(lie_to_word_poly(f), lie_to_word_poly(g))
-    )
+    """[f, g] = sum f_U g_V [[U],[V]], bilinear over the cached basis brackets."""
+    return _bilinear(f, g, _basis_bracket)
 
 
 def basis_element(w: str) -> LieElement:
-    if not is_lyndon(w):
-        raise NotALieElementError(f"{w!r} is not a Lyndon word")
-    return {w: 1}
+    return {check_lyndon(w): 1}
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +178,7 @@ def alpha_table(max_weight: int) -> Mapping[tuple[str, str, str], int]:
     for u in ws:
         for v in ws:
             if u < v and len(u) + len(v) <= max_weight:
-                for w, c in lie_bracket(basis_element(u), basis_element(v)).items():
+                for w, c in _basis_bracket(u, v):
                     if c.denominator != 1:
                         raise TableInconsistencyError(
                             f"alpha[{w},{u},{v}] = {c} is not an integer"

@@ -3,8 +3,11 @@
 A special derivation D_f sends X0 to 0 and X1 to [X1, f].  The semidirect sum
 carries two copies of the free Lie algebra: the "x" copy with the free bracket
 and the "1" copy with the Ihara bracket, glued by the action of special
-derivations on the x copy.  Every operation works in the ring of its
-inputs; the beta and gamma tables are built from int basis elements.
+derivations on the x copy.  D_[V]([U]) is computed once per pair of Lyndon
+words, in the word algebra, and cached; ``special_derivation`` is bilinear
+over those cached values, summed on integer numerators over one
+denominator.  Every operation works in the ring of its inputs; the beta and
+gamma tables are built from int basis elements.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from .freelie import (
     LieElement,
     TableInconsistencyError,
     WordPoly,
+    _bilinear,
     basis_element,
     expand,
     lie_bracket,
-    lie_to_word_poly,
     rewrite_in_lyndon,
     word_commutator,
 )
@@ -42,11 +45,23 @@ def _word_derivation(p: WordPoly, image_of_one: WordPoly) -> WordPoly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis_derivation(v: str, u: str) -> tuple[tuple[str, int], ...]:
+    """D_[v]([u]) for Lyndon v and u as sorted (Lyndon word, int) pairs, cached.
+
+    Computed once in the word algebra: the associative derivation with
+    X1 -> [X1, [v]] applied to the expansion of [u], rewritten into the basis.
+    """
+    image_of_one = word_commutator(expand("1"), expand(v))
+    return tuple(sorted(rewrite_in_lyndon(_word_derivation(expand(u), image_of_one)).items()))
+
+
 def special_derivation(f: LieElement, g: LieElement) -> LieElement:
-    """D_f(g): the derivation with D_f(X0) = 0, D_f(X1) = [X1, f]."""
-    fp = lie_to_word_poly(f)
-    image_of_one = word_commutator(expand("1"), fp)
-    return rewrite_in_lyndon(_word_derivation(lie_to_word_poly(g), image_of_one))
+    """D_f(g) = sum f_V g_U D_[V]([U]): the derivation with D_f(X0) = 0, D_f(X1) = [X1, f].
+
+    Bilinear over the cached derivations of basis pairs.
+    """
+    return _bilinear(f, g, _basis_derivation)
 
 
 def ihara_bracket(f: LieElement, g: LieElement) -> LieElement:

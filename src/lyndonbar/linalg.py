@@ -61,6 +61,17 @@ def from_numerators(ints: Mapping, den: int) -> dict:
     return {k: fractions[v] for k, v in ints.items() if v}
 
 
+def in_ring_of(ints: Mapping, den: int, *inputs: Mapping) -> dict:
+    """Integer numerators over ``den`` in the ring of ``inputs``, dropping zeros.
+
+    Ints when every coefficient of every input is an int (``den`` is then
+    1), and Fractions, through ``from_numerators``, when any is a Fraction.
+    """
+    if all(type(c) is int for vec in inputs for c in vec.values()):
+        return {k: v for k, v in ints.items() if v}
+    return from_numerators(ints, den)
+
+
 def _primitive(row: dict, rhs: dict) -> None:
     """Divide an integer equation by the gcd of all its entries, in place."""
     g = math.gcd(*row.values(), *rhs.values())

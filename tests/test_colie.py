@@ -20,7 +20,13 @@ from lyndonbar.colie import (
     coefficient_table,
     tensor_cobracket,
 )
-from lyndonbar.freelie import TableInconsistencyError, alpha_table, basis_element, lie_bracket
+from lyndonbar.freelie import (
+    NotALieElementError,
+    TableInconsistencyError,
+    alpha_table,
+    basis_element,
+    lie_bracket,
+)
 from lyndonbar.ihara import (
     SemidirectElement,
     beta_gamma_tables,
@@ -28,7 +34,7 @@ from lyndonbar.ihara import (
     special_derivation,
 )
 from lyndonbar.linalg import combine
-from lyndonbar.words import lyndon_words
+from lyndonbar.words import InvalidWordError, lyndon_words
 
 ONE = Fraction(1)
 
@@ -87,6 +93,26 @@ def test_change_basis_round_trip():
 def test_mixed_basis_rejected():
     with pytest.raises(MixedBasisError):
         basis_of({("x", "0"): ONE, ("t0", "1"): ONE})
+
+
+@pytest.mark.parametrize(
+    "tag, error, message",
+    [
+        (("x", "10"), NotALieElementError, "'10' is not a Lyndon word"),
+        (("one", "0110"), NotALieElementError, "'0110' is not a Lyndon word"),
+        (("t1", "110"), NotALieElementError, "'110' is not a Lyndon word"),
+        (("x", "2"), InvalidWordError, "letters outside"),
+        (("q", "01"), ValueError, "unknown tag family 'q'; expected one of x, one, t0, t1"),
+    ],
+)
+def test_a_tag_that_names_no_basis_element_is_rejected(tag, error, message):
+    # once cached as closed, such a tag stayed closed; exceptions are not cached
+    for call in (cobracket, tensor_cobracket, co_jacobi_defect):
+        for element in ({tag: 1}, {tag: ONE, (tag[0], "0"): 1}):
+            for _ in range(2):
+                with pytest.raises(error, match=message):
+                    call(element)
+    assert cobracket({("x", "01"): 1}) == {(("x", "0"), ("x", "1")): 1, (("x", "1"), ("one", "0")): 1}
 
 
 def test_duality_pairing_matches_structure_constants():

@@ -25,6 +25,7 @@ from lyndonbar.linalg import (
     add_term,
     combine,
     from_numerators,
+    in_ring_of,
     solve_affine,
     to_numerators,
 )
@@ -731,3 +732,15 @@ def test_from_numerators_builds_one_fraction_per_distinct_numerator(monkeypatch)
     assert got == {k: Fraction(v, 6) for k, v in ints.items() if v}
     assert list(got) == ["a", "b", "c", "e", "f", "g"]
     assert got["a"] is got["c"] is got["g"] and got["b"] is got["f"]
+
+
+def test_in_ring_of_gives_ints_only_for_int_inputs():
+    ints = {"a": 3, "b": 0, "c": -2}
+    got = in_ring_of(ints, 1, {"x": 1}, {"y": -4, "z": 2})
+    assert got == {"a": 3, "c": -2} and all(type(c) is int for c in got.values())
+    # a Fraction anywhere in the inputs, even one with denominator 1
+    for inputs in (({"x": Fraction(1)},), ({"x": 1}, {"y": Fraction(1, 2)})):
+        got = in_ring_of(ints, 2, *inputs)
+        assert got == {"a": Fraction(3, 2), "c": -1}
+        assert all(type(c) is Fraction for c in got.values())
+    assert in_ring_of({}, 1) == {} and in_ring_of({"a": 5}, 1) == {"a": 5}

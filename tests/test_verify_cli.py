@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lyndonbar
-from lyndonbar import bar, cli, verify
+from lyndonbar import bar, cli, freelie, ihara, verify
 from lyndonbar.cli import build_parser, main
 from lyndonbar.colie import TABLE_NAMES
 from lyndonbar.verify import run_suites
@@ -41,6 +41,32 @@ def test_the_antisymmetry_check_sees_a_cobracket_without_its_mirror(monkeypatch)
 
     monkeypatch.setattr(bar, "delta_Q", without_mirror)
     assert status() == "fail"
+
+
+def test_the_jacobi_check_sees_one_negated_basis_bracket(monkeypatch):
+    # [[0], [01]] = [001], and with it [[01], [0]], is read by the check's
+    # (0, 01, 1) triple; every other check stays as it was
+    def statuses():
+        return {r.check: r.status for r in run_suites(["lie"], max_weight=6)}
+
+    assert set(statuses().values()) == {"pass"}
+    cached = freelie._basis_bracket
+    assert cached("0", "01") == (("001", 1),)
+
+    def negated(u, v):
+        return (("001", -1),) if (u, v) == ("0", "01") else cached(u, v)
+
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(freelie, "_basis_bracket", negated)
+            got = statuses()
+    finally:
+        # what was built while the bracket was negated must not stay cached
+        freelie._basis_bracket.cache_clear()
+        freelie.alpha_table.cache_clear()
+        ihara.beta_gamma_tables.cache_clear()
+    assert [check for check, status in got.items() if status != "pass"] == ["jacobi-identity"]
+    assert set(statuses().values()) == {"pass"}
 
 
 def test_a_suite_named_twice_runs_once(capsys):
@@ -299,6 +325,26 @@ def test_verify_all_weight_7_matches_golden_digest():
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_VERIFY_W7
+
+
+# sha256 of the stdout of `coeffs --family F --max-weight 8 --format json`,
+# recorded before the brackets became bilinear over cached basis pairs
+GOLDEN_TABLES_W8 = {
+    "alpha": "82ff1c4fdbc3a15679f431602204c0e6b5fe841d0549f3cf6e2657958a3e8823",
+    "beta": "c1cbbdfdeca919376646e3b72334469e4de13d262c7697660ea0b70b158791d1",
+    "gamma": "42fbba3cf25ea23e369faff02c2d839fbe8a7099e1d2c622407072c410a56356",
+    "a": "42fbba3cf25ea23e369faff02c2d839fbe8a7099e1d2c622407072c410a56356",
+    "b": "6a2839eda3158f833e8be191791353ae02591b97f487840e3f4f27dd15e4e37b",
+    "aprime": "fed5f81cfbbff0152a41d5d6ded88a7ea7b9b532c19fc461a55e5a872f0dbc33",
+    "bprime": "132c56dbb8af71f6a2c8f5cc285b879636412ea01cc07442fbb8399db795a054",
+}
+
+
+@pytest.mark.parametrize("family", TABLE_NAMES)
+def test_weight_8_tables_match_golden_digests(capsys, family):
+    code, out = run_cli(capsys, "coeffs", "--family", family, "--max-weight", "8", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLES_W8[family]
 
 
 def test_out_file(tmp_path, capsys):
