@@ -78,10 +78,16 @@ def wedge_add(out: WedgeElement, a: Tag, b: Tag, coeff: int | Fraction) -> None:
 
 
 def change_basis(t: CoLieElement, target: str) -> CoLieElement:
-    """Invertible change between the x1 and t01 bases (round trip is identity)."""
+    """Invertible change between the x1 and t01 bases (round trip is identity).
+
+    A tag whose word is not Lyndon raises NotALieElementError (InvalidWordError
+    for a word that is not binary), as in :func:`cobracket`.
+    """
     if target not in ("x1", "t01"):
         raise ValueError(f"unknown basis {target!r}")
     source = basis_of(t)
+    for _, word in t:
+        check_lyndon(word)
     if source is None or source == target:
         return dict(t)
     out: CoLieElement = {}

@@ -4,10 +4,11 @@ A special derivation D_f sends X0 to 0 and X1 to [X1, f].  The semidirect sum
 carries two copies of the free Lie algebra: the "x" copy with the free bracket
 and the "1" copy with the Ihara bracket, glued by the action of special
 derivations on the x copy.  D_[V]([U]) is computed once per pair of Lyndon
-words, in the word algebra, and cached; ``special_derivation`` is bilinear
-over those cached values, summed on integer numerators over one
-denominator.  Every operation works in the ring of its inputs; the beta and
-gamma tables are built from int basis elements.
+words, by Leibniz over the standard factorization of U from the cached
+brackets, and cached; ``special_derivation`` is bilinear over those cached
+values, summed on integer numerators over one denominator.  Every operation
+works in the ring of its inputs; the beta and gamma tables are built from
+int basis elements.
 """
 
 from __future__ import annotations
@@ -20,40 +21,33 @@ from types import MappingProxyType
 from .freelie import (
     LieElement,
     TableInconsistencyError,
-    WordPoly,
+    _basis_bracket,
     _bilinear,
     basis_element,
-    expand,
     lie_bracket,
-    rewrite_in_lyndon,
-    word_commutator,
 )
-from .linalg import add_term, combine
-from .words import lyndon_words
-
-
-def _word_derivation(p: WordPoly, image_of_one: WordPoly) -> WordPoly:
-    """Associative derivation with X0 -> 0 and X1 -> image_of_one, applied to p."""
-    out: WordPoly = {}
-    for w, c in p.items():
-        for i, letter in enumerate(w):
-            if letter != "1":
-                continue
-            prefix, suffix = w[:i], w[i + 1 :]
-            for m, cm in image_of_one.items():
-                add_term(out, prefix + m + suffix, c * cm)
-    return out
+from .linalg import combine
+from .words import lyndon_words, standard_factorization
 
 
 @lru_cache(maxsize=None)
 def _basis_derivation(v: str, u: str) -> tuple[tuple[str, int], ...]:
     """D_[v]([u]) for Lyndon v and u as sorted (Lyndon word, int) pairs, cached.
 
-    Computed once in the word algebra: the associative derivation with
-    X1 -> [X1, [v]] applied to the expansion of [u], rewritten into the basis.
+    By Leibniz over the standard factorization u = u1 u2, from cached
+    brackets: D[u] = [D[u1], [u2]] + [[u1], D[u2]], D(X0) = 0 and
+    D(X1) = [[1], [v]].
     """
-    image_of_one = word_commutator(expand("1"), expand(v))
-    return tuple(sorted(rewrite_in_lyndon(_word_derivation(expand(u), image_of_one)).items()))
+    if u == "0":
+        return ()
+    if u == "1":
+        return _basis_bracket("1", v)
+    u1, u2 = standard_factorization(u)
+    out = combine(
+        (1, lie_bracket(dict(_basis_derivation(v, u1)), basis_element(u2))),
+        (1, lie_bracket(basis_element(u1), dict(_basis_derivation(v, u2)))),
+    )
+    return tuple(sorted(out.items()))
 
 
 def special_derivation(f: LieElement, g: LieElement) -> LieElement:

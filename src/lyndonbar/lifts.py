@@ -176,7 +176,6 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
         raise ValueError("max_weight must be >= 1")
     model = model_x(max_weight)
     variables = list(range(2, max_weight + 1))
-    word_differentials: dict = {}  # shared by every source: one d_B per image word
 
     def equations():
         # one source's rows at a time, so the solve stops building tree sums
@@ -184,12 +183,12 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
         for w in lyndon_words(max_weight):
             if len(w) < 2:
                 continue
-            # every degree's d_B(p(...)) is in integers over the same
+            # every degree's p(d_B(...)) is in integers over the same
             # lcm(1..|w|) * D, which each homogeneous row drops
             denom = math.lcm(*range(1, len(w) + 1))
             for gen in (f"L0_{w}", f"L1_{w}"):
                 parts = ((n, dict(_tree_sum(model, gen, n))) for n in range(1, len(w) + 1))
-                for byn in _closedness_rows(parts, model, denom, word_differentials):
+                for byn in _closedness_rows(parts, model, denom):
                     yield byn, {"closed": -byn.pop(1, 0)}
 
     solutions, _ = solve_affine(equations(), variables, labels=["closed"])
@@ -199,32 +198,20 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     return (ONE,) + tuple(solution[n] for n in variables)
 
 
-def _closedness_rows(parts, model: CdgaPresentation, denom: int, word_differentials: dict) -> list:
-    """The rows of d_B(p(sum_k x_k part_k)) = 0, in the order their words first appear.
+def _closedness_rows(parts, model: CdgaPresentation, denom: int) -> list:
+    """The rows of p(d_B(sum_k x_k part_k)) = 0, in the order their words first appear.
 
-    ``parts`` yields ``(k, part)`` pairs of integer elements, p of each taken
-    as numerators over ``denom``.  A row maps k to its word's numerator in
-    d_B(p(part_k)); the rows are homogeneous, so the common denominator drops.
-    d_B of each distinct image word is computed once and kept in
-    ``word_differentials`` (image word -> its d_B terms over ``model``), which
-    a caller may share between calls over the same model; d_B(p(part_k)) is
-    summed from those in integers.  No word repeats within one word's d_B,
-    so nothing cancels there and every word first appears where the d_B of
-    the whole image would first write it.
+    ``parts`` yields ``(k, part)`` pairs of integer elements.  Each part's d_B
+    is taken once, in integers, and p of it as numerators over ``denom``: p is
+    a chain map, so these are the rows of d_B(p(sum_k x_k part_k)) = 0, and
+    d_B keeps or shortens words, so ``denom`` serves p of the d_B too.  A row
+    maps k to its word's numerator in p(d_B(part_k)); the rows are
+    homogeneous, so the common denominators drop.
     """
     rows: dict = {}
     for k, part in parts:
-        out: dict = {}
-        for image_word, c in projector_numerators(part, model, denom).items():
-            if not c:  # skipped as d_B of the whole image skips it: no word's place moves
-                continue
-            terms = word_differentials.get(image_word)
-            if terms is None:
-                terms = differential_numerators({image_word: 1}, model)[1].items()
-                word_differentials[image_word] = terms
-            for word, v in terms:
-                out[word] = out.get(word, 0) + c * v
-        for word, c in out.items():
+        boundary = differential_numerators(part, model)[1]
+        for word, c in projector_numerators(boundary, model, denom).items():
             if c:
                 rows.setdefault(word, {})[k] = c
     return list(rows.values())
@@ -272,8 +259,8 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     basis of the image of Hain's projector p.  So only the tensor-degree-1
     rows (one label per generator of this weight, c_g = 1 for its own label)
     and the closedness rows d_B(sum c_l p(l)) = 0 remain.  The rows are
-    built in integers, from each p(l) as numerators over ``denom``, a
-    multiple of lcm(1..len(l)) for every l.
+    built in integers, as p(d_B(l)) over ``denom``, a multiple of
+    lcm(1..len(l)) for every l.
 
     Returns ``(denom, solutions, n_free)``: the coefficients per generator
     name from :func:`solve_affine` (None where that generator has no lift),
@@ -283,7 +270,7 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     denom = math.lcm(*range(1, max(map(len, lyndon)) + 1))
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
     equations = [({((g,),): 1}, {g: 1}) for g in labels]
-    rows = _closedness_rows(((w, {w: 1}) for w in lyndon), model, denom, {})
+    rows = _closedness_rows(((w, {w: 1}) for w in lyndon), model, denom)
     equations.extend((row, {}) for row in rows)
     solutions, n_free = solve_affine(equations, lyndon, labels=labels)
     return denom, solutions or {}, n_free

@@ -1,8 +1,9 @@
 """The bilinear brackets against the word-algebra references.
 
 ``lie_bracket`` and ``special_derivation`` read each pair of basis elements
-off a cached (Lyndon word, int) tuple.  The references below are the
-word-algebra routes they replaced: expand both arguments, multiply in the
+off a cached (Lyndon word, int) tuple; the derivations are built by Leibniz
+from the cached brackets.  The references below are the word-algebra
+routes: expand both arguments, multiply (or derive letter by letter) in the
 word algebra and rewrite the result into the Lyndon basis.
 """
 
@@ -23,8 +24,8 @@ from lyndonbar.freelie import (
     rewrite_in_lyndon,
     word_commutator,
 )
-from lyndonbar.ihara import _word_derivation, ihara_bracket, special_derivation
-from lyndonbar.linalg import combine
+from lyndonbar.ihara import ihara_bracket, special_derivation
+from lyndonbar.linalg import add_term, combine
 from lyndonbar.words import InvalidWordError, lyndon_words
 
 MAX_WEIGHT = 7
@@ -35,10 +36,23 @@ def reference_lie_bracket(f, g):
     return rewrite_in_lyndon(word_commutator(lie_to_word_poly(f), lie_to_word_poly(g)))
 
 
+def word_derivation(p, image_of_one):
+    """Associative derivation with X0 -> 0 and X1 -> image_of_one, applied to p."""
+    out: dict = {}
+    for w, c in p.items():
+        for i, letter in enumerate(w):
+            if letter != "1":
+                continue
+            prefix, suffix = w[:i], w[i + 1 :]
+            for m, cm in image_of_one.items():
+                add_term(out, prefix + m + suffix, c * cm)
+    return out
+
+
 def reference_special_derivation(f, g):
     """D_f(g), with D_f(X1) = [X1, f] applied letter by letter in the word algebra."""
     image_of_one = word_commutator(expand("1"), lie_to_word_poly(f))
-    return rewrite_in_lyndon(_word_derivation(lie_to_word_poly(g), image_of_one))
+    return rewrite_in_lyndon(word_derivation(lie_to_word_poly(g), image_of_one))
 
 
 def reference_ihara_bracket(f, g):

@@ -115,6 +115,23 @@ def test_a_tag_that_names_no_basis_element_is_rejected(tag, error, message):
     assert cobracket({("x", "01"): 1}) == {(("x", "0"), ("x", "1")): 1, (("x", "1"), ("one", "0")): 1}
 
 
+@pytest.mark.parametrize(
+    "tag, error, message",
+    [
+        (("t1", "10"), NotALieElementError, "'10' is not a Lyndon word"),
+        (("x", "0110"), NotALieElementError, "'0110' is not a Lyndon word"),
+        (("t0", "2"), InvalidWordError, "letters outside"),
+    ],
+)
+def test_change_basis_rejects_a_tag_that_names_no_basis_element(tag, error, message):
+    # such a tag was relabelled, while cobracket rejects it
+    for target in ("x1", "t01"):
+        for element in ({tag: 1}, {(tag[0], "01"): 1, tag: ONE}):
+            with pytest.raises(error, match=message):
+                change_basis(element, target)
+    assert change_basis({("t1", "01"): 1}, "x1") == {("x", "01"): 1, ("one", "01"): -1}
+
+
 def test_duality_pairing_matches_structure_constants():
     words = lyndon_words(5)
     basis = [(fam, u) for u in words for fam in ("x", "one")]
