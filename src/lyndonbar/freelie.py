@@ -11,7 +11,8 @@ The Lyndon brackets are a Z-basis of the free Lie ring, so the basis
 elements, their expansions and the alpha table are built with int
 coefficients.  The bracket of two basis elements is computed once, in the
 word algebra, and cached; ``lie_bracket`` is bilinear over those cached
-brackets.  Sums run on integer numerators over one common denominator, and
+brackets.  The bracket expansion also serves Lyndon tuples over any
+ordered alphabet, such as the slot sequences of bar words.  Sums run on integer numerators over one common denominator, and
 every operation works in the ring of its inputs: int coefficients in give
 ints out, and a Fraction coefficient in gives Fractions out.  Zero
 coefficients are never stored.
@@ -24,7 +25,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .linalg import add_term, combine, in_ring_of, to_numerators
-from .words import is_lyndon, lyndon_words, standard_factorization
+from .words import is_lyndon, is_lyndon_sequence, lyndon_words, standard_factorization
 
 WordPoly = dict  # word -> int or Fraction
 LieElement = dict  # Lyndon word -> int or Fraction
@@ -52,18 +53,25 @@ def check_lyndon(w: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _expand(w: str) -> tuple[tuple[str, int], ...]:
+def _expand(w) -> tuple:
     """The expansion of [w] as sorted (word, coefficient) pairs, cached.
 
-    A word that is not Lyndon raises on every call: exceptions are not cached.
+    ``w`` is a binary Lyndon word, or a Lyndon tuple over any totally ordered
+    alphabet (such as a bar word's slots); both are split by their standard
+    factorization and concatenated the same way.  A word that is not Lyndon
+    raises on every call: exceptions are not cached.
     """
-    if len(check_lyndon(w)) == 1:
+    if isinstance(w, str):
+        check_lyndon(w)
+    elif not w or not is_lyndon_sequence(w):
+        raise NotALieElementError(f"{w!r} is not a Lyndon sequence")
+    if len(w) == 1:
         return ((w, 1),)
     u, v = standard_factorization(w)
     return tuple(sorted(word_commutator(expand(u), expand(v)).items()))
 
 
-def expand(w: str) -> WordPoly:
+def expand(w) -> WordPoly:
     """Noncommutative expansion of the Lyndon bracket [w], via [u, v] = uv - vu."""
     return dict(_expand(w))
 

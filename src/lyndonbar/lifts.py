@@ -13,10 +13,12 @@ and audited against both closedness and the solver.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
+from types import MappingProxyType
 
 from .bar import (
     BarElement,
@@ -43,6 +45,7 @@ from .dgcore import (
     model_x,
     transport,
 )
+from .freelie import expand
 from .linalg import add_term, combine, from_numerators, solve_affine, to_numerators
 from .words import InvalidWordError, is_lyndon, is_lyndon_sequence, lyndon_words
 
@@ -169,7 +172,10 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
 
     Normalizes c_1 = 1 (forced by the tensor-degree-1 property) and solves
     the linear system expressing d_B(phi(g)) = 0 for every source generator
-    L0_w and L1_w of weight 2..max_weight.  Returns a tuple
+    L0_w and L1_w of weight 2..max_weight.  phi(g) is p of the constant-
+    weighted tree sums and p is a chain map, so a source's rows are those of
+    p(d_B(sum_n c_n S(g, n))) = 0, built by :func:`_closedness_rows` as
+    pairings with Lyndon brackets, without p.  Returns a tuple
     (c_1, ..., c_max_weight), or None if no per-degree constants exist.
     """
     if max_weight < 1:
@@ -183,12 +189,9 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
         for w in lyndon_words(max_weight):
             if len(w) < 2:
                 continue
-            # every degree's p(d_B(...)) is in integers over the same
-            # lcm(1..|w|) * D, which each homogeneous row drops
-            denom = math.lcm(*range(1, len(w) + 1))
             for gen in (f"L0_{w}", f"L1_{w}"):
                 parts = ((n, dict(_tree_sum(model, gen, n))) for n in range(1, len(w) + 1))
-                for byn in _closedness_rows(parts, model, denom):
+                for byn in _closedness_rows(parts, model):
                     yield byn, {"closed": -byn.pop(1, 0)}
 
     solutions, _ = solve_affine(equations(), variables, labels=["closed"])
@@ -198,23 +201,67 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     return (ONE,) + tuple(solution[n] for n in variables)
 
 
-def _closedness_rows(parts, model: CdgaPresentation, denom: int) -> list:
-    """The rows of p(d_B(sum_k x_k part_k)) = 0, in the order their words first appear.
+def _closedness_rows(parts, model: CdgaPresentation) -> list:
+    """The rows of p(d_B(sum_k x_k part_k)) = 0, as pairings with Lyndon brackets.
 
-    ``parts`` yields ``(k, part)`` pairs of integer elements.  Each part's d_B
-    is taken once, in integers, and p of it as numerators over ``denom``: p is
-    a chain map, so these are the rows of d_B(p(sum_k x_k part_k)) = 0, and
-    d_B keeps or shortens words, so ``denom`` serves p of the d_B too.  A row
-    maps k to its word's numerator in p(d_B(part_k)); the rows are
-    homogeneous, so the common denominators drop.
+    ``parts`` yields ``(k, part)`` pairs of integer elements of degree 0, and
+    each part's d_B is taken once, in integers.  Every word of it has one odd
+    slot, the one the differential or the product wrote, so p acts on it
+    without Koszul signs, as the dual of the ungraded first Eulerian
+    idempotent; its kernel is then the proper shuffles, the orthogonal
+    complement of the free Lie algebra on the slots (Ree).  So p(y) = 0 iff
+    <y, P_L> = 0 for the Lyndon brackets P_L of every content y has, and the
+    row of L maps k to <d_B(part_k), P_L>.  The rows are homogeneous, so the
+    differential's denominator drops; they come in the order their L first
+    appear, and a row that cancels to zero is left out.  Raises
+    :class:`ValueError` on a boundary word with more than one odd slot.
     """
     rows: dict = {}
+    pairings: dict = {}  # boundary word -> ((row key, <word, P_L>), ...)
+    odd: dict = {}  # slot -> the parity of its desuspended degree
     for k, part in parts:
-        boundary = differential_numerators(part, model)[1]
-        for word, c in projector_numerators(boundary, model, denom).items():
-            if c:
-                rows.setdefault(word, {})[k] = c
-    return list(rows.values())
+        for word, c in differential_numerators(part, model)[1].items():
+            pairs = pairings.get(word)
+            if pairs is None:
+                for m in word:
+                    if m not in odd:
+                        odd[m] = (model.monomial_degree(m) - 1) % 2
+                if sum(map(odd.__getitem__, word)) > 1:
+                    raise ValueError(f"the bar word {word!r} has more than one odd slot")
+                pairs = pairings[word] = _word_pairings(word)
+            for key, v in pairs:
+                row = rows.setdefault(key, {})
+                row[k] = row.get(k, 0) + c * v
+    return [r for r in ({k: v for k, v in row.items() if v} for row in rows.values()) if r]
+
+
+def _word_pairings(word) -> tuple:
+    """The nonzero <word, P_L> of a bar word, keyed (its sorted letters, L in codes).
+
+    The letters are the word's distinct slots, coded by their rank.
+    """
+    letters = tuple(sorted(set(word)))
+    rank = {m: i for i, m in enumerate(letters)}
+    codes = tuple(map(rank.__getitem__, word))
+    pairs = _lyndon_pairings(tuple(sorted(codes))).get(codes, ())
+    return tuple(((letters, L), v) for L, v in pairs)
+
+
+@lru_cache(maxsize=None)
+def _lyndon_pairings(content: tuple) -> Mapping:
+    """Each word of a content paired with the Lyndon brackets of that content.
+
+    ``content`` is a sorted tuple of letter codes.  Maps each word over it
+    to its ((L, <word, P_L>), ...) pairs, nonzero, L running over the
+    Lyndon arrangements of ``content``; a word that no P_L holds is absent.
+    The cached index is read-only.
+    """
+    index: dict = {}
+    for L in sorted(set(permutations(content))):
+        if is_lyndon_sequence(L):
+            for word, c in expand(L).items():
+                index.setdefault(word, []).append((L, c))
+    return MappingProxyType({w: tuple(pairs) for w, pairs in index.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +305,22 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     the shuffle algebra is free on Lyndon words (Radford), and the p(l) form a
     basis of the image of Hain's projector p.  So only the tensor-degree-1
     rows (one label per generator of this weight, c_g = 1 for its own label)
-    and the closedness rows d_B(sum c_l p(l)) = 0 remain.  The rows are
-    built in integers, as p(d_B(l)) over ``denom``, a multiple of
-    lcm(1..len(l)) for every l.
+    and the closedness rows d_B(sum c_l p(l)) = 0 remain.  p is a chain map,
+    so those are the rows of p(d_B(sum c_l l)) = 0, which
+    :func:`_closedness_rows` builds in integers as pairings of each d_B(l)
+    with the Lyndon brackets, without p.
 
-    Returns ``(denom, solutions, n_free)``: the coefficients per generator
-    name from :func:`solve_affine` (None where that generator has no lift),
-    and the dimension of each solution space.
+    Returns ``(solutions, n_free)``: the coefficients per generator name
+    from :func:`solve_affine` (None where that generator has no lift), and
+    the dimension of each solution space.
     """
     lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
-    denom = math.lcm(*range(1, max(map(len, lyndon)) + 1))
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
     equations = [({((g,),): 1}, {g: 1}) for g in labels]
-    rows = _closedness_rows(((w, {w: 1}) for w in lyndon), model, denom)
+    rows = _closedness_rows(((w, {w: 1}) for w in lyndon), model)
     equations.extend((row, {}) for row in rows)
     solutions, n_free = solve_affine(equations, lyndon, labels=labels)
-    return denom, solutions or {}, n_free
+    return solutions or {}, n_free
 
 
 def closed_lift_oracle(
@@ -295,7 +342,7 @@ def closed_lift_oracle(
     target = f"{spec.prefix}_{W}"
     if model.weight.get(target) != len(W):
         raise ValueError(f"{target} is not a generator of {model.name}")
-    denom, solutions, n_free = _oracle_solve(model, len(W))
+    solutions, n_free = _oracle_solve(model, len(W))
     coefficients = solutions.get(target)
     if coefficients is None:
         raise InfeasibleLiftError(
@@ -303,6 +350,7 @@ def closed_lift_oracle(
         )
     # sum c_l p(l) = p(sum c_l l), in integers, over the nonzero c_l
     den, ints = to_numerators({l: c for l, c in coefficients.items() if c})
+    denom = math.lcm(*range(1, max(map(len, ints)) + 1))
     element = from_numerators(projector_numerators(ints, model, denom), den * denom)
     return {w: element[w] for w in sorted(element, key=_slice_order)}, n_free
 

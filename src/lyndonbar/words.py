@@ -74,18 +74,21 @@ def lyndon_words_of_length(n: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def standard_factorization(w: str) -> tuple[str, str]:
+def standard_factorization(w: Sequence) -> tuple:
     """Split a Lyndon word of length >= 2 as ``w = u + v`` with ``v`` minimal.
 
     ``v`` is the lexicographically smallest proper right factor; both parts
-    are again Lyndon and ``u < v``.  Length-1 words have no factorization.
+    are again Lyndon and ``u < v``.  ``w`` is a binary string or a tuple over
+    any totally ordered alphabet, sliced the same way.  Length-1 words have
+    no factorization.
     """
-    check_word(w)
+    if isinstance(w, str):
+        check_word(w)
     if len(w) < 2:
-        raise InvalidWordError(f"no factorization for the single letter {w!r}")
-    if not is_lyndon(w):
+        raise InvalidWordError(f"no factorization for {w!r}: fewer than two letters")
+    if not is_lyndon_sequence(w):
         raise InvalidWordError(f"{w!r} is not a Lyndon word")
     v = min(w[i:] for i in range(1, len(w)))
     u = w[: len(w) - len(v)]
-    assert is_lyndon(u) and is_lyndon(v) and u < v
+    assert is_lyndon_sequence(u) and is_lyndon_sequence(v) and u < v
     return u, v

@@ -52,6 +52,23 @@ def test_expand_rejects_a_non_lyndon_word_on_every_call():
             expand("10")
 
 
+def test_expand_of_a_tuple_is_the_expansion_of_its_string():
+    # one expansion for binary strings and for Lyndon tuples, sliced alike
+    for w in lyndon_words(7):
+        got = expand(tuple(w))
+        assert got == {tuple(word): c for word, c in expand(w).items()}
+        assert all(type(c) is int for c in got.values())
+    # any ordered alphabet: [a, [b, c]] over a < b < c
+    assert expand((0, 1, 2)) == {(0, 1, 2): 1, (0, 2, 1): -1, (1, 2, 0): -1, (2, 1, 0): 1}
+
+
+@pytest.mark.parametrize("w", [(), (1, 0), (0, 1, 0)])
+def test_expand_rejects_a_tuple_that_is_not_lyndon(w):
+    for _ in range(2):
+        with pytest.raises(NotALieElementError, match="is not a Lyndon sequence"):
+            expand(w)
+
+
 def test_expand_returns_a_new_dict_each_call():
     got = expand("01")
     got["01"] = 7

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +56,7 @@ from lyndonbar.lifts import (
     verify_geom_basis,
     verify_lift,
 )
-from lyndonbar.linalg import _integer_equation, add_term, solve_affine, to_numerators
+from lyndonbar.linalg import add_term, solve_affine, to_numerators
 from lyndonbar.words import InvalidWordError, lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
@@ -468,9 +469,9 @@ def test_tree_sums_reject_a_non_integral_differential():
         lifts._tree_sum(model, "L0_001", 2)
 
 
-def fraction_probe_rows(max_weight):
+def fraction_probe_rows(max_weight, boundary_first=False):
     """The unit probe's rows from the tag reference, through the Fraction
-    projector and differential."""
+    projector and differential: d_B(p(.)), or p(d_B(.)) if ``boundary_first``."""
     model = model_x(max_weight)
     gmap = name_map("plain", max_weight)
     for w in lyndon_words(max_weight):
@@ -479,24 +480,50 @@ def fraction_probe_rows(max_weight):
         for fam in ("t0", "t1"):
             rows: dict = {}
             for n in range(1, len(w) + 1):
-                part = hain_projector(reference_tree_sum((fam, w), n, gmap), model)
-                for word, c in bar_differential(part, model).items():
+                tree = reference_tree_sum((fam, w), n, gmap)
+                if boundary_first:
+                    image = hain_projector(bar_differential(tree, model), model)
+                else:
+                    image = bar_differential(hain_projector(tree, model), model)
+                for word, c in image.items():
                     rows.setdefault(word, {})[n] = c
             for byn in rows.values():
                 yield byn, {"closed": -byn.pop(1, Fraction(0))}
 
 
-def primitive_equations(equations) -> Counter:
-    """The multiset of the equations as primitive integer (row, rhs) pairs."""
-    out: Counter = Counter()
+def homogeneous(equations) -> list:
+    """The equations (row, {"closed": r}) as homogeneous rows over the
+    variables and one more column, ``rhs``, holding -r."""
+    out = []
     for row, rhs in equations:
-        row, rhs = _integer_equation(row, rhs)
-        out[tuple(sorted(row.items())), tuple(sorted(rhs.items()))] += 1
+        row = {**row, "rhs": -rhs.get("closed", 0)}
+        out.append({k: v for k, v in row.items() if v})
     return out
 
 
+def multiset(rows) -> Counter:
+    """The rows as a multiset, each with its entries in insertion order."""
+    return Counter(tuple(row.items()) for row in rows)
+
+
+def rank(rows, var_order) -> int:
+    """The rank of homogeneous rows, read from solve_affine's ``n_free``."""
+    solutions, n_free = solve_affine(((row, {}) for row in rows), var_order, labels=["rank"])
+    assert solutions is not None
+    return len(var_order) - n_free
+
+
+def assert_same_span(*systems) -> None:
+    """The row systems span one nonzero row space: each one's rank is the rank of all."""
+    rows = [row for system in systems for row in system]
+    var_order = list(dict.fromkeys(k for row in rows for k in row))
+    together = rank(rows, var_order)
+    assert together > 0
+    assert [rank(system, var_order) for system in systems] == [together] * len(systems)
+
+
 @pytest.mark.parametrize("max_weight", [3, 4, 5])
-def test_probe_rows_are_the_fraction_rows_in_integers(monkeypatch, max_weight):
+def test_probe_equations_span_the_fraction_equations(monkeypatch, max_weight):
     captured = []
 
     def recording_solve(equations, var_order, *, labels):
@@ -508,10 +535,14 @@ def test_probe_rows_are_the_fraction_rows_in_integers(monkeypatch, max_weight):
     monkeypatch.setattr(lifts, "solve_affine", recording_solve)
     assert solve_unit_constants.__wrapped__(max_weight) == expected
     assert all(type(c) is int for row, rhs in captured for c in (*row.values(), *rhs.values()))
-    # the same equations up to positive scales, in any order
+    # the same affine constraints on the constants, rows and right-hand sides
+    # together, as the Fraction d_B(p(...)) rows of every source
     reference = list(fraction_probe_rows(max_weight))
-    assert len(captured) == len(reference)
-    assert primitive_equations(captured) == primitive_equations(reference)
+    assert_same_span(homogeneous(captured), homogeneous(reference))
+    # p is a chain map: p(d_B(...)), where p meets the boundary's odd slots,
+    # gives the same equations
+    projected = fraction_probe_rows(max_weight, boundary_first=True)
+    assert multiset(homogeneous(projected)) == multiset(homogeneous(reference))
 
 
 def test_unit_on_weight_one_tag():
@@ -652,23 +683,41 @@ def reference_closedness_rows(parts, model, denom) -> list:
     return list(rows.values())
 
 
+def projected_closedness_rows(parts, model, denom) -> list:
+    """The closedness rows as p of each part's d_B."""
+    rows: dict = {}
+    for k, part in parts:
+        boundary = differential_numerators(part, model)[1]
+        for word, c in projector_numerators(boundary, model, denom).items():
+            if c:
+                rows.setdefault(word, {})[k] = c
+    return list(rows.values())
+
+
 def closedness_rows_against_the_reference(monkeypatch, build, *args) -> int:
     """Run ``build(*args)`` with every ``_closedness_rows`` call checked against
     the per-part d_B(p(.)) reference; returns the number of calls.
 
-    p is a chain map, so the kernel's p(d_B(.)) rows are the reference's
-    value for value: the two are compared as multisets of integer rows, which
-    also makes them equal as primitive equations.
+    The pairings with the Lyndon brackets are not the reference's rows value
+    for value, but they must span the same rows: then the solve, which keeps
+    the reduced row echelon form of the span, is the same.  The reference is
+    also checked against p(d_B(.)), value for value, where p meets the odd
+    slot of each boundary word.
     """
     calls = 0
     kernel = lifts._closedness_rows
 
-    def checked(parts, model, denom):
+    def checked(parts, model):
         nonlocal calls
         parts = list(parts)
-        got = kernel(parts, model, denom)
-        ref = reference_closedness_rows(parts, model, denom)
-        assert Counter(tuple(row.items()) for row in got) == Counter(tuple(row.items()) for row in ref)
+        got = kernel(parts, model)
+        assert all(type(c) is int for row in got for c in row.values())
+        denom = math.lcm(*range(1, max(len(w) for _, part in parts for w in part) + 1))
+        reference = reference_closedness_rows(parts, model, denom)
+        projected = projected_closedness_rows(parts, model, denom)
+        # p is a chain map: the two references agree as multisets of rows
+        assert multiset(projected) == multiset(reference)
+        assert_same_span(got, reference)
         calls += 1
         return got
 
@@ -679,15 +728,61 @@ def closedness_rows_against_the_reference(monkeypatch, build, *args) -> int:
 
 @pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
 @pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
-def test_oracle_closedness_rows_match_the_per_part_reference(monkeypatch, model, weight):
+def test_oracle_closedness_rows_span_the_per_part_reference(monkeypatch, model, weight):
     solve, presentation = lifts._oracle_solve.__wrapped__, getattr(dgcore, model)(weight)
     assert closedness_rows_against_the_reference(monkeypatch, solve, presentation, weight) == 1
 
 
 @pytest.mark.parametrize("max_weight", [2, 3, 4, 5, 6])
-def test_probe_closedness_rows_match_the_per_part_reference(monkeypatch, max_weight):
+def test_probe_closedness_rows_span_the_per_part_reference(monkeypatch, max_weight):
     probe = solve_unit_constants.__wrapped__
     assert closedness_rows_against_the_reference(monkeypatch, probe, max_weight)
+
+
+@pytest.mark.parametrize(
+    "bracket, term, weight",
+    [((0, 1), max, 4), ((0, 1), min, 4), ((0, 2, 1), min, 4), ((0, 0, 1), max, 5), ((0, 1, 2), min, 5)],
+)
+def test_span_check_sees_one_bracket_term_with_its_sign_flipped(monkeypatch, bracket, term, weight):
+    # the first or last word of one bracket expansion with its sign flipped,
+    # in the oracle over model_x
+    expand = lifts.expand
+
+    def flipped(w):
+        out = expand(w)
+        if w == bracket:
+            out[term(out)] *= -1
+        return out
+
+    monkeypatch.setattr(lifts, "expand", flipped)
+    lifts._lyndon_pairings.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            closedness_rows_against_the_reference(
+                monkeypatch, lifts._oracle_solve.__wrapped__, model_x(weight), weight
+            )
+    finally:
+        lifts._lyndon_pairings.cache_clear()
+
+
+def test_closedness_rows_reject_a_boundary_word_with_two_odd_slots():
+    # a slot holding a two-generator monomial is odd, and d_B of the next
+    # slot writes a second odd one, where the ungraded pairing is not p
+    model = model_x(3)
+    part = {(("L0_1", "L1_0"), ("L0_01",)): 1}
+    with pytest.raises(ValueError, match="more than one odd slot"):
+        lifts._closedness_rows([(0, part)], model)
+
+
+def test_the_cached_pairing_index_is_read_only():
+    index = lifts._lyndon_pairings((0, 0, 1))
+    # [0, [0, 1]] = 001 - 2 010 + 100, the one Lyndon arrangement of 001
+    assert dict(index) == {(0, 0, 1): (((0, 0, 1), 1),), (0, 1, 0): (((0, 0, 1), -2),), (1, 0, 0): (((0, 0, 1), 1),)}
+    with pytest.raises(TypeError):
+        index[(0, 1, 0)] = (((0, 0, 1), 2),)
+    with pytest.raises(AttributeError):
+        index[(0, 1, 0)].append(((0, 0, 1), 2))
+    assert lifts._lyndon_pairings((0, 0, 1))[(0, 1, 0)] == (((0, 0, 1), -2),)
 
 
 def test_corrupted_model_detected_at_weight_4():

@@ -135,6 +135,16 @@ def test_factorization_recombines_and_closes():
         assert u < v
 
 
+def test_tuples_factor_as_their_strings():
+    for w in lyndon_words(8):
+        if len(w) > 1:
+            u, v = standard_factorization(w)
+            assert standard_factorization(tuple(w)) == (tuple(u), tuple(v))
+    assert standard_factorization((0, 2, 1)) == ((0, 2), (1,))
+    with pytest.raises(InvalidWordError, match="is not a Lyndon word"):
+        standard_factorization((1, 0))
+
+
 def test_atoms_have_no_factorization():
     with pytest.raises(InvalidWordError):
         standard_factorization("0")
