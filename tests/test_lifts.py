@@ -523,7 +523,7 @@ def assert_same_span(*systems) -> None:
 
 
 @pytest.mark.parametrize("max_weight", [3, 4, 5])
-def test_probe_equations_span_the_fraction_equations(monkeypatch, max_weight):
+def test_probe_rows_are_the_fraction_rows_in_integers(monkeypatch, max_weight):
     captured = []
 
     def recording_solve(equations, var_order, *, labels):
@@ -728,13 +728,13 @@ def closedness_rows_against_the_reference(monkeypatch, build, *args) -> int:
 
 @pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
 @pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
-def test_oracle_closedness_rows_span_the_per_part_reference(monkeypatch, model, weight):
+def test_oracle_closedness_rows_match_the_per_part_reference(monkeypatch, model, weight):
     solve, presentation = lifts._oracle_solve.__wrapped__, getattr(dgcore, model)(weight)
     assert closedness_rows_against_the_reference(monkeypatch, solve, presentation, weight) == 1
 
 
 @pytest.mark.parametrize("max_weight", [2, 3, 4, 5, 6])
-def test_probe_closedness_rows_span_the_per_part_reference(monkeypatch, max_weight):
+def test_probe_closedness_rows_match_the_per_part_reference(monkeypatch, max_weight):
     probe = solve_unit_constants.__wrapped__
     assert closedness_rows_against_the_reference(monkeypatch, probe, max_weight)
 
