@@ -413,22 +413,14 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     return from_numerators(out, 2 * den * leg_denom)
 
 
-def wedge_pair(b1: BarElement, b2: BarElement, p: CdgaPresentation) -> BarTensor:
-    """b1 ^ b2 in the projector normalization: (1/2)(b1 @ b2 -+ b2 @ b1).
-
-    The pairs are summed in integers over one common denominator.
-    """
-    den1, ints1 = to_numerators(b1)
-    den2, ints2 = to_numerators(b2)
-    return from_numerators(wedge_numerators(ints1, ints2, p), 2 * den1 * den2)
-
-
 def wedge_numerators(
     b1: Mapping[BarWord, int], b2: Mapping[BarWord, int], p: CdgaPresentation
 ) -> dict:
     """2 (b1 ^ b2) of elements with integer coefficients, without Fractions.
 
-    A numerator is zero where terms cancel.
+    b1 ^ b2 is (1/2)(b1 @ b2 -+ b2 @ b1), the projector normalization, with
+    the Koszul sign of the bar degrees.  A numerator is zero where terms
+    cancel.
     """
     out: dict = {}
     right = [(w2, c2, _parity(p, w2)) for w2, c2 in b2.items()]

@@ -348,10 +348,8 @@ def closed_lift_oracle(
         raise InfeasibleLiftError(
             f"no closed projector-fixed lift of {target} exists"
         )
-    # sum c_l p(l) = p(sum c_l l), in integers, over the nonzero c_l
-    den, ints = to_numerators({l: c for l, c in coefficients.items() if c})
-    denom = math.lcm(*range(1, max(map(len, ints)) + 1))
-    element = from_numerators(projector_numerators(ints, model, denom), den * denom)
+    # sum c_l p(l) = p(sum c_l l), over the nonzero c_l
+    element = hain_projector({l: c for l, c in coefficients.items() if c}, model)
     return {w: element[w] for w in sorted(element, key=_slice_order)}, n_free
 
 

@@ -134,9 +134,6 @@ def solve_affine(
     row is followed by division by the gcd, and stored rows keep a positive
     lead.  A new pivot is eliminated only from the stored rows that hold its
     variable, found through a column index kept in insertion-ordered dicts.
-    An equation whose primitive row and right-hand side, signed so that the
-    entry of its first variable is positive, equal an earlier equation's
-    entry for entry is implied by it, and is pulled but not reduced again.
     A Fraction is made only for each nonzero solution value; every zero value
     is the shared ``ZERO``.
 
@@ -152,9 +149,6 @@ def solve_affine(
         repeated = [v for v in pos if var_order.count(v) > 1]
         raise ValueError(f"variables {repeated!r} appear more than once in var_order")
     dead: set = set()
-    # the equations taken so far: variables in var_order position, their
-    # values, and the right-hand side's items
-    seen: set = set()
     pivots: dict[K, tuple[dict[K, int], dict[L, int]]] = {}
     # free variable -> {lead: None} for the stored rows that hold it
     holders: dict[K, dict[K, None]] = {}
@@ -166,22 +160,10 @@ def solve_affine(
             unknown = [k for k in row if k not in pos]
             raise ValueError(f"variables {unknown!r} are not in var_order")
         work, work_rhs = _integer_equation(row, rhs)
-        # an equation equal to an earlier one, both primitive with the first
-        # variable's entry positive, is implied by it: it is pulled and skipped
-        order = sorted(work, key=pos.__getitem__)
-        if order and work[order[0]] < 0:
-            for k in order:
-                work[k] = -work[k]
-            for k in work_rhs:
-                work_rhs[k] = -work_rhs[k]
-        key = tuple(order), tuple(map(work.__getitem__, order)), frozenset(work_rhs.items())
-        if key in seen:
-            continue
-        seen.add(key)
         # stored rows hold only their own lead plus free variables, so
         # eliminating one pivot adds no other: the pivots the row holds are
-        # listed once
-        for var in [v for v in order if v in pivots]:
+        # listed once, in the row's own key order
+        for var in [v for v in work if v in pivots]:
             prow, prhs = pivots[var]
             lead, c = prow[var], work[var]
             g = math.gcd(lead, c)

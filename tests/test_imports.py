@@ -1,7 +1,7 @@
 """Source guards: every module-level import in the package is used in its
 module, the integer layers make no Fraction, every package name the README
 cites exists, and every module-level function, class and assigned name is
-named somewhere else in the package or in the README."""
+named somewhere else in the package."""
 
 from __future__ import annotations
 
@@ -152,14 +152,10 @@ def defined_names(node: ast.stmt) -> list[str]:
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
-def unnamed_definitions(sources: dict[str, str], readme: str) -> list[str]:
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each module-level function, class and assigned name in
     ``sources`` (module name -> source) that nothing outside its own statement
-    names, and that no backticked span of ``readme`` names; fenced code blocks
-    are ignored."""
-    cited = set()
-    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)):
-        cited.update(re.findall(r"[A-Za-z_]\w*", span))
+    names."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum(map(names_read, trees.values()), Counter())
     return [
@@ -167,35 +163,32 @@ def unnamed_definitions(sources: dict[str, str], readme: str) -> list[str]:
         for module, tree in trees.items()
         for node in tree.body
         for name in defined_names(node)
-        if name not in cited and total[name] == names_read(node)[name]
+        if total[name] == names_read(node)[name]
     ]
 
 
 def test_guard_catches_a_dead_definition():
     sources = {
         "a": "class Kept:\n    pass\n\ndef used():\n    return dead\n\n"
-        "def dead():\n    return dead()\n\ndef documented():\n    pass\n",
-        "b": "from .a import used\n\nx = a.Kept\n",
+        "def dead():\n    return dead()\n",
+        "b": "from .a import used\n\nprint(a.Kept)\n",
     }
-    readme = "`a.documented(x)`\n```sh\ndead\n```\n"
-    assert unnamed_definitions(sources, readme) == []
+    assert unnamed_definitions(sources) == []
     del sources["b"]
-    assert unnamed_definitions(sources, readme) == ["a.Kept", "a.used"]
+    assert unnamed_definitions(sources) == ["a.Kept", "a.used"]
     sources["a"] = sources["a"].replace("return dead\n", "return 1\n")
-    assert unnamed_definitions(sources, readme) == ["a.Kept", "a.used", "a.dead"]
-    assert unnamed_definitions(sources, "") == ["a.Kept", "a.used", "a.dead", "a.documented"]
+    assert unnamed_definitions(sources) == ["a.Kept", "a.used", "a.dead"]
     # module-level assignments, annotated and unpacked ones too
     sources = {
         "a": "ONE = 1\nTree = tuple  # a note\nK: int = ONE\nLO, HI = 0, 1\n"
         "__version__ = '0'\n\ndef f(x: K):\n    return HI\n",
         "b": "from .a import f\n",
     }
-    assert unnamed_definitions(sources, "") == ["a.Tree", "a.LO"]
-    assert unnamed_definitions(sources, "`a.Tree`") == ["a.LO"]
+    assert unnamed_definitions(sources) == ["a.Tree", "a.LO"]
     sources["b"] += "print(a.Tree, LO)\n"
-    assert unnamed_definitions(sources, "") == []
+    assert unnamed_definitions(sources) == []
 
 
 def test_every_definition_is_named_outside_itself():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unnamed_definitions(sources, README.read_text()) == []
+    assert unnamed_definitions(sources) == []

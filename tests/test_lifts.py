@@ -14,6 +14,7 @@ from itertools import product
 import pytest
 
 from conftest import rescaled
+from test_bar import reference_wedge_pair
 from lyndonbar import dgcore, lifts
 from lyndonbar.bar import (
     bar_differential,
@@ -21,7 +22,6 @@ from lyndonbar.bar import (
     hain_projector,
     pi1,
     projector_numerators,
-    wedge_pair,
 )
 from lyndonbar.colie import cobracket, coefficient_rows, coefficient_table, tensor_cobracket
 from lyndonbar.dgcore import (
@@ -978,7 +978,7 @@ def reference_prescribed_cobracket_11(W, variant):
         for (w, u, v), c in coefficient_table(table, len(W)).items():
             if w == W:
                 legs = {((f"{left}_{u}",),): ONE}, {((f"{right}_{v}",),): ONE}
-                for key, val in wedge_pair(*legs, model).items():
+                for key, val in reference_wedge_pair(*legs, model).items():
                     add_term(out, key, c * val)
     return out
 
@@ -1002,7 +1002,7 @@ def reference_table_wedge(W, prefix, model, slot):
     out: dict = {}
     for table, left, right in QUADRATIC_TERMS[prefix]:
         for u, v, c in coefficient_rows(table, len(W)).get(W, ()):
-            for key, val in wedge_pair(slot(left, u), slot(right, v), model).items():
+            for key, val in reference_wedge_pair(slot(left, u), slot(right, v), model).items():
                 add_term(out, key, c * val)
     return out
 

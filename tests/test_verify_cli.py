@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lyndonbar
-from lyndonbar import bar, cli, freelie, ihara, verify
+from lyndonbar import bar, cli, freelie, ihara, lifts, verify, words
 from lyndonbar.cli import build_parser, main
 from lyndonbar.colie import TABLE_NAMES
 from lyndonbar.verify import run_suites
@@ -67,6 +67,29 @@ def test_the_jacobi_check_sees_one_negated_basis_bracket(monkeypatch):
         ihara.beta_gamma_tables.cache_clear()
     assert [check for check, status in got.items() if status != "pass"] == ["jacobi-identity"]
     assert set(statuses().values()) == {"pass"}
+
+
+def test_the_unit_oracle_check_fails_with_perturbed_solved_constants(monkeypatch):
+    # c_2 doubled: the unit formula no longer gives the oracle lifts, while
+    # "auto" falls back to the oracle and still returns the oracle lift
+    solved = lifts.solve_unit_constants
+
+    def doubled_c2(n):
+        return tuple(2 * c if k == 2 else c for k, c in enumerate(solved(n), start=1))
+
+    monkeypatch.setattr(lifts, "solve_unit_constants", doubled_c2)
+    lifts._lift_LB.cache_clear()
+    try:
+        statuses = {r.check: r.status for r in run_suites(["lifts"], max_weight=4)}
+        plain = [w for w in words.lyndon_words(4) if len(w) > 1]
+        auto = [lifts.lift_LB(w, "plain", "auto") for w in plain]
+    finally:
+        lifts._lift_LB.cache_clear()
+    assert all(report.method == "oracle" for _, report in auto)
+    assert [b for b, _ in auto] == [lifts.lift_LB(w, "plain", "oracle")[0] for w in plain]
+    assert statuses["unit-matches-unique-oracle"] == "fail"
+    assert statuses["unit-normalization-audit"] == "fail"
+    assert statuses["oracle-lift-plain"] == "pass"
 
 
 def test_a_suite_named_twice_runs_once(capsys):
