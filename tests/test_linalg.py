@@ -414,21 +414,29 @@ def test_the_same_values_on_other_variables_are_not_a_repeat():
     assert_matches_reference(equations, ["x", "y"])
 
 
-def test_a_resent_equation_changes_no_solution_and_stops_nothing():
-    """A scaled repeat of an earlier row, with its entries in another order,
-    and a repeat of a row that a later pivot back-substituted: each is
-    implied by the row it repeats, so the solve with it pulls every row and
-    gives the solutions and ``n_free`` of the solve without it."""
-    cases = [
-        ([({"x": 1, "y": 2}, {"a": 1})], ({"y": -4, "x": -2}, {"a": -2})),
-        ([({"x": 1, "y": 1}, {"a": 1}), ({"y": 1}, {"a": 2})], ({"x": -3, "y": -3}, {"a": -3})),
-    ]
-    for equations, repeat in cases:
-        resent = equations + [repeat]
-        without, pulled = pulled_rows(solve_affine, equations, ["x", "y"])
-        assert without[0] is not None and pulled == len(equations)
-        assert pulled_rows(solve_affine, resent, ["x", "y"]) == (without, len(resent))
-        assert_matches_reference(resent, ["x", "y"])
+def assert_the_repeat_is_skipped(equations, repeat):
+    """The solve with ``repeat`` appended pulls every row and gives the
+    solutions and ``n_free`` of the solve without it: the repeat is implied
+    by the row it repeats, reduces to nothing and adds no pivot."""
+    without, pulled = pulled_rows(solve_affine, equations, ["x", "y"])
+    assert without[0] is not None and pulled == len(equations)
+    resent = equations + [repeat]
+    assert pulled_rows(solve_affine, resent, ["x", "y"]) == (without, len(resent))
+    assert_matches_reference(resent, ["x", "y"])
+
+
+def test_a_repeat_with_its_entries_in_another_order_is_skipped():
+    equations = [({"x": 1, "y": 2}, {"a": 1})]
+    assert solve_affine(equations, ["x", "y"], labels=["a"]) == ({"a": {"x": 1, "y": 0}}, 1)
+    assert_the_repeat_is_skipped(equations, ({"y": -4, "x": -2}, {"a": -2}))
+
+
+def test_a_repeat_of_a_back_substituted_pivot_row_is_skipped():
+    """Row 1 is stored with pivot x, then pivot y (row 2) is eliminated from
+    it; its repeat is still implied by row 1 as it arrived."""
+    equations = [({"x": 1, "y": 1}, {"a": 1}), ({"y": 1}, {"a": 2})]
+    assert solve_affine(equations, ["x", "y"], labels=["a"]) == ({"a": {"x": -1, "y": 2}}, 0)
+    assert_the_repeat_is_skipped(equations, ({"x": -3, "y": -3}, {"a": -3}))
 
 
 def test_a_repeat_is_never_the_stopping_row():
