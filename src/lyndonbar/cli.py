@@ -2,8 +2,8 @@
 
 All output is deterministic for fixed arguments and seed; rationals are
 printed as exact ``p/q`` strings, never floats.  Exit status is 0 on success,
-1 on an identity violation, 2 on usage errors, an ``--out`` path that cannot
-be written among them.
+1 on an identity violation, 2 on usage errors, an unwritable ``--out`` path
+and a closed stdout among them.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ def _emit(text: str, out_path: str | None) -> None:
         except OSError as exc:
             raise OutputError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
-        print(text)
+        # flushed here, so that a closed stdout fails inside main
+        print(text, flush=True)
 
 
 def cmd_lyndon(args, parser) -> int:
@@ -318,6 +319,10 @@ def main(argv=None) -> int:
         return args.func(args, command)
     except OutputError as exc:
         command.error(str(exc))
+    except BrokenPipeError:
+        # stdout to devnull first, so that the interpreter's last flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        command.exit(2, f"{command.prog}: error: cannot write to stdout: the pipe is closed\n")
 
 
 if __name__ == "__main__":

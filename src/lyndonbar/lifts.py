@@ -198,7 +198,7 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     if solutions is None:
         return None
     solution = solutions["closed"]
-    return (ONE,) + tuple(solution[n] for n in variables)
+    return (ONE,) + tuple(solution.get(n, 0) for n in variables)
 
 
 def _closedness_rows(parts, model: CdgaPresentation) -> list:
@@ -310,9 +310,9 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     :func:`_closedness_rows` builds in integers as pairings of each d_B(l)
     with the Lyndon brackets, without p.
 
-    Returns ``(solutions, n_free)``: the coefficients per generator name
-    from :func:`solve_affine` (None where that generator has no lift), and
-    the dimension of each solution space.
+    Returns ``(solutions, n_free)``: per generator name, the nonzero
+    coefficients c_l from :func:`solve_affine`, keyed by l (None where that
+    generator has no lift), and the dimension of each solution space.
     """
     lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
@@ -331,7 +331,8 @@ def closed_lift_oracle(
     Works in the finite weight-|W|, bar-degree-0 slice of the bar construction
     over the variant's model; returns one solution (free variables zeroed, so
     deterministic) together with the dimension of the solution affine space.
-    The solve is shared by every target of that weight and model; each call
+    The solve, shared by every target of that weight and model, keeps only the
+    nonzero c_l, which go to :func:`hain_projector` as they are; each call
     returns a new dict.
     """
     spec = _variant(variant)
@@ -348,8 +349,8 @@ def closed_lift_oracle(
         raise InfeasibleLiftError(
             f"no closed projector-fixed lift of {target} exists"
         )
-    # sum c_l p(l) = p(sum c_l l), over the nonzero c_l
-    element = hain_projector({l: c for l, c in coefficients.items() if c}, model)
+    # sum c_l p(l) = p(sum c_l l)
+    element = hain_projector(coefficients, model)
     return {w: element[w] for w in sorted(element, key=_slice_order)}, n_free
 
 

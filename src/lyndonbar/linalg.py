@@ -9,8 +9,6 @@ from typing import Hashable, Iterable, Mapping, TypeVar
 K = TypeVar("K", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
 
-ZERO = Fraction(0)  # the value of a free variable in a solution
-
 
 def add_term(dst: dict, key, coeff) -> None:
     """Accumulate ``coeff`` at ``key``, dropping the entry when it cancels.
@@ -134,14 +132,13 @@ def solve_affine(
     row is followed by division by the gcd, and stored rows keep a positive
     lead.  A new pivot is eliminated only from the stored rows that hold its
     variable, found through a column index kept in insertion-ordered dicts.
-    A Fraction is made only for each nonzero solution value; every zero value
-    is the shared ``ZERO``.
 
     ``equations`` is consumed as a stream: once every label's system is
     inconsistent no further row is pulled, and ``(None, 0)`` is returned.
     Otherwise returns ``(solutions, n_free)``: ``solutions`` maps each label
-    to its solution, with every free variable set to 0, or to None if that
-    label's system is inconsistent.
+    to None if that label's system is inconsistent, and else to the solution
+    with every free variable set to 0, as a dict of its nonzero values only:
+    a variable it does not name is 0.
     """
     labels = dict.fromkeys(labels)
     pos = {v: i for i, v in enumerate(var_order)}
@@ -203,16 +200,11 @@ def solve_affine(
                     holders[k].pop(olead, None)
         pivots[lead] = (work, work_rhs)
     # with fully reduced rows and free variables set to 0, each pivot value
-    # is its reduced right-hand side over its lead
-    solutions: dict[L, dict[K, Fraction] | None] = {}
-    for label in labels:
-        if label in dead:
-            solutions[label] = None
-            continue
-        solution: dict[K, Fraction] = {v: ZERO for v in var_order}
-        for lead, (prow, prhs) in pivots.items():
-            num = prhs.get(label)
-            if num:
+    # is its reduced right-hand side over its lead, nonzero where named
+    solutions = {label: None if label in dead else {} for label in labels}
+    for lead, (prow, prhs) in pivots.items():
+        for label, num in prhs.items():
+            solution = solutions[label]
+            if solution is not None:
                 solution[lead] = Fraction(num, prow[lead])
-        solutions[label] = solution
     return solutions, len(var_order) - len(pivots)

@@ -542,10 +542,9 @@ def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
             f"j-restricted difference minus plain plus one vanishes exactly: {exact}",
         )
     )
-    ok = all(
-        row["closed_with_solved_constants"] and row["solved_unit_matches_unique_oracle"]
-        for row in audit["weights"]
-    )
+    # the match with the oracle lifts is unit-matches-unique-oracle's gate;
+    # this one gates on the solved constants closing the unit formula
+    ok = all(row["closed_with_solved_constants"] for row in audit["weights"])
     out.append(
         CheckResult(
             "unit-normalization-audit",

@@ -733,6 +733,20 @@ def test_oracle_closedness_rows_match_the_per_part_reference(monkeypatch, model,
     assert closedness_rows_against_the_reference(monkeypatch, solve, presentation, weight) == 1
 
 
+@pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
+def test_the_cached_oracle_solve_holds_only_nonzero_values(model, weight):
+    # every lift is unique, so no value is a free variable's; the cache
+    # holds each target's nonzero coefficients c_l and nothing else
+    presentation = getattr(dgcore, model)(weight)
+    solutions, n_free = lifts._oracle_solve(presentation, weight)
+    lyndon = set(lifts._degree_zero_words(presentation, weight))
+    assert solutions and n_free == 0
+    for coefficients in solutions.values():
+        assert coefficients and coefficients.keys() <= lyndon
+        assert all(type(c) is Fraction and c for c in coefficients.values())
+
+
 @pytest.mark.parametrize("max_weight", [2, 3, 4, 5, 6])
 def test_probe_closedness_rows_match_the_per_part_reference(monkeypatch, max_weight):
     probe = solve_unit_constants.__wrapped__

@@ -17,6 +17,8 @@ from lyndonbar.cli import build_parser, main
 from lyndonbar.colie import TABLE_NAMES
 from lyndonbar.verify import run_suites
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def run_cli(capsys, *args) -> tuple[int, str]:
     code = main(list(args))
@@ -90,6 +92,44 @@ def test_the_unit_oracle_check_fails_with_perturbed_solved_constants(monkeypatch
     assert statuses["unit-matches-unique-oracle"] == "fail"
     assert statuses["unit-normalization-audit"] == "fail"
     assert statuses["oracle-lift-plain"] == "pass"
+
+
+# each column of the adjunction-unit audit, and the checks that gate on it
+AUDIT_GATES = {
+    "closed_with_published_constants": [],
+    "degree_one_part_with_published_constants": [],
+    "closed_with_solved_constants": ["unit-normalization-audit"],
+    "solved_unit_matches_unique_oracle": ["unit-matches-unique-oracle"],
+}
+
+
+@pytest.mark.parametrize("column", AUDIT_GATES)
+def test_each_audit_column_fails_only_its_own_check(monkeypatch, column):
+    audit = lifts.audit_adjunction_unit
+
+    def run():
+        results = run_suites(["lifts"], max_weight=4)
+        witness = next(r.witness for r in results if r.check == "unit-normalization-audit")
+        return [r.check for r in results if r.status == "fail"], witness
+
+    assert run() == ([], audit((2, 3, 4)))
+
+    def flipped(weights):
+        report = audit(weights)
+        report["weights"] = [{**row, column: not row[column]} for row in report["weights"]]
+        return report
+
+    monkeypatch.setattr(lifts, "audit_adjunction_unit", flipped)
+    # the whole audit stays the witness, flipped column and all
+    assert run() == (AUDIT_GATES[column], flipped((2, 3, 4)))
+
+
+def test_verify_weight_6_keeps_the_benchmark_check_names():
+    # the benchmark counts a check missing from this pinned list as failed
+    pinned = json.loads((ROOT / "perfbench" / "verify_w6_checks.json").read_text())
+    results = run_suites(["all"], max_weight=6)
+    assert [r.check for r in results] == pinned
+    assert [r.check for r in results if r.status == "fail"] == []
 
 
 def test_a_suite_named_twice_runs_once(capsys):
@@ -331,8 +371,8 @@ def test_verify_all_weight_6_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_W6
 
 
-# the same at weight 7, where the lift systems are largest: 5,778 equations
-# over model_x(7), about half of them repeats
+# the same at weight 7, where the lift systems are largest: 1,920 equations
+# over model_x(7), 6 of them repeats
 GOLDEN_VERIFY_W7 = "8e59cbb94f59442605bfd122be6bd0c3b3ef9e6ff0ba545e15d1086e5fd93ccf"
 
 
@@ -390,6 +430,25 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
         assert captured.err.startswith(f"usage: lyndonbar {command[0]} ")
         assert f"cannot write --out {path}" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_closed_stdout_is_a_usage_error():
+    # the reader takes one line and goes; the rest of the 150 KB of words
+    # is more than the pipe holds, so a write meets the closed pipe
+    src = str(Path(lyndonbar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lyndonbar", "lyndon", "--max-length", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"0\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
+    assert err == b"lyndonbar lyndon: error: cannot write to stdout: the pipe is closed\n"
 
 
 def test_python_dash_m_runs_the_cli():
