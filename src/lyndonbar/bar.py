@@ -30,7 +30,8 @@ BarTensor = dict  # (BarWord, BarWord) -> Fraction
 
 
 class InvalidElementError(ValueError):
-    """Raised on bar elements with constant slots or stray empty-word terms."""
+    """Raised on bar elements with constant slots, stray empty-word terms, or
+    slots holding a generator the presentation does not have."""
 
 
 def check_element(b: BarElement) -> BarElement:
@@ -94,7 +95,16 @@ def _differential_denominator(p: CdgaPresentation) -> int:
 
 @lru_cache(maxsize=None)
 def _slot(p: CdgaPresentation, m) -> tuple:
-    """(parity of the desuspended degree, d(m) as integer numerators over D)."""
+    """(parity of the desuspended degree, d(m) as integer numerators over D).
+
+    Every kernel reads each distinct slot here first, so a slot with a
+    generator the presentation does not have is rejected once, here.
+    """
+    for g in m:
+        if g not in p.index:
+            raise InvalidElementError(
+                f"bar slot {m!r} holds {g!r}, which is not a generator of {p.name}"
+            )
     d_den = _differential_denominator(p)
     dm = tuple(
         (m2, c.numerator * (d_den // c.denominator))
@@ -105,7 +115,12 @@ def _slot(p: CdgaPresentation, m) -> tuple:
 
 @lru_cache(maxsize=None)
 def _slot_product(p: CdgaPresentation, m1, m2):
-    """The product of two adjacent slots: (sign, monomial), or None if zero."""
+    """The product of two adjacent slots: (sign, monomial), or None if zero.
+
+    The right slot is read through :func:`_slot` first, so that an unknown
+    generator there is rejected before its product is taken.
+    """
+    _slot(p, m2)
     return p.multiply_monomials(m1, m2)
 
 
@@ -356,10 +371,10 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
         raise InvalidElementError("bar slot outside the augmentation ideal")
     if () in ints:
         raise InvalidElementError("empty-word component present")
+    odd_slots = {m for m in slots if _slot(p, m)[0]}
     longest = max(map(len, ints), default=0)
     if longest < 2:
         return {}
-    odd_slots = {m for m in slots if _slot(p, m)[0]}
     # the right legs have at most half the longest word's slots
     leg_denom = _lcm_upto(longest // 2)
     # raw left leg u -> {projected right leg v: numerator over leg_denom};

@@ -2,10 +2,12 @@
 
 A presentation carries weighted graded generators and a differential table;
 elements are dicts mapping canonically sorted monomials (tuples of generator
-names) to Fraction coefficients, with the sorting sign absorbed.  The cobar
-construction turns a finite Lie-coalgebra presentation into such a cdga; the
-four concrete models (over the punctured line, the affine line and the point,
-and the geometric quotient) are built by one table-driven builder.
+names) to exact coefficients, int or Fraction, with the sorting sign
+absorbed.  The cobar construction turns a finite Lie-coalgebra presentation
+into such a cdga, with Fraction coefficients from its 1/2; the four concrete
+models (over the punctured line, the affine line and the point, and the
+geometric quotient) are built by one table-driven builder from the integer
+structure tables, and they and their restriction maps hold ints.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .linalg import add_term
 from .words import lyndon_words, lyndon_words_of_length
 
 Monomial = tuple  # tuple[str, ...], sorted by generator order
-CdgaElement = dict  # Monomial -> Fraction
-
-ONE = Fraction(1)
+CdgaElement = dict  # Monomial -> int or Fraction
 
 
 class PresentationError(ValueError):
@@ -110,7 +110,7 @@ class CdgaPresentation:
     def generator_element(self, name: str) -> CdgaElement:
         if name not in self.index:
             raise KeyError(f"unknown generator {name!r}")
-        return {(name,): ONE}
+        return {(name,): 1}
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial):
         """Merge two sorted monomials; returns (sign, monomial) or None if zero."""
@@ -201,10 +201,9 @@ def cobar_colie(L: CoLiePresentation, name: str = "cobar") -> CdgaPresentation:
     otherwise.
     """
     degree = {g.name: g.degree for g in L.basis}
-    zero = Fraction(0)
     for x, table in L.cobracket.items():
         for (u, v), c in table.items():
-            flipped = L.cobracket.get(x, {}).get((v, u), zero)
+            flipped = table.get((v, u), 0)
             expected = -c if (degree[u] * degree[v]) % 2 == 0 else c
             if flipped != expected:
                 raise NotACoLieCoalgebraError(
@@ -259,7 +258,7 @@ def colie_presentation(max_weight: int, which: str = "t01") -> CoLiePresentation
     half = Fraction(1, 2)
     for t in tags:
         table: dict[tuple[str, str], Fraction] = {}
-        for (a, b), c in colie_cobracket({t: ONE}).items():
+        for (a, b), c in colie_cobracket({t: 1}).items():
             add_term(table, (names[a], names[b]), half * c)
             add_term(table, (names[b], names[a]), -half * c)
         cobr[names[t]] = table
@@ -313,11 +312,10 @@ def _table_model(families, max_weight: int, name: str) -> CdgaPresentation:
                     )
                 if x == y:
                     continue
-                # the tables hold ints; the presentation holds Fractions
                 if index[x] <= index[y]:
-                    add_term(image, (x, y), Fraction(-c))
+                    add_term(image, (x, y), -c)
                 else:
-                    add_term(image, (y, x), Fraction(c))
+                    add_term(image, (y, x), c)
         differential[g.name] = image
     try:
         return CdgaPresentation(gens, differential, name=name)
@@ -362,7 +360,7 @@ def transport(
     """Multiplicative extension of a generator map to a full element."""
     out: CdgaElement = {}
     for m, c in e.items():
-        term: CdgaElement = {(): ONE}
+        term: CdgaElement = {(): 1}
         for g in m:
             term = target.multiply(term, images[g])
             if not term:
@@ -379,7 +377,7 @@ def is_chain_map(
 ) -> bool:
     for g in source.generators:
         lhs = transport(source.differential[g.name], images, target)
-        rhs = target.element_differential(transport({(g.name,): ONE}, images, target))
+        rhs = target.element_differential(transport({(g.name,): 1}, images, target))
         if lhs != rhs:
             return False
     return True
@@ -397,7 +395,7 @@ def _family_images(
     for g in source.generators:
         fam, w = g.name.split("_", 1)
         out[g.name] = {
-            (f"{t}_{w}",): Fraction(c) for t, c in rule[fam] if f"{t}_{w}" in target.index
+            (f"{t}_{w}",): c for t, c in rule[fam] if f"{t}_{w}" in target.index
         }
     return out
 

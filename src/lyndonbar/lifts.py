@@ -156,14 +156,18 @@ def adjunction_unit(W: str, variant: str, constants=published_constants) -> BarE
     gen = f"{spec.prefix}_{W}"
     if gen not in model.index:
         raise ValueError(f"{gen} is not a generator of {model.name}")
-    total: BarElement = {}
-    for n in range(1, len(W) + 1):
-        cn = constants(n)
-        if not cn:
-            continue
-        for word, d in _tree_sum(model, gen, n):
-            add_term(total, word, cn * d)
-    return hain_projector(total, model)
+    byn = [(n, constants(n)) for n in range(1, len(W) + 1)]
+    # the tree sums in integers over the constants' common denominator; a
+    # tree sum's words have n slots, so no two degrees share a word
+    den = math.lcm(*(cn.denominator for _, cn in byn))
+    total: dict = {}
+    for n, cn in byn:
+        if cn:
+            scale = cn.numerator * (den // cn.denominator)
+            for word, d in _tree_sum(model, gen, n):
+                total[word] = scale * d
+    denom = math.lcm(*range(1, len(W) + 1))
+    return from_numerators(projector_numerators(total, model, denom), den * denom)
 
 
 @lru_cache(maxsize=None)
@@ -424,7 +428,7 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     two_slot = {w: c for w, c in b.items() if len(w) == 2}
     # the prescribed component, one generator on each leg: the model, built
     # from the same tables, has the generators of every row
-    prescribed = table_wedge(W, spec.prefix, model, lambda fam, u: {((f"{fam}_{u}",),): ONE})
+    prescribed = table_wedge(W, spec.prefix, model, lambda fam, u: {((f"{fam}_{u}",),): 1})
     report.cobracket_ok = delta_Q(two_slot, model) == prescribed
     return report
 
@@ -488,7 +492,7 @@ def bar_transport(b: BarElement, images: dict, target: CdgaPresentation) -> BarE
     """
     den, ints = to_numerators(b)
     moved = {
-        m: to_numerators(transport({m: ONE}, images, target))
+        m: to_numerators(transport({m: 1}, images, target))
         for m in dict.fromkeys(m for word in ints for m in word)
     }
     slot_den = math.lcm(*(d for d, _ in moved.values()))

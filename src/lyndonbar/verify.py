@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import bar, colie, dgcore, freelie, ihara, lifts, words
 from .dgcore import CdgaPresentation
@@ -18,7 +17,6 @@ from .linalg import add_term, combine
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 50
-ONE = Fraction(1)
 
 
 @dataclass
@@ -85,7 +83,7 @@ def random_bar_element(
         word = tuple(slots)
         c = out.get(word, 0) + rng.choice([-2, -1, 1, 2])
         if c:
-            out[word] = Fraction(c)
+            out[word] = c
         else:
             out.pop(word, None)
     return out
@@ -94,7 +92,7 @@ def random_bar_element(
 def random_lie_element(rng: random.Random, max_weight: int) -> dict:
     pool = words.lyndon_words(max_weight)
     return {
-        w: Fraction(rng.choice([-2, -1, 1, 2]))
+        w: rng.choice([-2, -1, 1, 2])
         for w in rng.sample(pool, k=min(3, len(pool)))
     }
 
@@ -209,7 +207,7 @@ def suite_signs(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         elems = []
         for _ in range(3):
             m = random_monomial(p, rng, 3)
-            elems.append({m: Fraction(rng.choice([-2, -1, 1, 2]))} if m else {})
+            elems.append({m: rng.choice([-2, -1, 1, 2])} if m else {})
         a, b, c = elems
         ok &= p.multiply(p.multiply(a, b), c) == p.multiply(a, p.multiply(b, c))
     out.append(_result("product-associative-samples", ok))
@@ -222,10 +220,10 @@ def suite_signs(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     syn = dgcore.cobar_colie(
         dgcore.CoLiePresentation(
             basis=basis,
-            differential={"a": {"b": ONE}, "u": {"w": Fraction(2)}},
+            differential={"a": {"b": 1}, "u": {"w": 2}},
             cobracket={
-                "u": {("a", "b"): ONE, ("b", "a"): -ONE},
-                "w": {("b", "b"): ONE},
+                "u": {("a", "b"): 1, ("b", "a"): -1},
+                "w": {("b", "b"): 1},
             },
         )
     )
@@ -402,8 +400,8 @@ def suite_models(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     pa = dgcore.model_a1(min(max_weight, 4))
     ok = True
     for _ in range(samples // 2):
-        a = {random_monomial(pa, rng, 3): ONE}
-        b = {random_monomial(pa, rng, 3): ONE}
+        a = {random_monomial(pa, rng, 3): 1}
+        b = {random_monomial(pa, rng, 3): 1}
         if () in a or () in b:
             continue
         lhs = dgcore.restrict_j(pa.multiply(a, b), min(max_weight, 4))
@@ -429,9 +427,9 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         left: dict = {}
         right: dict = {}
         for (w1, w2), c in bar.coproduct(b).items():
-            for (u1, u2), d in bar.coproduct({w1: ONE}).items():
+            for (u1, u2), d in bar.coproduct({w1: 1}).items():
                 add_term(left, (u1, u2, w2), c * d)
-            for (u1, u2), d in bar.coproduct({w2: ONE}).items():
+            for (u1, u2), d in bar.coproduct({w2: 1}).items():
                 add_term(right, (w1, u1, u2), c * d)
         ok &= left == right
     out.append(_result("coproduct-coassociative", ok, mw))
@@ -476,7 +474,7 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         b = {}
         for _ in range(2):
             word = tuple(rng3.choice(slots) for _ in range(rng3.randint(2, 3)))
-            b[word] = Fraction(rng3.choice((-2, -1, 1, 2)))
+            b[word] = rng3.choice((-2, -1, 1, 2))
         h = bar.hain_projector(b, p)
         by_left: dict = {}
         for (w1, w2), c in bar.coproduct(h).items():
@@ -485,7 +483,7 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         x: dict = {}
         for w1, rights in by_left.items():
             right = bar.hain_projector(rights, p)
-            for v1, c1 in bar.hain_projector({w1: ONE}, p).items():
+            for v1, c1 in bar.hain_projector({w1: 1}, p).items():
                 for v2, c2 in right.items():
                     add_term(x, (v1, v2), c1 * c2)
         ok &= bar.tensor_swap(x, p) == {k: -v for k, v in x.items()}
@@ -517,7 +515,7 @@ def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     out.append(_result("unit-matches-unique-oracle", ok, min(max_weight, 4)))
     base = dgcore.model_x(4)
     diff = {k: dict(v) for k, v in base.differential.items()}
-    diff["L0_01"][("L0_1", "L1_0")] = Fraction(2)
+    diff["L0_01"][("L0_1", "L1_0")] = 2
     bad = CdgaPresentation(base.generators, diff, name="bad", validate=False)
     try:
         lifts.closed_lift_oracle("0011", "plain", bad)
@@ -620,6 +618,9 @@ def run_suites(
 ) -> list[CheckResult]:
     if max_weight < 2:
         raise ValueError(f"max_weight must be >= 2, not {max_weight}")
+    # the sampled checks take samples // 3 elements, so fewer than 3 check nothing
+    if samples < 3:
+        raise ValueError(f"samples must be >= 3, not {samples}")
     # each named suite once, in the order first named
     selected = list(SUITES) if "all" in names else list(dict.fromkeys(names))
     unknown = [n for n in selected if n not in SUITES]

@@ -208,6 +208,38 @@ def test_hain_rejects_empty_word():
         hain_projector({(): ONE}, P4)
 
 
+# a slot with a generator that P4 does not have, alone, after a known slot,
+# or in a product with a known generator
+UNKNOWN_SLOT_WORDS = [(("ZZ",),), (("L0_1",), ("ZZ",)), (("L0_1", "ZZ"),)]
+UNKNOWN_SLOT = r"bar slot \(.*'ZZ'.*\) holds 'ZZ', which is not a generator of x@4$"
+
+
+@pytest.mark.parametrize("word", UNKNOWN_SLOT_WORDS)
+def test_bar_differential_rejects_an_unknown_generator(word):
+    with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
+        bar_differential({word: ONE}, P4)
+
+
+@pytest.mark.parametrize("word", UNKNOWN_SLOT_WORDS)
+def test_hain_projector_rejects_an_unknown_generator(word):
+    with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
+        hain_projector({word: ONE}, P4)
+
+
+@pytest.mark.parametrize("word", UNKNOWN_SLOT_WORDS)
+def test_delta_q_rejects_an_unknown_generator(word):
+    with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
+        delta_Q({word: ONE}, P4)
+
+
+@pytest.mark.parametrize("word", UNKNOWN_SLOT_WORDS)
+def test_shuffle_rejects_an_unknown_generator(word):
+    known = {(("L1_0",),): ONE}
+    for b1, b2 in ((known, {word: ONE}), ({word: ONE}, known)):
+        with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
+            shuffle(b1, b2, P4)
+
+
 def test_delta_q_on_single_closed_slot():
     assert delta_Q({(("K_01",),): ONE}, P4) == {}
 

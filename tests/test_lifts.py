@@ -1122,7 +1122,7 @@ def test_bar_transport_matches_the_fraction_reference(W):
         # the same maps with non-integral images, so the slot products need
         # a common denominator across words of different lengths
         scaled = {
-            g: {m: c / (k % 3 + 2) for m, c in image.items()}
+            g: {m: Fraction(c, k % 3 + 2) for m, c in image.items()}
             for k, (g, image) in enumerate(images.items())
         }
         cases.append((b, scaled, target))

@@ -153,6 +153,30 @@ def test_a_weight_below_2_is_rejected_before_any_suite_runs(monkeypatch, names, 
         run_suites(names, max_weight=max_weight)
 
 
+@pytest.mark.parametrize("samples", [2, 1, 0, -5])
+def test_fewer_than_three_samples_are_rejected_before_any_suite_runs(monkeypatch, samples):
+    # the sampled checks take samples // 3 elements, so below 3 some draw
+    # nothing and would pass on no evidence
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, no_suite)
+    names = ["bar", "signs", "colie", "models"]
+    with pytest.raises(ValueError, match=f"samples must be >= 3, not {samples}$"):
+        run_suites(names, max_weight=4, samples=samples)
+
+
+def test_three_samples_draw_in_every_sampled_check(capsys):
+    statuses = {r.check: r.status for r in run_suites(["bar"], max_weight=4, samples=3)}
+    assert statuses["cobracket-antisymmetric"] == "pass"
+    # the CLI keeps its own message for the same bound
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bar", "--samples", "2"])
+    assert exc.value.code == 2
+    assert "--samples must be at least 3" in capsys.readouterr().err
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(["nonsense"], max_weight=4)
