@@ -30,15 +30,9 @@ BarTensor = dict  # (BarWord, BarWord) -> Fraction
 
 
 class InvalidElementError(ValueError):
-    """Raised on bar elements with constant slots, stray empty-word terms, or
-    slots holding a generator the presentation does not have."""
-
-
-def check_element(b: BarElement) -> BarElement:
-    for word in b:
-        if any(len(m) == 0 for m in word):
-            raise InvalidElementError("bar slot outside the augmentation ideal")
-    return b
+    """Raised by every kernel that takes a presentation on a constant slot or
+    a slot holding a generator the presentation does not have (both checked
+    in :func:`_slot`), and by the projecting kernels on the empty word."""
 
 
 def bar_differential(b: BarElement, p: CdgaPresentation) -> BarElement:
@@ -48,7 +42,7 @@ def bar_differential(b: BarElement, p: CdgaPresentation) -> BarElement:
     -(-1)^(eta(i)), where eta is the running sum of desuspended slot degrees.
     The sum runs in integers over one common denominator.
     """
-    den, ints = to_numerators(check_element(b))
+    den, ints = to_numerators(b)
     d_den, out = differential_numerators(ints, p)
     return from_numerators(out, den * d_den)
 
@@ -97,9 +91,12 @@ def _differential_denominator(p: CdgaPresentation) -> int:
 def _slot(p: CdgaPresentation, m) -> tuple:
     """(parity of the desuspended degree, d(m) as integer numerators over D).
 
-    Every kernel reads each distinct slot here first, so a slot with a
-    generator the presentation does not have is rejected once, here.
+    Every kernel reads each distinct slot here first, so a constant slot,
+    or one with a generator the presentation does not have, is rejected
+    once, here.
     """
+    if not m:
+        raise InvalidElementError("bar slot outside the augmentation ideal")
     for g in m:
         if g not in p.index:
             raise InvalidElementError(
@@ -216,7 +213,10 @@ def _hain_word(p: CdgaPresentation, word: BarWord) -> tuple:
     code is 2k + parity: k counts the distinct monomials before the first
     occurrence of the slot's monomial, and parity is that of its desuspended
     degree.  The pattern's projection is relabelled with the monomials.
+    p is not defined on the empty word.
     """
+    if not word:
+        raise InvalidElementError("empty-word component present")
     first: dict = {}
     for m in word:
         if m not in first:
@@ -322,9 +322,6 @@ def hain_projector(b: BarElement, p: CdgaPresentation) -> BarElement:
     coproduct; single slots are fixed and proper shuffle products die.  The
     words' projections are summed in integers over one common denominator.
     """
-    check_element(b)
-    if () in b:
-        raise InvalidElementError("empty-word component present")
     if not b:
         return {}
     den, ints = to_numerators(b)
@@ -334,9 +331,12 @@ def hain_projector(b: BarElement, p: CdgaPresentation) -> BarElement:
 
 def tensor_swap(t: BarTensor, p: CdgaPresentation) -> BarTensor:
     """tau on the tensor square, with the Koszul sign of the bar degrees."""
+    # each distinct leg's parity, read once, so every slot of both legs is
+    # read through _slot
+    odd = {w for w in set().union(*t) if _parity(p, w)}
     out: BarTensor = {}
     for (w1, w2), c in t.items():
-        add_term(out, (w2, w1), -c if _parity(p, w1) and _parity(p, w2) else c)
+        add_term(out, (w2, w1), -c if w1 in odd and w2 in odd else c)
     return out
 
 
@@ -367,8 +367,7 @@ def delta_Q(b: BarElement, p: CdgaPresentation) -> BarTensor:
     """
     den, ints = to_numerators(b)
     slots = set().union(*ints)
-    if () in slots:
-        raise InvalidElementError("bar slot outside the augmentation ideal")
+    # the split loop reads no empty word, so it would drop one unseen
     if () in ints:
         raise InvalidElementError("empty-word component present")
     odd_slots = {m for m in slots if _slot(p, m)[0]}

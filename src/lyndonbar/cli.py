@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .colie import TABLE_NAMES, TAG_PREFIX, basis_of, change_basis, cobracket, coefficient_table
@@ -113,7 +112,7 @@ def cmd_cobracket(args, parser) -> int:
         tag = _parse_tag(args.tag, args.force)
     except InvalidWordError as exc:
         parser.error(str(exc))
-    element = {tag: Fraction(1)}
+    element = {tag: 1}
     target = args.basis or basis_of(element)
     converted = change_basis(element, target)
     wedge = cobracket(converted)

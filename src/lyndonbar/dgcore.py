@@ -65,7 +65,8 @@ class CdgaPresentation:
 
     The differential must raise cohomological degree by one, preserve weight,
     and square to zero on every generator; all three are checked at
-    construction time.
+    construction time unless ``validate`` is false.  A differential given for
+    a name that is not a generator, or holding one, is always rejected.
     """
 
     def __init__(
@@ -82,6 +83,13 @@ class CdgaPresentation:
             raise PresentationError("duplicate generator names")
         self.degree = {g.name: g.degree for g in self.generators}
         self.weight = {g.name: g.weight for g in self.generators}
+        for name, image in differential.items():
+            if name not in self.index:
+                raise PresentationError(f"differential given for {name!r}, which is not a generator")
+            for m in image:
+                for h in m:
+                    if h not in self.index:
+                        raise PresentationError(f"d({name}) holds {h!r}, which is not a generator")
         self.differential = {
             g.name: dict(differential.get(g.name, {})) for g in self.generators
         }
@@ -360,6 +368,9 @@ def transport(
     """Multiplicative extension of a generator map to a full element."""
     out: CdgaElement = {}
     for m, c in e.items():
+        for g in m:
+            if g not in images:
+                raise ValueError(f"monomial {m!r} holds {g!r}, which the images do not map")
         term: CdgaElement = {(): 1}
         for g in m:
             term = target.multiply(term, images[g])

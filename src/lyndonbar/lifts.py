@@ -24,7 +24,6 @@ from .bar import (
     BarElement,
     BarTensor,
     bar_differential,
-    check_element,
     delta_Q,
     differential_numerators,
     hain_projector,
@@ -48,8 +47,6 @@ from .dgcore import (
 from .freelie import expand
 from .linalg import add_term, combine, from_numerators, solve_affine, to_numerators
 from .words import InvalidWordError, is_lyndon, is_lyndon_sequence, lyndon_words
-
-ONE = Fraction(1)
 
 
 class InfeasibleLiftError(ValueError):
@@ -202,7 +199,7 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     if solutions is None:
         return None
     solution = solutions["closed"]
-    return (ONE,) + tuple(solution.get(n, 0) for n in variables)
+    return (1,) + tuple(solution.get(n, 0) for n in variables)
 
 
 def _closedness_rows(parts, model: CdgaPresentation) -> list:
@@ -413,13 +410,14 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     spec = _variant(variant)
     model = spec.model(len(W))
     report.pi1_ok = pi1(b) == {(f"{spec.prefix}_{W}",): 1}
+    # p(b) == b and d_B(b) == 0 as integer equalities on b's numerators; p
+    # reads every slot first, so a bad one is rejected before the degrees
+    _, ints = to_numerators(b)
+    denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
+    image = projector_numerators(ints, model, denom)
     # the desuspended degree of each distinct slot, read once
     degree = {m: model.monomial_degree(m) - 1 for m in set().union(*b)}
     report.degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
-    # p(b) == b and d_B(b) == 0 as integer equalities on b's numerators
-    _, ints = to_numerators(check_element(b))
-    denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
-    image = projector_numerators(ints, model, denom)
     scaled = {w: denom * c for w, c in ints.items()}
     report.hain_fixed = {w: c for w, c in image.items() if c} == scaled
     report.closed = not differential_numerators(ints, model)[1]
@@ -574,7 +572,7 @@ def _geometric_lift(W: str) -> BarElement:
     if n == 1:
         if W not in ("0", "1"):
             raise InvalidWordError(f"{W!r} is not a binary Lyndon word")
-        return {((f"G_{W}",),): ONE}
+        return {((f"G_{W}",),): 1}
     element, _ = lift_LB(W, "plain")
     return bar_transport(element, geom_projection_images(n), model_geom(n))
 

@@ -23,6 +23,7 @@ from lyndonbar.bar import (
     bar_differential,
     coproduct,
     delta_Q,
+    differential_numerators,
     hain_projector,
     pi1,
     projector_numerators,
@@ -32,7 +33,7 @@ from lyndonbar.bar import (
     wedge_numerators,
 )
 from lyndonbar.dgcore import model_a1, model_geom, model_x
-from lyndonbar.lifts import VARIANTS, geometric_lift, lift_LB
+from lyndonbar.lifts import VARIANTS, LiftReport, geometric_lift, lift_LB, verify_lift
 from lyndonbar.linalg import add_term, combine, from_numerators, to_numerators
 from lyndonbar.verify import random_bar_element
 from lyndonbar.words import lyndon_words
@@ -77,9 +78,42 @@ def test_single_slot_differential_sign():
     assert got == {((("L0_1", "L1_0"),)): -1}
 
 
+def kernel_calls(word):
+    """Every bar kernel that takes a presentation, called on ``word`` over P4:
+    on both sides of a known even slot where it takes two operands, and in
+    either leg of a tensor."""
+    known = (("L1_0",),)
+    b, k = {word: ONE}, {known: ONE}
+    ints, known_ints = {word: 1}, {known: 1}
+    t, tk = {(word, known): ONE, (known, word): ONE}, {(known, known): ONE}
+    return [
+        lambda: bar_differential(b, P4),
+        lambda: differential_numerators(ints, P4),
+        lambda: hain_projector(b, P4),
+        lambda: projector_numerators(ints, P4, 2),
+        lambda: delta_Q(b, P4),
+        lambda: shuffle(b, k, P4),
+        lambda: shuffle(k, b, P4),
+        lambda: tensor_shuffle(t, tk, P4),
+        lambda: tensor_shuffle(tk, t, P4),
+        lambda: tensor_swap({(known, word): ONE}, P4),
+        lambda: tensor_swap({(word, known): ONE}, P4),
+        lambda: wedge_numerators(ints, known_ints, P4),
+        lambda: wedge_numerators(known_ints, ints, P4),
+    ]
+
+
+# a constant slot alone, after a known slot, and before one
+CONSTANT_SLOT_WORDS = [((),), (("L0_1",), ()), ((), ("L0_1",))]
+
+
 def test_constant_slot_rejected():
     with pytest.raises(InvalidElementError):
         bar_differential({((), ("L0_1",)): ONE}, P4)  # type: ignore[dict-item]
+    for word in CONSTANT_SLOT_WORDS:
+        for call in kernel_calls(word):
+            with pytest.raises(InvalidElementError, match="outside the augmentation ideal$"):
+                call()
 
 
 def test_differential_squares_to_zero():
@@ -206,6 +240,8 @@ def test_hain_chain_map():
 def test_hain_rejects_empty_word():
     with pytest.raises(InvalidElementError):
         hain_projector({(): ONE}, P4)
+    with pytest.raises(InvalidElementError, match="empty-word component present"):
+        projector_numerators({(): 1}, P4, 1)
 
 
 # a slot with a generator that P4 does not have, alone, after a known slot,
@@ -218,12 +254,19 @@ UNKNOWN_SLOT = r"bar slot \(.*'ZZ'.*\) holds 'ZZ', which is not a generator of x
 def test_bar_differential_rejects_an_unknown_generator(word):
     with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
         bar_differential({word: ONE}, P4)
+    # and so does every other kernel that takes a presentation
+    for call in kernel_calls(word):
+        with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
+            call()
 
 
 @pytest.mark.parametrize("word", UNKNOWN_SLOT_WORDS)
 def test_hain_projector_rejects_an_unknown_generator(word):
     with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
         hain_projector({word: ONE}, P4)
+    # verify_lift projects before it reads the slots' degrees
+    with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
+        verify_lift({word: ONE}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
 
 
 @pytest.mark.parametrize("word", UNKNOWN_SLOT_WORDS)

@@ -14,6 +14,7 @@ from lyndonbar.dgcore import (
     CoLiePresentation,
     GradedGenerator,
     NotACoLieCoalgebraError,
+    PresentationError,
     cobar_colie,
     colie_presentation,
     geom_projection_images,
@@ -219,6 +220,21 @@ def test_non_antisymmetric_cobracket_rejected():
         cobar_colie(bad)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_a_differential_keyed_on_a_name_that_is_not_a_generator_is_rejected(validate):
+    # it used to be accepted, and the differential of b dropped
+    with pytest.raises(PresentationError, match="^differential given for 'b', which is not a generator$"):
+        CdgaPresentation([GradedGenerator("a", 1, 1)], {"b": {("a",): 1}}, validate=validate)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_a_differential_holding_an_unknown_generator_is_rejected(validate):
+    gens = [GradedGenerator("a", 1, 1), GradedGenerator("b", 2, 1)]
+    for image in ({("zz",): 1}, {("b",): 1, ("a", "zz"): 1}):
+        with pytest.raises(PresentationError, match=r"^d\(a\) holds 'zz', which is not a generator$"):
+            CdgaPresentation(gens, {"a": image}, validate=validate)
+
+
 def test_suspension_sign_on_nonzero_differential():
     # d(a) = b forces d(sa) = -sb in the cobar; the quadratic parts carry the
     # suspension coproduct sign.  Frozen from a hand computation.
@@ -307,6 +323,15 @@ def test_morphism_values():
     assert transport({("M_001",): ONE}, fiber, model_point(mw)) == {("N_001",): 1}
     assert transport({("N_01",): ONE}, pullback, model_x(mw)) == {("K_01",): 1}
     assert transport({("N_0",): ONE}, pullback, model_x(mw)) == {}
+
+
+def test_transport_rejects_a_generator_the_images_do_not_map():
+    mw = 3
+    with pytest.raises(ValueError, match="holds 'ZZ', which the images do not map$"):
+        restrict_j({("ZZ",): ONE}, mw)
+    # a factor mapped to zero before it does not hide it
+    with pytest.raises(ValueError, match="holds 'ZZ', which the images do not map$"):
+        transport({("N_0", "ZZ"): ONE}, p1_pullback_images(mw), model_x(mw))
 
 
 def test_j_restriction_multiplicative():

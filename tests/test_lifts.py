@@ -1133,6 +1133,13 @@ def test_bar_transport_matches_the_fraction_reference(W):
         assert all(type(c) is Fraction and c for c in got.values())
 
 
+def test_bar_transport_rejects_a_slot_the_images_do_not_map():
+    images = j_restriction_images(4)
+    for b in ({(("ZZ",),): 1}, {(("M_01",), ("M_1", "ZZ")): 1}):
+        with pytest.raises(ValueError, match="holds 'ZZ', which the images do not map$"):
+            bar_transport(b, images, model_x(4))
+
+
 def test_geom_basis_to_weight_4():
     report = verify_geom_basis(4)
     assert report["ok"], report
