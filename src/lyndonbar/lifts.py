@@ -23,6 +23,8 @@ from types import MappingProxyType
 from .bar import (
     BarElement,
     BarTensor,
+    InvalidElementError,
+    _slot,
     bar_differential,
     delta_Q,
     differential_numerators,
@@ -222,30 +224,32 @@ def _closedness_rows(parts, model: CdgaPresentation) -> list:
     odd: dict = {}  # slot -> the parity of its desuspended degree
     for k, part in parts:
         for word, c in differential_numerators(part, model)[1].items():
-            pairs = pairings.get(word)
-            if pairs is None:
+            entry = pairings.get(word)
+            if entry is None:
                 for m in word:
                     if m not in odd:
                         odd[m] = (model.monomial_degree(m) - 1) % 2
                 if sum(map(odd.__getitem__, word)) > 1:
                     raise ValueError(f"the bar word {word!r} has more than one odd slot")
-                pairs = pairings[word] = _word_pairings(word)
-            for key, v in pairs:
-                row = rows.setdefault(key, {})
+                entry = pairings[word] = _word_pairings(word)
+            letters, _, pairs = entry
+            for L, v in pairs:
+                row = rows.setdefault((letters, L), {})
                 row[k] = row.get(k, 0) + c * v
     return [r for r in ({k: v for k, v in row.items() if v} for row in rows.values()) if r]
 
 
 def _word_pairings(word) -> tuple:
-    """The nonzero <word, P_L> of a bar word, keyed (its sorted letters, L in codes).
+    """A bar word's content and its nonzero <word, P_L>: (letters, content, ((L, v), ...)).
 
-    The letters are the word's distinct slots, coded by their rank.
+    The letters are the word's distinct slots, sorted and coded by their
+    rank; the content is the word's codes sorted, and each L is in codes.
     """
     letters = tuple(sorted(set(word)))
     rank = {m: i for i, m in enumerate(letters)}
     codes = tuple(map(rank.__getitem__, word))
-    pairs = _lyndon_pairings(tuple(sorted(codes))).get(codes, ())
-    return tuple(((letters, L), v) for L, v in pairs)
+    content = tuple(sorted(codes))
+    return letters, content, _lyndon_pairings(content).get(codes, ())
 
 
 @lru_cache(maxsize=None)
@@ -263,6 +267,50 @@ def _lyndon_pairings(content: tuple) -> Mapping:
             for word, c in expand(L).items():
                 index.setdefault(word, []).append((L, c))
     return MappingProxyType({w: tuple(pairs) for w, pairs in index.items()})
+
+
+def _lyndon_projector_numerators(b, model: CdgaPresentation, denom: int) -> dict:
+    """p(b) of an integer element whose every slot is even, as numerators over ``denom``.
+
+    With no odd slot p is the dual of the first Eulerian idempotent e1, and
+    e1 fixes every Lyndon bracket P_L, so <p(b), P_L> = <b, P_L>; by Ree's
+    theorem p(z) = 0 iff every <z, P_L> = 0.  So p(b) = p(sum c_L L), where
+    the Lyndon coordinates c_L solve sum_{L'} c_{L'} <L', P_L> = <b, P_L>
+    within each content, the multiset of slots.  P_L is L plus larger words,
+    so the system is unitriangular, and it is solved in integers from the
+    largest L down; only those Lyndon words then reach p.  ``denom`` is as
+    for :func:`projector_numerators`.  Zero coefficients are skipped; every
+    other word's slots are read through ``_slot`` first, and an odd slot
+    raises :class:`ValueError`.
+    """
+    if b.get(()):
+        raise InvalidElementError("empty-word component present")
+    # each distinct slot of a nonzero term, read once; all are read before
+    # an odd one is refused
+    odd = [m for m in set().union(*(w for w, c in b.items() if c)) if _slot(model, m)[0]]
+    if odd:
+        raise ValueError(f"the bar slot {min(odd)!r} is odd")
+    # (letters, content) -> {L: <b, P_L> less what larger L' pair}
+    by_content: dict = {}
+    for word, c in b.items():
+        if c:
+            letters, content, pairs = _word_pairings(word)
+            if pairs:
+                rhs = by_content.setdefault((letters, content), {})
+                for L, v in pairs:
+                    rhs[L] = rhs.get(L, 0) + c * v
+    coordinates: dict = {}
+    for (letters, content), rhs in by_content.items():
+        index = _lyndon_pairings(content)
+        while rhs:
+            L = max(rhs)
+            c = rhs.pop(L)
+            if c:
+                coordinates[tuple(map(letters.__getitem__, L))] = c
+                for smaller, v in index[L]:
+                    if smaller != L:
+                        rhs[smaller] = rhs.get(smaller, 0) - c * v
+    return projector_numerators(coordinates, model, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +457,20 @@ def table_wedge(W: str, prefix: str, model: CdgaPresentation, slot) -> BarTensor
 def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> LiftReport:
     spec = _variant(variant)
     model = spec.model(len(W))
+    # a zero term is no term, as in the kernels, which skip it unread
+    b = {w: c for w, c in b.items() if c}
     report.pi1_ok = pi1(b) == {(f"{spec.prefix}_{W}",): 1}
-    # p(b) == b and d_B(b) == 0 as integer equalities on b's numerators; p
-    # reads every slot first, so a bad one is rejected before the degrees
+    # p(b) == b and d_B(b) == 0 as integer equalities on b's numerators;
+    # each distinct slot is read through _slot first, so a bad one is
+    # rejected before its degree is read
     _, ints = to_numerators(b)
+    slots = set().union(*ints)
+    even = not any([_slot(model, m)[0] for m in slots])
     denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
-    image = projector_numerators(ints, model, denom)
-    # the desuspended degree of each distinct slot, read once
-    degree = {m: model.monomial_degree(m) - 1 for m in set().union(*b)}
+    # with every slot even, p through b's Lyndon coordinates
+    project = _lyndon_projector_numerators if even else projector_numerators
+    image = project(ints, model, denom)
+    degree = {m: model.monomial_degree(m) - 1 for m in slots}
     report.degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
     scaled = {w: denom * c for w, c in ints.items()}
     report.hain_fixed = {w: c for w, c in image.items() if c} == scaled

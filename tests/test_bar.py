@@ -13,7 +13,7 @@ from conftest import rescaled
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from lyndonbar import bar
+from lyndonbar import bar, lifts
 from lyndonbar.bar import (
     InvalidElementError,
     _hain_pattern,
@@ -81,7 +81,7 @@ def test_single_slot_differential_sign():
 def kernel_calls(word):
     """Every bar kernel that takes a presentation, called on ``word`` over P4:
     on both sides of a known even slot where it takes two operands, and in
-    either leg of a tensor."""
+    either leg of a tensor; and p through Lyndon coordinates."""
     known = (("L1_0",),)
     b, k = {word: ONE}, {known: ONE}
     ints, known_ints = {word: 1}, {known: 1}
@@ -91,6 +91,7 @@ def kernel_calls(word):
         lambda: differential_numerators(ints, P4),
         lambda: hain_projector(b, P4),
         lambda: projector_numerators(ints, P4, 2),
+        lambda: lifts._lyndon_projector_numerators(ints, P4, 2),
         lambda: delta_Q(b, P4),
         lambda: shuffle(b, k, P4),
         lambda: shuffle(k, b, P4),

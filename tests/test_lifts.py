@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +18,7 @@ from conftest import rescaled
 from test_bar import reference_wedge_pair
 from lyndonbar import dgcore, lifts
 from lyndonbar.bar import (
+    InvalidElementError,
     bar_differential,
     differential_numerators,
     hain_projector,
@@ -797,6 +799,94 @@ def test_the_cached_pairing_index_is_read_only():
     with pytest.raises(AttributeError):
         index[(0, 1, 0)].append(((0, 0, 1), 2))
     assert lifts._lyndon_pairings((0, 0, 1))[(0, 1, 0)] == (((0, 0, 1), -2),)
+
+
+def lyndon_route_against_the_descent(b, model) -> None:
+    """p of ``b`` through its Lyndon coordinates equals the descent p, value for value."""
+    ints = to_numerators(b)[1]
+    denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
+    want = {w: c for w, c in projector_numerators(ints, model, denom).items() if c}
+    got = {w: c for w, c in lifts._lyndon_projector_numerators(ints, model, denom).items() if c}
+    assert got == want, b
+
+
+ORACLE_LIFTS = [(W, variant) for W in lyndon_words(7) if len(W) > 1 for variant in sorted(VARIANTS)]
+
+
+@pytest.mark.parametrize("W, variant", ORACLE_LIFTS)
+def test_the_lyndon_route_is_p_on_every_oracle_lift_and_its_perturbations(W, variant):
+    element, _ = closed_lift_oracle(W, variant)
+    model = VARIANTS[variant].model(len(W))
+    lyndon_route_against_the_descent(element, model)
+    # one coefficient changed, one word added, a single slot changed
+    rng = random.Random(f"{W} {variant}")
+    words = sorted(element)
+    changed = rng.choice(words)
+    added = rng.choice(lifts._degree_zero_words(model, len(W)))
+    single = next(w for w in words if len(w) == 1)
+    for word in (changed, added, single):
+        perturbed = dict(element)
+        add_term(perturbed, word, 1)
+        lyndon_route_against_the_descent(perturbed, model)
+
+
+@pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6, 7])
+def test_the_lyndon_route_is_p_on_random_degree_zero_elements(model, weight):
+    model = getattr(dgcore, model)(weight)
+    words = lifts._degree_zero_words(model, weight)
+    rng = random.Random(weight)
+    for _ in range(20):
+        b: dict = {}
+        for word in rng.sample(words, min(4, len(words))):
+            # the word and a few rearrangements of its slots, which share its
+            # content and so reach the triangular solve
+            for w in [word] + [tuple(rng.sample(word, len(word))) for _ in range(3)]:
+                add_term(b, w, rng.randint(-3, 3))
+        lyndon_route_against_the_descent(b, model)
+
+
+@pytest.mark.parametrize("W", [W for W in lyndon_words(6) if len(W) > 1])
+def test_hain_fixed_agrees_with_the_descent_on_every_perturbed_plain_lift(W):
+    element, _ = closed_lift_oracle(W, "plain")
+    model = model_x(len(W))
+    verdicts = Counter()
+    for word in element:
+        bad = {**element, word: element[word] + 1}
+        got = verify_lift(bad, W, "plain", LiftReport(W, "plain", "oracle"))
+        assert got.hain_fixed == (hain_projector(bad, model) == bad), word
+        verdicts[got.hain_fixed, len(word)] += 1
+    # only the changed single slot stays Hain-fixed
+    assert verdicts[True, 1] == 1 and sum(verdicts.values()) == len(element)
+    assert not any(fixed for fixed, length in verdicts if length > 1)
+
+
+def test_the_lyndon_route_rejects_what_the_descent_rejects():
+    model = model_x(4)
+    with pytest.raises(InvalidElementError, match="empty-word component present"):
+        lifts._lyndon_projector_numerators({(): 1}, model, 1)
+    with pytest.raises(InvalidElementError, match="empty-word component present"):
+        projector_numerators({(): 1}, model, 1)
+
+
+def test_the_lyndon_route_refuses_an_odd_slot():
+    # the slot L0_1 L1_0 has desuspended degree 1
+    model = model_x(3)
+    with pytest.raises(ValueError, match="is odd"):
+        lifts._lyndon_projector_numerators({(("L0_1", "L1_0"), ("L0_01",)): 1}, model, 2)
+
+
+@pytest.mark.parametrize("word", [(("ZZ",),), ((),), (), (("L0_1",), ("ZZ",))])
+def test_a_zero_term_is_skipped_before_its_slots_are_read(word):
+    model = model_x(4)
+    assert lifts._lyndon_projector_numerators({word: 0}, model, 2) == {}
+    want = verify_lift({}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    got = verify_lift({word: 0}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    assert got == want
+    # and beside a lift, the zero term changes no flag
+    element, report = lift_LB("0011", "plain", "oracle")
+    got = verify_lift({**element, word: 0}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    assert got.all_ok
 
 
 def test_corrupted_model_detected_at_weight_4():
