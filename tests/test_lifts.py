@@ -818,7 +818,8 @@ def test_the_lyndon_route_is_p_on_every_oracle_lift_and_its_perturbations(W, var
     element, _ = closed_lift_oracle(W, variant)
     model = VARIANTS[variant].model(len(W))
     lyndon_route_against_the_descent(element, model)
-    # one coefficient changed, one word added, a single slot changed
+    # 1 added at a random word of the lift, at a random degree-0 word of
+    # the slice, and at the single slot
     rng = random.Random(f"{W} {variant}")
     words = sorted(element)
     changed = rng.choice(words)
@@ -857,16 +858,13 @@ def test_hain_fixed_agrees_with_the_descent_on_every_perturbed_plain_lift(W):
         assert got.hain_fixed == (hain_projector(bad, model) == bad), word
         verdicts[got.hain_fixed, len(word)] += 1
     # only the changed single slot stays Hain-fixed
-    assert verdicts[True, 1] == 1 and sum(verdicts.values()) == len(element)
+    assert verdicts[True, 1] == 1
     assert not any(fixed for fixed, length in verdicts if length > 1)
 
 
-def test_the_lyndon_route_rejects_what_the_descent_rejects():
-    model = model_x(4)
+def test_the_lyndon_route_rejects_the_empty_word_as_the_descent_does():
     with pytest.raises(InvalidElementError, match="empty-word component present"):
-        lifts._lyndon_projector_numerators({(): 1}, model, 1)
-    with pytest.raises(InvalidElementError, match="empty-word component present"):
-        projector_numerators({(): 1}, model, 1)
+        lifts._lyndon_projector_numerators({(): 1}, model_x(4), 1)
 
 
 def test_the_lyndon_route_refuses_an_odd_slot():
@@ -884,7 +882,7 @@ def test_a_zero_term_is_skipped_before_its_slots_are_read(word):
     got = verify_lift({word: 0}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
     assert got == want
     # and beside a lift, the zero term changes no flag
-    element, report = lift_LB("0011", "plain", "oracle")
+    element, _ = lift_LB("0011", "plain", "oracle")
     got = verify_lift({**element, word: 0}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
     assert got.all_ok
 
