@@ -322,18 +322,21 @@ def hain_projector(b: BarElement, p: CdgaPresentation) -> BarElement:
     coproduct; single slots are fixed and proper shuffle products die.  The
     words' projections are summed in integers over one common denominator.
     """
-    if not b:
-        return {}
     den, ints = to_numerators(b)
-    denom = _lcm_upto(max(map(len, b)))
+    if not ints:
+        return {}
+    denom = _lcm_upto(max(map(len, ints)))
     return from_numerators(projector_numerators(ints, p, denom), den * denom)
 
 
 def tensor_swap(t: BarTensor, p: CdgaPresentation) -> BarTensor:
-    """tau on the tensor square, with the Koszul sign of the bar degrees."""
-    # each distinct leg's parity, read once, so every slot of both legs is
-    # read through _slot
-    odd = {w for w in set().union(*t) if _parity(p, w)}
+    """tau on the tensor square, with the Koszul sign of the bar degrees.
+
+    A zero term is no term: its legs are not read.
+    """
+    # each distinct leg of a nonzero term, its parity read once, so every
+    # slot of both legs is read through _slot
+    odd = {w for w in set().union(*(k for k, c in t.items() if c)) if _parity(p, w)}
     out: BarTensor = {}
     for (w1, w2), c in t.items():
         add_term(out, (w2, w1), -c if w1 in odd and w2 in odd else c)
@@ -433,12 +436,14 @@ def wedge_numerators(
     """2 (b1 ^ b2) of elements with integer coefficients, without Fractions.
 
     b1 ^ b2 is (1/2)(b1 @ b2 -+ b2 @ b1), the projector normalization, with
-    the Koszul sign of the bar degrees.  A numerator is zero where terms
-    cancel.
+    the Koszul sign of the bar degrees.  Zero coefficients are skipped; a
+    numerator is zero where terms cancel.
     """
     out: dict = {}
-    right = [(w2, c2, _parity(p, w2)) for w2, c2 in b2.items()]
+    right = [(w2, c2, _parity(p, w2)) for w2, c2 in b2.items() if c2]
     for w1, c1 in b1.items():
+        if not c1:
+            continue
         odd1 = _parity(p, w1)
         for w2, c2, odd2 in right:
             c = c1 * c2

@@ -20,7 +20,7 @@ from .lifts import VARIANTS, enumerate_trees, lift_LB
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suites
 from .words import InvalidWordError, is_lyndon, lyndon_words
 
-HARD_CAP = 8
+HARD_CAP = 9
 # each subcommand's size arguments: (dest, smallest value, cap without --force);
 # the output grows about as 2^n / n Lyndon words and Catalan(n-1) trees, and
 # the work exponentially in the weight for tables, models and lifts; the

@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from types import MappingProxyType
 
 from .bar import (
@@ -177,13 +177,11 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
     the linear system expressing d_B(phi(g)) = 0 for every source generator
     L0_w and L1_w of weight 2..max_weight.  phi(g) is p of the constant-
     weighted tree sums and p is a chain map, so a source's rows are those of
-    p(d_B(sum_n c_n S(g, n))) = 0, built by :func:`_closedness_rows` as
-    pairings with Lyndon brackets, without p.  Returns a tuple
-    (c_1, ..., c_max_weight), or None if no per-degree constants exist.
+    p(d_B(sum_n c_n S(g, n))) = 0, read from :func:`_unit_rows`.  Returns a
+    tuple (c_1, ..., c_max_weight), or None if no per-degree constants exist.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    model = model_x(max_weight)
     variables = list(range(2, max_weight + 1))
 
     def equations():
@@ -193,8 +191,8 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
             if len(w) < 2:
                 continue
             for gen in (f"L0_{w}", f"L1_{w}"):
-                parts = ((n, dict(_tree_sum(model, gen, n))) for n in range(1, len(w) + 1))
-                for byn in _closedness_rows(parts, model):
+                for row in _unit_rows(gen, len(w)):
+                    byn = dict(row)
                     yield byn, {"closed": -byn.pop(1, 0)}
 
     solutions, _ = solve_affine(equations(), variables, labels=["closed"])
@@ -202,6 +200,22 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
         return None
     solution = solutions["closed"]
     return (1,) + tuple(solution.get(n, 0) for n in variables)
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(gen: str, weight: int) -> tuple:
+    """The closedness rows of the source ``gen`` of the given weight, read-only.
+
+    The rows of p(d_B(sum_n c_n S(gen, n))) = 0, built by
+    :func:`_closedness_rows` over ``model_x(weight)``, each a tuple of
+    (n, integer) pairs.  The tree sums and their boundaries reach only
+    generators of weight at most ``weight``, and the models are nested
+    truncations, so a probe of any larger weight has the same rows; the
+    tree sums are the ones :func:`adjunction_unit` reads for ``gen``.
+    """
+    model = model_x(weight)
+    parts = ((n, dict(_tree_sum(model, gen, n))) for n in range(1, weight + 1))
+    return tuple(tuple(row.items()) for row in _closedness_rows(parts, model))
 
 
 def _closedness_rows(parts, model: CdgaPresentation) -> list:
@@ -245,11 +259,11 @@ def _word_pairings(word) -> tuple:
     The letters are the word's distinct slots, sorted and coded by their
     rank; the content is the word's codes sorted, and each L is in codes.
     """
-    letters = tuple(sorted(set(word)))
-    rank = {m: i for i, m in enumerate(letters)}
-    codes = tuple(map(rank.__getitem__, word))
+    letters = sorted(set(word))
+    # a word has few distinct slots, so a scan of them is the cheapest rank
+    codes = tuple(map(letters.index, word))
     content = tuple(sorted(codes))
-    return letters, content, _lyndon_pairings(content).get(codes, ())
+    return tuple(letters), content, _lyndon_pairings(content).get(codes, ())
 
 
 @lru_cache(maxsize=None)
@@ -258,19 +272,40 @@ def _lyndon_pairings(content: tuple) -> Mapping:
 
     ``content`` is a sorted tuple of letter codes.  Maps each word over it
     to its ((L, <word, P_L>), ...) pairs, nonzero, L running over the
-    Lyndon arrangements of ``content``; a word that no P_L holds is absent.
-    The cached index is read-only.
+    Lyndon arrangements of ``content`` in increasing order; a word that no
+    P_L holds is absent.  The cached index is read-only.
     """
     index: dict = {}
-    for L in sorted(set(permutations(content))):
+    for L in _arrangements(content):
         if is_lyndon_sequence(L):
             for word, c in expand(L).items():
                 index.setdefault(word, []).append((L, c))
     return MappingProxyType({w: tuple(pairs) for w, pairs in index.items()})
 
 
-def _lyndon_projector_numerators(b, model: CdgaPresentation, denom: int) -> dict:
-    """p(b) of an integer element whose every slot is even, as numerators over ``denom``.
+def _arrangements(content: tuple):
+    """The distinct arrangements of a sorted tuple, in increasing order.
+
+    Each is the next permutation of the one before (Knuth, TAOCP 7.2.1.2,
+    algorithm L), which steps over the orderings of repeated letters.
+    """
+    a = list(content)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[: j : -1]
+
+
+def _lyndon_coordinates(b, model: CdgaPresentation) -> dict:
+    """The Lyndon coordinates of an integer element whose every slot is even.
 
     With no odd slot p is the dual of the first Eulerian idempotent e1, and
     e1 fixes every Lyndon bracket P_L, so <p(b), P_L> = <b, P_L>; by Ree's
@@ -278,10 +313,10 @@ def _lyndon_projector_numerators(b, model: CdgaPresentation, denom: int) -> dict
     the Lyndon coordinates c_L solve sum_{L'} c_{L'} <L', P_L> = <b, P_L>
     within each content, the multiset of slots.  P_L is L plus larger words,
     so the system is unitriangular, and it is solved in integers from the
-    largest L down; only those Lyndon words then reach p.  ``denom`` is as
-    for :func:`projector_numerators`.  Zero coefficients are skipped; every
-    other word's slots are read through ``_slot`` first, and an odd slot
-    raises :class:`ValueError`.
+    largest L down, and only those Lyndon words need reach p.  Returns
+    {L: c_L}, nonzero.  Zero coefficients are skipped; every other word's
+    slots are read through ``_slot`` first, and an odd slot raises
+    :class:`ValueError`.
     """
     if b.get(()):
         raise InvalidElementError("empty-word component present")
@@ -310,33 +345,35 @@ def _lyndon_projector_numerators(b, model: CdgaPresentation, denom: int) -> dict
                 for smaller, v in index[L]:
                     if smaller != L:
                         rhs[smaller] = rhs.get(smaller, 0) - c * v
-    return projector_numerators(coordinates, model, denom)
+    return coordinates
 
 
 # ---------------------------------------------------------------------------
 # the independent oracle: exact solve for the defining properties
 
 
-def _degree_zero_words(model: CdgaPresentation, weight: int) -> list:
-    """All bar words of the given weight whose every slot is one generator."""
-    by_weight: dict[int, list] = {}
+def _lyndon_slot_words(model: CdgaPresentation, weight: int) -> list:
+    """The Lyndon bar words of the given weight whose every slot is one generator.
+
+    Built by standard factorization: a Lyndon word of two or more slots is
+    uv for its longest proper Lyndon suffix v, and the pairs that arise so
+    are the Lyndon u < v where u is one slot or u's own right factor is at
+    least v (Lothaire, *Combinatorics on Words*, 5.1).  Sorted by
+    :func:`_slice_order`.
+    """
+    # weight -> [(Lyndon word, its right factor, None for one slot)]
+    by_weight: dict = {n: [] for n in range(1, weight + 1)}
     for g in model.generators:
-        by_weight.setdefault(g.weight, []).append(g.name)
-
-    def compositions(total):
-        if total == 0:
-            yield ()
-            return
-        for part in range(1, total + 1):
-            if part in by_weight:
-                for rest in compositions(total - part):
-                    yield (part,) + rest
-
-    words = []
-    for comp in compositions(weight):
-        for choice in product(*(by_weight[p] for p in comp)):
-            words.append(tuple((g,) for g in choice))
-    return sorted(words, key=_slice_order)
+        if g.weight in by_weight:
+            by_weight[g.weight].append((((g.name,),), None))
+    for total in range(2, weight + 1):
+        out = by_weight[total]
+        for n in range(1, total):
+            for u, right in by_weight[n]:
+                for v, _ in by_weight[total - n]:
+                    if u < v and (right is None or right >= v):
+                        out.append((u + v, v))
+    return sorted((w for w, _ in by_weight[weight]), key=_slice_order)
 
 
 def _slice_order(word) -> tuple:
@@ -363,7 +400,7 @@ def _oracle_solve(model: CdgaPresentation, weight: int) -> tuple:
     coefficients c_l from :func:`solve_affine`, keyed by l (None where that
     generator has no lift), and the dimension of each solution space.
     """
-    lyndon = [w for w in _degree_zero_words(model, weight) if is_lyndon_sequence(w)]
+    lyndon = _lyndon_slot_words(model, weight)
     labels = [w[0][0] for w in lyndon if len(w) == 1]  # the generators of this weight
     equations = [({((g,),): 1}, {g: 1}) for g in labels]
     rows = _closedness_rows(((w, {w: 1}) for w in lyndon), model)
@@ -467,22 +504,37 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     slots = set().union(*ints)
     even = not any([_slot(model, m)[0] for m in slots])
     denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
-    # with every slot even, p through b's Lyndon coordinates
-    project = _lyndon_projector_numerators if even else projector_numerators
-    image = project(ints, model, denom)
+    # with every slot even, p through b's Lyndon coordinates x; else x is b
+    x = _lyndon_coordinates(ints, model) if even else ints
+    image = projector_numerators(x, model, denom)
     degree = {m: model.monomial_degree(m) - 1 for m in slots}
     report.degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
     scaled = {w: denom * c for w, c in ints.items()}
     report.hain_fixed = {w: c for w, c in image.items() if c} == scaled
-    report.closed = not differential_numerators(ints, model)[1]
+    if even and report.hain_fixed:
+        # b = p(x), so d_B(b) = p(d_B(x)), and every boundary word of x has
+        # one odd slot: d_B(b) = 0 iff every pairing row of x is zero
+        report.closed = not _closedness_rows([(0, x)], model)
+    else:
+        report.closed = not differential_numerators(ints, model)[1]
     # p keeps tensor length and fixes single slots, so only b's two-slot
     # words reach the (1,1) part of delta_Q(b)
     two_slot = {w: c for w, c in b.items() if len(w) == 2}
-    # the prescribed component, one generator on each leg: the model, built
-    # from the same tables, has the generators of every row
-    prescribed = table_wedge(W, spec.prefix, model, lambda fam, u: {((f"{fam}_{u}",),): 1})
-    report.cobracket_ok = delta_Q(two_slot, model) == prescribed
+    report.cobracket_ok = delta_Q(two_slot, model) == _prescribed_cobracket(W, variant)
     return report
+
+
+@lru_cache(maxsize=None)
+def _prescribed_cobracket(W: str, variant: str) -> Mapping:
+    """The prescribed (1,1) component of a lift's cobracket, read-only.
+
+    One generator on each leg: the variant's model at weight |W|, built from
+    the same tables, has the generators of every row.
+    """
+    spec = _variant(variant)
+    model = spec.model(len(W))
+    wedge = table_wedge(W, spec.prefix, model, lambda fam, u: {((f"{fam}_{u}",),): 1})
+    return MappingProxyType(wedge)
 
 
 def lift_LB(W: str, variant: str, method: str = "auto") -> tuple:

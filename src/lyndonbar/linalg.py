@@ -44,10 +44,11 @@ def to_numerators(vec: Mapping) -> tuple[int, dict]:
     """``vec`` as integer numerators over one denominator: ``(den, ints)``.
 
     ``den`` is the lcm of the coefficients' denominators, 1 for int
-    coefficients and for the empty vector.
+    coefficients and for the empty vector.  A zero coefficient is no term:
+    its key is dropped.
     """
     den = math.lcm(*(c.denominator for c in vec.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+    return den, {k: n for k, c in vec.items() if (n := c.numerator * (den // c.denominator))}
 
 
 def from_numerators(ints: Mapping, den: int) -> dict:

@@ -78,27 +78,29 @@ def test_single_slot_differential_sign():
     assert got == {((("L0_1", "L1_0"),)): -1}
 
 
-def kernel_calls(word):
-    """Every bar kernel that takes a presentation, called on ``word`` over P4:
-    on both sides of a known even slot where it takes two operands, and in
-    either leg of a tensor; and p through Lyndon coordinates."""
+def kernel_calls(terms):
+    """Every bar kernel that takes a presentation, called over P4 on the
+    element with the integer coefficients ``terms``: on both sides of a
+    known even slot where it takes two operands, and in either leg of a
+    tensor; and the Lyndon coordinates."""
     known = (("L1_0",),)
-    b, k = {word: ONE}, {known: ONE}
-    ints, known_ints = {word: 1}, {known: 1}
-    t, tk = {(word, known): ONE, (known, word): ONE}, {(known, known): ONE}
+    ints, known_ints = dict(terms), {known: 1}
+    b, k = {w: Fraction(c) for w, c in ints.items()}, {known: ONE}
+    left, right = {(w, known): c for w, c in b.items()}, {(known, w): c for w, c in b.items()}
+    t, tk = {**left, **right}, {(known, known): ONE}
     return [
         lambda: bar_differential(b, P4),
         lambda: differential_numerators(ints, P4),
         lambda: hain_projector(b, P4),
         lambda: projector_numerators(ints, P4, 2),
-        lambda: lifts._lyndon_projector_numerators(ints, P4, 2),
+        lambda: lifts._lyndon_coordinates(ints, P4),
         lambda: delta_Q(b, P4),
         lambda: shuffle(b, k, P4),
         lambda: shuffle(k, b, P4),
         lambda: tensor_shuffle(t, tk, P4),
         lambda: tensor_shuffle(tk, t, P4),
-        lambda: tensor_swap({(known, word): ONE}, P4),
-        lambda: tensor_swap({(word, known): ONE}, P4),
+        lambda: tensor_swap(right, P4),
+        lambda: tensor_swap(left, P4),
         lambda: wedge_numerators(ints, known_ints, P4),
         lambda: wedge_numerators(known_ints, ints, P4),
     ]
@@ -112,7 +114,7 @@ def test_constant_slot_rejected():
     with pytest.raises(InvalidElementError):
         bar_differential({((), ("L0_1",)): ONE}, P4)  # type: ignore[dict-item]
     for word in CONSTANT_SLOT_WORDS:
-        for call in kernel_calls(word):
+        for call in kernel_calls({word: 1}):
             with pytest.raises(InvalidElementError, match="outside the augmentation ideal$"):
                 call()
 
@@ -256,8 +258,22 @@ def test_bar_differential_rejects_an_unknown_generator(word):
     with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
         bar_differential({word: ONE}, P4)
     # and so does every other kernel that takes a presentation
-    for call in kernel_calls(word):
+    for call in kernel_calls({word: 1}):
         with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
+            call()
+
+
+@pytest.mark.parametrize("word", CONSTANT_SLOT_WORDS + UNKNOWN_SLOT_WORDS)
+def test_a_zero_term_with_a_bad_slot_is_no_term(word):
+    # beside a known two-slot word, every kernel gives with the bad word at
+    # coefficient 0 what it gives without it; at coefficient 1 each raises
+    known = (("L0_1",), ("L1_0",))
+    want = [call() for call in kernel_calls({known: 1})]
+    assert all(want)
+    assert [call() for call in kernel_calls({known: 1, word: 0})] == want
+    assert [call() for call in kernel_calls({word: 0, known: 1})] == want
+    for call in kernel_calls({known: 1, word: 1}):
+        with pytest.raises(InvalidElementError):
             call()
 
 
@@ -592,7 +608,8 @@ def assert_kernels_match_references(b, p):
     # the integer projector over a denominator one word longer than b needs,
     # with a zero coefficient on a word outside b
     longest = max(b, key=len)
-    den, ints = to_numerators({**b, longest + longest[:1]: Fraction(0)})
+    den, ints = to_numerators(b)
+    ints[longest + longest[:1]] = 0
     denom = _lcm_upto(len(longest) + 1)
     numerators = projector_numerators(ints, p, denom)
     assert all(type(c) is int for c in numerators.values())

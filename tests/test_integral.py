@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import degree_zero_words
 
 from lyndonbar import bar, dgcore, lifts, verify
 from lyndonbar.bar import bar_differential, delta_Q, hain_projector
@@ -92,7 +93,7 @@ def test_bar_kernels_agree_on_the_fraction_copies(builder):
     p = builder(5)
     q = fraction_copy(p)
     for weight in range(2, 6):
-        for word in lifts._degree_zero_words(p, weight):
+        for word in degree_zero_words(p, weight):
             b = {word: 1}
             assert bar_differential(b, p) == bar_differential(b, q)
             projected = hain_projector(b, p)

@@ -10,11 +10,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import rescaled
+from conftest import degree_zero_words, rescaled
 from test_bar import reference_wedge_pair
 from lyndonbar import dgcore, lifts
 from lyndonbar.bar import (
@@ -24,6 +24,7 @@ from lyndonbar.bar import (
     hain_projector,
     pi1,
     projector_numerators,
+    shuffle,
 )
 from lyndonbar.colie import cobracket, coefficient_rows, coefficient_table, tensor_cobracket
 from lyndonbar.dgcore import (
@@ -58,8 +59,9 @@ from lyndonbar.lifts import (
     verify_geom_basis,
     verify_lift,
 )
-from lyndonbar.linalg import add_term, solve_affine, to_numerators
-from lyndonbar.words import InvalidWordError, lyndon_words, lyndon_words_of_length
+from lyndonbar.freelie import expand
+from lyndonbar.linalg import add_term, combine, solve_affine, to_numerators
+from lyndonbar.words import InvalidWordError, is_lyndon_sequence, lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
 
@@ -398,13 +400,13 @@ def test_solved_constants_drop_the_power_of_two():
     assert solve_unit_constants.__wrapped__(1) == (ONE,)
 
 
-def test_no_per_degree_constants_at_weight_6(monkeypatch):
-    assert solve_unit_constants(6) is None
-    # the probe streams its rows into the solve, which stops at the first
-    # contradiction: the tree sums of the 42 source generators are built
-    # only up to the ninth, L0_000101.  _tree_sum recurses through the module
-    # name, so from cold caches the recorder also sees the inner calls; it
-    # records only the outermost ones, the probe's own.
+def record_outer_tree_sums(monkeypatch) -> list:
+    """The outermost ``_tree_sum`` calls from now on, as (model, gen, n).
+
+    _tree_sum recurses through the module name, so from cold caches the
+    recorder also sees the inner calls; it records only the outermost ones,
+    the calls that build a source's rows.
+    """
     tree_sum = lifts._tree_sum
     built = []
     depth = 0
@@ -420,13 +422,51 @@ def test_no_per_degree_constants_at_weight_6(monkeypatch):
             depth -= 1
 
     monkeypatch.setattr(lifts, "_tree_sum", recording_tree_sum)
-    tree_sum.cache_clear()
+    return built
+
+
+def test_no_per_degree_constants_at_weight_6(monkeypatch):
+    assert solve_unit_constants(6) is None
+    # the probe streams its rows into the solve, which stops at the first
+    # contradiction: the rows of the 42 source generators are built only up
+    # to the ninth, L0_000101, each from tree sums over its own model_x(|w|)
+    lifts._tree_sum.cache_clear()
+    lifts._unit_rows.cache_clear()
+    built = record_outer_tree_sums(monkeypatch)
     assert solve_unit_constants.__wrapped__(6) is None
     sources = [(f"{p}_{w}", len(w)) for w in lyndon_words(6) if len(w) > 1 for p in ("L0", "L1")]
     assert len(sources) == 42
+    assert built == [(model_x(w), gen, n) for gen, w in sources[:9] for n in range(1, w + 1)]
+    assert built[-1] == (model_x(6), "L0_000101", 6)
+
+
+@pytest.mark.parametrize("max_weight", [3, 4, 5, 6])
+def test_each_probe_builds_no_rows_the_probe_before_built(monkeypatch, max_weight):
+    lifts._unit_rows.cache_clear()
+    built = record_outer_tree_sums(monkeypatch)
+    solve_unit_constants.__wrapped__(max_weight - 1)
+    before = {gen for _, gen, _ in built}
+    misses = lifts._unit_rows.cache_info().misses
+    built.clear()
+    solve_unit_constants.__wrapped__(max_weight)
+    after = {gen for _, gen, _ in built}
+    # only the sources of the new weight are built, each once
+    assert after and before.isdisjoint(after)
+    assert all(len(gen.split("_")[1]) == max_weight for gen in after)
+    assert lifts._unit_rows.cache_info().misses - misses == len(after)
+
+
+def test_each_source_has_the_same_rows_over_every_larger_model():
+    # the models are nested truncations, so a source's rows over its own
+    # model_x(|w|) are the rows over model_x(6), in the same order
     model = model_x(6)
-    assert built == [(model, gen, n) for gen, w in sources[:9] for n in range(1, w + 1)]
-    assert built[-1] == (model, "L0_000101", 6)
+    for w in (w for w in lyndon_words(6) if len(w) > 1):
+        for gen in (f"L0_{w}", f"L1_{w}"):
+            parts = ((n, dict(lifts._tree_sum(model, gen, n))) for n in range(1, len(w) + 1))
+            rows = tuple(tuple(row.items()) for row in lifts._closedness_rows(parts, model))
+            assert lifts._unit_rows(gen, len(w)) == rows, gen
+    with pytest.raises(TypeError):
+        lifts._unit_rows("L0_01", 2)[0][0] = (1, 0)
 
 
 def reference_tree_sum(tag, n, gmap) -> dict:
@@ -658,7 +698,7 @@ def test_a_lift_with_one_extra_degree_zero_word_is_not_closed():
     model = model_x(4)
     word = next(
         w
-        for w in lifts._degree_zero_words(model, 4)
+        for w in degree_zero_words(model, 4)
         if len(w) > 1 and w not in element and bar_differential({w: ONE}, model)
     )
     got = verify_lift({**element, word: ONE}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
@@ -742,7 +782,7 @@ def test_the_cached_oracle_solve_holds_only_nonzero_values(model, weight):
     # holds each target's nonzero coefficients c_l and nothing else
     presentation = getattr(dgcore, model)(weight)
     solutions, n_free = lifts._oracle_solve(presentation, weight)
-    lyndon = set(lifts._degree_zero_words(presentation, weight))
+    lyndon = set(degree_zero_words(presentation, weight))
     assert solutions and n_free == 0
     for coefficients in solutions.values():
         assert coefficients and coefficients.keys() <= lyndon
@@ -752,6 +792,7 @@ def test_the_cached_oracle_solve_holds_only_nonzero_values(model, weight):
 @pytest.mark.parametrize("max_weight", [2, 3, 4, 5, 6])
 def test_probe_closedness_rows_match_the_per_part_reference(monkeypatch, max_weight):
     probe = solve_unit_constants.__wrapped__
+    lifts._unit_rows.cache_clear()  # so the probe builds its rows
     assert closedness_rows_against_the_reference(monkeypatch, probe, max_weight)
 
 
@@ -801,12 +842,47 @@ def test_the_cached_pairing_index_is_read_only():
     assert lifts._lyndon_pairings((0, 0, 1))[(0, 1, 0)] == (((0, 0, 1), -2),)
 
 
+def reference_lyndon_pairings(content) -> dict:
+    """The pairing index over every ordering of ``content``, duplicates dropped."""
+    index: dict = {}
+    for L in sorted(set(permutations(content))):
+        if is_lyndon_sequence(L):
+            for word, c in expand(L).items():
+                index.setdefault(word, []).append((L, c))
+    return {w: tuple(pairs) for w, pairs in index.items()}
+
+
+def test_the_pairing_index_reads_each_arrangement_once_in_order():
+    for n in range(1, 8):
+        for content in combinations_with_replacement(range(4), n):
+            assert list(lifts._arrangements(content)) == sorted(set(permutations(content)))
+            got = lifts._lyndon_pairings.__wrapped__(content)
+            assert list(got.items()) == list(reference_lyndon_pairings(content).items()), content
+
+
+@pytest.mark.parametrize("model", ["model_x", "model_a1", "model_point", "model_geom"])
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6, 7])
+def test_the_lyndon_slot_words_are_the_lyndon_words_of_the_slice(model, weight):
+    presentation = getattr(dgcore, model)(weight)
+    want = [w for w in degree_zero_words(presentation, weight) if is_lyndon_sequence(w)]
+    assert lifts._lyndon_slot_words(presentation, weight) == want
+
+
+def test_the_prescribed_cobracket_is_cached_read_only():
+    got = lifts._prescribed_cobracket("0011", "plain")
+    assert got is lifts._prescribed_cobracket("0011", "plain")
+    assert dict(got) == table_wedge("0011", "L0", model_x(4), lambda fam, u: {((f"{fam}_{u}",),): 1})
+    with pytest.raises(TypeError):
+        got[next(iter(got))] = 0
+
+
 def lyndon_route_against_the_descent(b, model) -> None:
     """p of ``b`` through its Lyndon coordinates equals the descent p, value for value."""
     ints = to_numerators(b)[1]
     denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
     want = {w: c for w, c in projector_numerators(ints, model, denom).items() if c}
-    got = {w: c for w, c in lifts._lyndon_projector_numerators(ints, model, denom).items() if c}
+    image = projector_numerators(lifts._lyndon_coordinates(ints, model), model, denom)
+    got = {w: c for w, c in image.items() if c}
     assert got == want, b
 
 
@@ -823,7 +899,7 @@ def test_the_lyndon_route_is_p_on_every_oracle_lift_and_its_perturbations(W, var
     rng = random.Random(f"{W} {variant}")
     words = sorted(element)
     changed = rng.choice(words)
-    added = rng.choice(lifts._degree_zero_words(model, len(W)))
+    added = rng.choice(degree_zero_words(model, len(W)))
     single = next(w for w in words if len(w) == 1)
     for word in (changed, added, single):
         perturbed = dict(element)
@@ -835,7 +911,7 @@ def test_the_lyndon_route_is_p_on_every_oracle_lift_and_its_perturbations(W, var
 @pytest.mark.parametrize("weight", [2, 3, 4, 5, 6, 7])
 def test_the_lyndon_route_is_p_on_random_degree_zero_elements(model, weight):
     model = getattr(dgcore, model)(weight)
-    words = lifts._degree_zero_words(model, weight)
+    words = degree_zero_words(model, weight)
     rng = random.Random(weight)
     for _ in range(20):
         b: dict = {}
@@ -862,22 +938,101 @@ def test_hain_fixed_agrees_with_the_descent_on_every_perturbed_plain_lift(W):
     assert not any(fixed for fixed, length in verdicts if length > 1)
 
 
+def closed_against_the_boundary(b, W, variant) -> LiftReport:
+    """verify_lift's closedness verdict on ``b`` equals d_B(b) == 0 taken on b's words."""
+    got = verify_lift(b, W, variant, LiftReport(W, variant, "oracle"))
+    model = VARIANTS[variant].model(len(W))
+    assert got.closed == (not differential_numerators(to_numerators(b)[1], model)[1]), b
+    return got
+
+
+@pytest.mark.parametrize("W, variant", ORACLE_LIFTS)
+def test_the_closedness_verdict_is_d_b_on_every_oracle_lift_and_its_perturbations(W, variant):
+    element, _ = closed_lift_oracle(W, variant)
+    model = VARIANTS[variant].model(len(W))
+    got = closed_against_the_boundary(element, W, variant)
+    assert got.hain_fixed and got.closed
+    # 1 added at three words of the lift: off the single slot p fixes, the
+    # sum is not Hain-fixed and d_B runs
+    rng = random.Random(f"closed {W} {variant}")
+    for word in rng.sample(sorted(element), min(3, len(element))):
+        perturbed = dict(element)
+        add_term(perturbed, word, 1)
+        got = closed_against_the_boundary(perturbed, W, variant)
+        assert got.hain_fixed == (len(word) == 1)
+    # p(b + l) for a slice word l: Hain-fixed, and closed only if d_B(p(l)) = 0
+    added = rng.choice(degree_zero_words(model, len(W)))
+    projected = hain_projector(combine((1, element), (1, {added: ONE})), model)
+    assert closed_against_the_boundary(projected, W, variant).hain_fixed
+    # b plus a shuffle of two slice words, which p kills: the sum has b's
+    # Lyndon coordinates, but it is not Hain-fixed, and d_B of the shuffle is
+    # a shuffle that is seldom 0
+    n = rng.randint(1, len(W) - 1)
+    u, v = (rng.choice(degree_zero_words(model, k)) for k in (n, len(W) - n))
+    shuffled = combine((1, element), (1, shuffle({u: ONE}, {v: ONE}, model)))
+    assert not closed_against_the_boundary(shuffled, W, variant).hain_fixed
+
+
+def test_p_of_a_lift_plus_a_slice_word_is_seldom_closed():
+    # the case the Lyndon coordinates decide, with both verdicts in it
+    verdicts = Counter()
+    for W in (W for W in lyndon_words(5) if len(W) > 1):
+        element, _ = closed_lift_oracle(W, "plain")
+        model = model_x(len(W))
+        for added in degree_zero_words(model, len(W)):
+            projected = hain_projector(combine((1, element), (1, {added: ONE})), model)
+            got = closed_against_the_boundary(projected, W, "plain")
+            assert got.hain_fixed
+            verdicts[got.closed] += 1
+    assert verdicts[True] and verdicts[False] > 5 * verdicts[True]
+
+
+@pytest.mark.parametrize("W, variant", [("0011", "plain"), ("00101", "diff"), ("001011", "point")])
+def test_a_hain_fixed_lift_is_closed_from_its_oracle_coordinates(monkeypatch, W, variant):
+    # the Lyndon coordinates of an oracle lift are the solve's c_l, and
+    # closedness is decided from their rows: d_B is taken of them alone
+    element, _ = closed_lift_oracle(W, variant)
+    model = VARIANTS[variant].model(len(W))
+    den, ints = to_numerators(element)
+    solution = lifts._oracle_solve(model, len(W))[0][f"{VARIANTS[variant].prefix}_{W}"]
+    coordinates = {l: c * den for l, c in solution.items()}
+    assert lifts._lyndon_coordinates(ints, model) == coordinates
+    seen, boundaries = [], []
+    rows, boundary = lifts._closedness_rows, lifts.differential_numerators
+
+    def recording_rows(parts, model):
+        parts = list(parts)
+        seen.append(parts)
+        return rows(parts, model)
+
+    def recording_boundary(b, model):
+        boundaries.append(b)
+        return boundary(b, model)
+
+    monkeypatch.setattr(lifts, "_closedness_rows", recording_rows)
+    monkeypatch.setattr(lifts, "differential_numerators", recording_boundary)
+    got = verify_lift(element, W, variant, LiftReport(W, variant, "oracle"))
+    assert got.all_ok
+    assert boundaries == [coordinates] and len(coordinates) < len(element)
+    assert seen == [[(0, coordinates)]]
+
+
 def test_the_lyndon_route_rejects_the_empty_word_as_the_descent_does():
     with pytest.raises(InvalidElementError, match="empty-word component present"):
-        lifts._lyndon_projector_numerators({(): 1}, model_x(4), 1)
+        lifts._lyndon_coordinates({(): 1}, model_x(4))
 
 
 def test_the_lyndon_route_refuses_an_odd_slot():
     # the slot L0_1 L1_0 has desuspended degree 1
     model = model_x(3)
     with pytest.raises(ValueError, match="is odd"):
-        lifts._lyndon_projector_numerators({(("L0_1", "L1_0"), ("L0_01",)): 1}, model, 2)
+        lifts._lyndon_coordinates({(("L0_1", "L1_0"), ("L0_01",)): 1}, model)
 
 
 @pytest.mark.parametrize("word", [(("ZZ",),), ((),), (), (("L0_1",), ("ZZ",))])
 def test_a_zero_term_is_skipped_before_its_slots_are_read(word):
     model = model_x(4)
-    assert lifts._lyndon_projector_numerators({word: 0}, model, 2) == {}
+    assert lifts._lyndon_coordinates({word: 0}, model) == {}
     want = verify_lift({}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
     got = verify_lift({word: 0}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
     assert got == want

@@ -324,15 +324,19 @@ def test_output_does_not_depend_on_the_hash_seed(args):
 
 def test_weight_cap(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["coeffs", "--family", "alpha", "--max-weight", "9"])
+        main(["coeffs", "--family", "alpha", "--max-weight", "10"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # the cap itself needs no --force
+    code, out = run_cli(capsys, "coeffs", "--family", "alpha", "--max-weight", "9")
+    assert code == 0 and '"W": "000000001"' in out
 
 
 USAGE_ERRORS = [
     ["cobracket", "T9:01"],
     ["lift", "10"],
     ["lift", "1"],
-    ["lift", "000000001"],
+    ["lift", "0000000001"],
     ["cobracket", "T0:"],
     ["lyndon", "--max-length", "0"],
     ["coeffs", "--family", "alpha", "--max-weight", "1"],
@@ -341,9 +345,9 @@ USAGE_ERRORS = [
     ["verify", "--suite", "models", "--max-weight", "1"],
     ["lyndon", "--max-length", "17"],
     ["trees", "--leaves", "13"],
-    ["model", "--space", "x", "--max-weight", "9"],
-    ["verify", "--suite", "words", "--max-weight", "9"],
-    ["cobracket", "T0:000000001"],
+    ["model", "--space", "x", "--max-weight", "10"],
+    ["verify", "--suite", "words", "--max-weight", "10"],
+    ["cobracket", "T0:0000000001"],
     ["verify", "--suite", "bar", "--samples", "0"],
     ["verify", "--suite", "bar", "--samples", "2"],
     ["verify", "--suite", "bar", "--samples", "1001"],
