@@ -48,7 +48,14 @@ from .dgcore import (
 )
 from .freelie import expand
 from .linalg import add_term, combine, from_numerators, solve_affine, to_numerators
-from .words import InvalidWordError, is_lyndon, is_lyndon_sequence, lyndon_words
+from .words import (
+    InvalidWordError,
+    is_lyndon,
+    is_lyndon_sequence,
+    lyndon_words,
+    lyndon_words_by_weight,
+    lyndon_words_of_length,
+)
 
 
 class InfeasibleLiftError(ValueError):
@@ -117,26 +124,28 @@ def published_constants(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _tree_sum(model: CdgaPresentation, gen: str, n: int) -> tuple:
+def _tree_sum(builder, gen: str, n: int) -> tuple:
     """The sum of the tree cobrackets of ``gen`` over all trees with n leaves, in integers.
 
-    The cobracket is the model's own differential: d(gen) = sum c * x y
-    gives delta(gen) = sum -c * (x @ y - y @ x).  A tree splits at its root
-    into trees with k and n - k leaves, so with (a, b): c the terms of
-    delta(gen), S(gen, n) = sum_{(a, b)} c * sum_{k=1}^{n-1} S(a, k) @ S(b, n - k).
-    Returns the bar words of one-generator slots with their integer
-    coefficients, sorted.
+    The cobracket is the differential of ``builder(|gen|)``: d(gen) =
+    sum c * x y gives delta(gen) = sum -c * (x @ y - y @ x).  A tree splits
+    at its root into trees with k and n - k leaves, so with (a, b): c the
+    terms of delta(gen), S(gen, n) = sum_{(a, b)} c * sum_{k=1}^{n-1}
+    S(a, k) @ S(b, n - k); a builder's models are nested truncations, so
+    every model of it with ``gen`` gives the same sum.  Returns the bar
+    words of one-generator slots with their integer coefficients, sorted.
     """
     if n == 1:
         return ((((gen,),), 1),)
+    model = builder(len(gen.split("_", 1)[1]))  # gen is prefix_W, of weight |W|
     out: dict = {}
     for (x, y), c in model.differential[gen].items():
         if c.denominator != 1:
             raise ValueError(f"d({gen}) in {model.name} has the non-integral coefficient {c}")
         for a, b, cab in ((x, y, -c.numerator), (y, x, c.numerator)):
             for k in range(1, n):
-                for ka, ca in _tree_sum(model, a, k):
-                    for kb, cb in _tree_sum(model, b, n - k):
+                for ka, ca in _tree_sum(builder, a, k):
+                    for kb, cb in _tree_sum(builder, b, n - k):
                         add_term(out, ka + kb, cab * ca * cb)
     return tuple(sorted(out.items()))
 
@@ -163,7 +172,7 @@ def adjunction_unit(W: str, variant: str, constants=published_constants) -> BarE
     for n, cn in byn:
         if cn:
             scale = cn.numerator * (den // cn.denominator)
-            for word, d in _tree_sum(model, gen, n):
+            for word, d in _tree_sum(spec.model, gen, n):
                 total[word] = scale * d
     denom = math.lcm(*range(1, len(W) + 1))
     return from_numerators(projector_numerators(total, model, denom), den * denom)
@@ -191,7 +200,7 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
             if len(w) < 2:
                 continue
             for gen in (f"L0_{w}", f"L1_{w}"):
-                for row in _unit_rows(gen, len(w)):
+                for row in _unit_rows(gen):
                     byn = dict(row)
                     yield byn, {"closed": -byn.pop(1, 0)}
 
@@ -203,18 +212,19 @@ def solve_unit_constants(max_weight: int) -> tuple | None:
 
 
 @lru_cache(maxsize=None)
-def _unit_rows(gen: str, weight: int) -> tuple:
-    """The closedness rows of the source ``gen`` of the given weight, read-only.
+def _unit_rows(gen: str) -> tuple:
+    """The closedness rows of the source ``gen``, read-only.
 
     The rows of p(d_B(sum_n c_n S(gen, n))) = 0, built by
-    :func:`_closedness_rows` over ``model_x(weight)``, each a tuple of
+    :func:`_closedness_rows` over ``model_x(|gen|)``, each a tuple of
     (n, integer) pairs.  The tree sums and their boundaries reach only
-    generators of weight at most ``weight``, and the models are nested
+    generators of weight at most |gen|, and the models are nested
     truncations, so a probe of any larger weight has the same rows; the
     tree sums are the ones :func:`adjunction_unit` reads for ``gen``.
     """
+    weight = len(gen.split("_", 1)[1])
     model = model_x(weight)
-    parts = ((n, dict(_tree_sum(model, gen, n))) for n in range(1, weight + 1))
+    parts = ((n, dict(_tree_sum(model_x, gen, n))) for n in range(1, weight + 1))
     return tuple(tuple(row.items()) for row in _closedness_rows(parts, model))
 
 
@@ -353,27 +363,9 @@ def _lyndon_coordinates(b, model: CdgaPresentation) -> dict:
 
 
 def _lyndon_slot_words(model: CdgaPresentation, weight: int) -> list:
-    """The Lyndon bar words of the given weight whose every slot is one generator.
-
-    Built by standard factorization: a Lyndon word of two or more slots is
-    uv for its longest proper Lyndon suffix v, and the pairs that arise so
-    are the Lyndon u < v where u is one slot or u's own right factor is at
-    least v (Lothaire, *Combinatorics on Words*, 5.1).  Sorted by
-    :func:`_slice_order`.
-    """
-    # weight -> [(Lyndon word, its right factor, None for one slot)]
-    by_weight: dict = {n: [] for n in range(1, weight + 1)}
-    for g in model.generators:
-        if g.weight in by_weight:
-            by_weight[g.weight].append((((g.name,),), None))
-    for total in range(2, weight + 1):
-        out = by_weight[total]
-        for n in range(1, total):
-            for u, right in by_weight[n]:
-                for v, _ in by_weight[total - n]:
-                    if u < v and (right is None or right >= v):
-                        out.append((u + v, v))
-    return sorted((w for w, _ in by_weight[weight]), key=_slice_order)
+    """The Lyndon bar words of the given weight over one-generator slots, by :func:`_slice_order`."""
+    letters = {((g.name,),): g.weight for g in model.generators}
+    return sorted(lyndon_words_by_weight(letters, weight)[weight], key=_slice_order)
 
 
 def _slice_order(word) -> tuple:
@@ -740,16 +732,14 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
         pi1_published = True
         closed_solved = True
         matches_oracle = True
-        for W in lyndon_words(p):
-            if len(W) != p:
-                continue
+        for W in lyndon_words_of_length(p):
             _, claim = lift_LB(W, "plain", "claim")
             closed_published &= claim.closed
             pi1_published &= claim.pi1_ok
             unit = adjunction_unit(W, "plain", constants=lambda n: consts[n - 1])
             closed_solved &= bar_differential(unit, model) == {}
-            oracle, n_free = closed_lift_oracle(W, "plain")
-            if n_free == 0:
+            oracle, report = lift_LB(W, "plain", "oracle")
+            if report.affine_dim == 0:
                 matches_oracle &= unit == oracle
         per_weight.append(
             {

@@ -1,15 +1,15 @@
-"""Binary Lyndon words: recognition, ordered enumeration, standard factorization.
+"""Lyndon words: recognition, enumeration by weight, standard factorization.
 
 Words are plain ASCII strings over the alphabet {'0', '1'}.  Python's string
 comparison is exactly the lexicographic order with 0 < 1 used throughout, with
-a proper prefix smaller than the word itself.  Recognition also works for
-tuples over any totally ordered alphabet (:func:`is_lyndon_sequence`), such as
-bar words of generator slots.
+a proper prefix smaller than the word itself.  Recognition and enumeration
+also work for tuples over any totally ordered alphabet, such as bar words of
+generator slots; one builder, :func:`lyndon_words_by_weight`, lists them all.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
 
@@ -45,28 +45,34 @@ def is_lyndon(w: str) -> bool:
     return is_lyndon_sequence(w)
 
 
+def lyndon_words_by_weight(letters: Mapping, max_weight: int) -> dict:
+    """The Lyndon words over weighted letters, {weight: [words]} for 1..``max_weight``.
+
+    ``letters`` maps each one-letter word (a string or a tuple) to its weight.
+    The Lyndon words of two or more letters are the uv for Lyndon u < v with
+    u one letter or u's right factor at least v, each arising once (standard
+    factorization; Lothaire, *Combinatorics on Words*, 5.1).  Lists unsorted.
+    """
+    # weight -> [(Lyndon word, its right factor v, None for one letter)]
+    weights = range(1, max_weight + 1)
+    built = {n: [(a, None) for a, m in letters.items() if m == n] for n in weights}
+    for total in weights[1:]:
+        out = built[total]
+        for n in range(1, total):
+            for u, right in built[n]:
+                for v, _ in built[total - n]:
+                    if u < v and (right is None or right >= v):
+                        out.append((u + v, v))
+    return {n: [w for w, _ in words] for n, words in built.items()}
+
+
 @lru_cache(maxsize=None)
 def lyndon_words(max_len: int) -> tuple[str, ...]:
-    """All Lyndon words of length <= ``max_len``, in lexicographic order.
-
-    Duval's algorithm (J. Algorithms 4, 1983): from a Lyndon word w, repeat
-    w up to length ``max_len``, drop trailing 1s and raise the last letter;
-    the result is the next Lyndon word, so no non-Lyndon word is visited.
-    """
+    """All binary Lyndon words of length <= ``max_len``, in lexicographic order."""
     if max_len < 1:
         raise InvalidWordError("max_len must be >= 1")
-    found = []
-    w = ["0"]
-    while w:
-        found.append("".join(w))
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == "1":
-            w.pop()
-        if w:
-            w[-1] = "1"
-    return tuple(found)
+    by_length = lyndon_words_by_weight({"0": 1, "1": 1}, max_len)
+    return tuple(sorted(w for words in by_length.values() for w in words))
 
 
 def lyndon_words_of_length(n: int) -> tuple[str, ...]:

@@ -103,11 +103,12 @@ def test_bar_kernels_agree_on_the_fraction_copies(builder):
 
 @pytest.mark.parametrize("builder", BUILDERS, ids=lambda f: f.__name__)
 def test_tree_sums_agree_on_the_fraction_copies(builder):
-    p = builder(6)
-    q = fraction_copy(p)
-    for g in p.generators:
+    def copies(weight):
+        return fraction_copy(builder(weight))
+
+    for g in builder(6).generators:
         for n in range(1, g.weight + 1):
-            assert lifts._tree_sum(q, g.name, n) == lifts._tree_sum(p, g.name, n)
+            assert lifts._tree_sum(copies, g.name, n) == lifts._tree_sum(builder, g.name, n)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,7 @@ from lyndonbar.lifts import (
 )
 from lyndonbar.freelie import expand
 from lyndonbar.linalg import add_term, combine, solve_affine, to_numerators
+from lyndonbar.verify import run_suites
 from lyndonbar.words import InvalidWordError, is_lyndon_sequence, lyndon_words, lyndon_words_of_length
 
 ONE = Fraction(1)
@@ -351,7 +354,7 @@ def test_unit_reads_the_model_at_the_tag_weight(monkeypatch):
     # a model lighter than the source once gave a wrong, non-empty element
     model, total = model_x(4), {}
     for n in range(1, 5):
-        for word, d in lifts._tree_sum(model, "L0_0011", n):
+        for word, d in lifts._tree_sum(model_x, "L0_0011", n):
             add_term(total, word, published_constants(n) * d)
     weights = []
 
@@ -361,7 +364,9 @@ def test_unit_reads_the_model_at_the_tag_weight(monkeypatch):
 
     monkeypatch.setitem(lifts.VARIANTS, "plain", lifts.VariantSpec("L0", recording_model_x))
     unit = adjunction_unit("0011", "plain")
-    assert weights == [4]
+    # the unit's own model, then the source's tree sums with 2, 3 and 4
+    # leaves, each over the same model; lower generators at their own weights
+    assert weights[0] == 4 and weights.count(4) == 4 and max(weights) == 4
     assert unit == hain_projector(total, model) == lift_LB("0011", "plain", "claim")[0]
     assert pi1(unit) == {("L0_0011",): Fraction(1, 2)}
 
@@ -401,7 +406,7 @@ def test_solved_constants_drop_the_power_of_two():
 
 
 def record_outer_tree_sums(monkeypatch) -> list:
-    """The outermost ``_tree_sum`` calls from now on, as (model, gen, n).
+    """The outermost ``_tree_sum`` calls from now on, as (builder, gen, n).
 
     _tree_sum recurses through the module name, so from cold caches the
     recorder also sees the inner calls; it records only the outermost ones,
@@ -411,13 +416,13 @@ def record_outer_tree_sums(monkeypatch) -> list:
     built = []
     depth = 0
 
-    def recording_tree_sum(model, gen, n):
+    def recording_tree_sum(builder, gen, n):
         nonlocal depth
         if depth == 0:
-            built.append((model, gen, n))
+            built.append((builder, gen, n))
         depth += 1
         try:
-            return tree_sum(model, gen, n)
+            return tree_sum(builder, gen, n)
         finally:
             depth -= 1
 
@@ -429,15 +434,16 @@ def test_no_per_degree_constants_at_weight_6(monkeypatch):
     assert solve_unit_constants(6) is None
     # the probe streams its rows into the solve, which stops at the first
     # contradiction: the rows of the 42 source generators are built only up
-    # to the ninth, L0_000101, each from tree sums over its own model_x(|w|)
+    # to the ninth, L0_000101, each from tree sums of model_x, which reads
+    # its own model_x(|w|)
     lifts._tree_sum.cache_clear()
     lifts._unit_rows.cache_clear()
     built = record_outer_tree_sums(monkeypatch)
     assert solve_unit_constants.__wrapped__(6) is None
     sources = [(f"{p}_{w}", len(w)) for w in lyndon_words(6) if len(w) > 1 for p in ("L0", "L1")]
     assert len(sources) == 42
-    assert built == [(model_x(w), gen, n) for gen, w in sources[:9] for n in range(1, w + 1)]
-    assert built[-1] == (model_x(6), "L0_000101", 6)
+    assert built == [(model_x, gen, n) for gen, w in sources[:9] for n in range(1, w + 1)]
+    assert built[-1] == (model_x, "L0_000101", 6)
 
 
 @pytest.mark.parametrize("max_weight", [3, 4, 5, 6])
@@ -458,15 +464,40 @@ def test_each_probe_builds_no_rows_the_probe_before_built(monkeypatch, max_weigh
 
 def test_each_source_has_the_same_rows_over_every_larger_model():
     # the models are nested truncations, so a source's rows over its own
-    # model_x(|w|) are the rows over model_x(6), in the same order
+    # model_x(|w|) are the rows over model_x(6), in the same order; the
+    # tree sums here read model_x(6) for every generator
     model = model_x(6)
+
+    def weight_6_model(weight):
+        return model
+
     for w in (w for w in lyndon_words(6) if len(w) > 1):
         for gen in (f"L0_{w}", f"L1_{w}"):
-            parts = ((n, dict(lifts._tree_sum(model, gen, n))) for n in range(1, len(w) + 1))
+            parts = ((n, dict(lifts._tree_sum(weight_6_model, gen, n))) for n in range(1, len(w) + 1))
             rows = tuple(tuple(row.items()) for row in lifts._closedness_rows(parts, model))
-            assert lifts._unit_rows(gen, len(w)) == rows, gen
+            assert lifts._unit_rows(gen) == rows, gen
     with pytest.raises(TypeError):
-        lifts._unit_rows("L0_01", 2)[0][0] = (1, 0)
+        lifts._unit_rows("L0_01")[0][0] = (1, 0)
+
+
+def test_a_cold_weight_6_verify_builds_each_tree_sum_once(monkeypatch):
+    # the sums are keyed on the model builder, not on the model object, so
+    # the probe, the claim and auto lifts and the audit share one sum per
+    # (generator, n); keyed on each model_x(m) it was 411 entries
+    for path in Path(lifts.__file__).parent.glob("*.py"):
+        for obj in vars(importlib.import_module(f"lyndonbar.{path.stem}")).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    tree_sum, keys = lifts._tree_sum, set()
+
+    def recording_tree_sum(builder, gen, n):
+        keys.add((builder, gen, n))
+        return tree_sum(builder, gen, n)
+
+    monkeypatch.setattr(lifts, "_tree_sum", recording_tree_sum)
+    assert [r.status for r in run_suites(["all"], max_weight=6) if r.status == "fail"] == []
+    assert len({(gen, n) for _, gen, n in keys}) == len(keys) == 262
+    assert tree_sum.cache_info().currsize == 262
 
 
 def reference_tree_sum(tag, n, gmap) -> dict:
@@ -486,7 +517,7 @@ def test_integer_tree_sums_match_the_fraction_reference():
     # the split recursion over the model's differential against the sum over
     # enumerated trees of the tag cobracket, to weight 7
     for variant, spec in VARIANTS.items():
-        model, gmap = spec.model(7), name_map(variant, 7)
+        gmap = name_map(variant, 7)
         sources = {gen: tag for tag, gen in gmap.items() if gen}
         for w in lyndon_words(7):
             gen = f"{spec.prefix}_{w}"
@@ -495,7 +526,7 @@ def test_integer_tree_sums_match_the_fraction_reference():
             for n in range(1, len(w) + 1):
                 ref = reference_tree_sum(sources[gen], n, gmap)
                 assert all(type(c) is Fraction for c in ref.values())
-                got = lifts._tree_sum(model, gen, n)
+                got = lifts._tree_sum(spec.model, gen, n)
                 assert all(type(c) is int for _, c in got)
                 assert dict(got) == ref, (gen, n)
                 assert list(dict(got)) == list(ref)
@@ -504,11 +535,13 @@ def test_integer_tree_sums_match_the_fraction_reference():
 def test_tree_sums_reject_a_non_integral_differential():
     # an isomorphic model whose d(L0_001) has non-integral coefficients: the
     # integer sums must not truncate them
-    model = rescaled(model_x(3), "rescaled x@3")
-    assert any(c.denominator > 1 for c in model.differential["L0_001"].values())
-    assert lifts._tree_sum(model, "L0_001", 1) == (((("L0_001",),), 1),)
+    def builder(weight):
+        return rescaled(model_x(weight), f"rescaled x@{weight}")
+
+    assert any(c.denominator > 1 for c in builder(3).differential["L0_001"].values())
+    assert lifts._tree_sum(builder, "L0_001", 1) == (((("L0_001",),), 1),)
     with pytest.raises(ValueError, match=r"^d\(L0_001\) in rescaled x@3 has the non-integral"):
-        lifts._tree_sum(model, "L0_001", 2)
+        lifts._tree_sum(builder, "L0_001", 2)
 
 
 def fraction_probe_rows(max_weight, boundary_first=False):

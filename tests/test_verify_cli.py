@@ -399,6 +399,17 @@ def test_verify_all_weight_6_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_W6
 
 
+# the same at the default weight, 5: no --max-weight flag
+GOLDEN_VERIFY_W5 = "bc45d344df86661ef20b6b89ca98b14f0cc1325b56a889a1e06310f66d43830c"
+
+
+def test_verify_all_at_the_default_weight_matches_golden_digest(monkeypatch, capsys):
+    monkeypatch.delenv("LYNDONBAR_SEED", raising=False)
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_W5
+
+
 # the same at weight 7, where the lift systems are largest: 1,920 equations
 # over model_x(7), 6 of them repeats
 GOLDEN_VERIFY_W7 = "8e59cbb94f59442605bfd122be6bd0c3b3ef9e6ff0ba545e15d1086e5fd93ccf"

@@ -104,6 +104,35 @@ def test_enumeration_matches_the_brute_force_scan():
     assert [witt_count(n) for n in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
 
 
+def duval_lyndon_words(max_len: int) -> tuple[str, ...]:
+    """Duval's algorithm (J. Algorithms 4, 1983), the reference enumeration.
+
+    From a Lyndon word w, repeat w up to length ``max_len``, drop trailing
+    1s and raise the last letter; the result is the next Lyndon word in
+    lexicographic order, so no non-Lyndon word is visited.
+    """
+    found = []
+    w = ["0"]
+    while w:
+        found.append("".join(w))
+        m = len(w)
+        while len(w) < max_len:
+            w.append(w[len(w) - m])
+        while w and w[-1] == "1":
+            w.pop()
+        if w:
+            w[-1] = "1"
+    return tuple(found)
+
+
+def test_enumeration_matches_duval_to_length_20():
+    for n in range(1, 21):
+        duval = duval_lyndon_words(n)
+        assert lyndon_words(n) == duval, n
+        assert lyndon_words_of_length(n) == tuple(w for w in duval if len(w) == n), n
+    assert len(duval) == sum(witt_count(n) for n in range(1, 21))
+
+
 def test_count_at_length_5():
     expected = [w for w in all_words(5) if brute_force_lyndon(w)]
     assert len(expected) == 6
