@@ -6,6 +6,11 @@ multilinearly so that slots are always single monomials.  The bar degree of a
 word is the sum of the desuspended slot degrees (slot degree minus one), and
 all signs below are Koszul signs computed on desuspended degrees.
 
+The kernels run on an element's integer numerators over one common
+denominator.  d_B multiplies them by the coefficients the presentation's
+differential holds, ints for the integral models, so no other denominator
+enters.
+
 Hain's projector depends on a word only through its letter pattern: which
 slots hold the same monomial, and the parity of each slot.  It is computed
 once per pattern, on words of integer codes shared by every presentation,
@@ -40,21 +45,19 @@ def bar_differential(b: BarElement, p: CdgaPresentation) -> BarElement:
 
     D1 carries the suspension sign -(-1)^(eta(i-1)) and D2 the sign
     -(-1)^(eta(i)), where eta is the running sum of desuspended slot degrees.
-    The sum runs in integers over one common denominator.
+    The sum runs on b's integer numerators over its common denominator.
     """
     den, ints = to_numerators(b)
-    d_den, out = differential_numerators(ints, p)
-    return from_numerators(out, den * d_den)
+    return from_numerators(differential_numerators(ints, p), den)
 
 
-def differential_numerators(b: Mapping[BarWord, int], p: CdgaPresentation) -> tuple:
-    """d_B of an element with integer coefficients, without Fractions.
+def differential_numerators(b: Mapping[BarWord, int], p: CdgaPresentation) -> dict:
+    """d_B of an element with integer coefficients.
 
-    Returns ``(D, numerators)``: d_B(b) is ``numerators`` over D, the
-    presentation's differential denominator (1 for the integral models).
-    Zero coefficients are skipped.
+    Its coefficients are those the presentation's differential gives: ints
+    over an integral presentation, Fractions where the differential has
+    them.  Zero coefficients are skipped.
     """
-    d_den = _differential_denominator(p)
     out: dict = {}
     for word, c in b.items():
         if not c:
@@ -73,23 +76,13 @@ def differential_numerators(b: Mapping[BarWord, int], p: CdgaPresentation) -> tu
                 if prod is not None:
                     s, m2 = prod
                     key = word[:i] + (m2,) + word[i + 2 :]
-                    out[key] = out.get(key, 0) + (s if odd else -s) * c * d_den
-    return d_den, {w: v for w, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def _differential_denominator(p: CdgaPresentation) -> int:
-    """The lcm of the denominators in the generators' differentials.
-
-    Every monomial differential is a sum of signed generator-differential
-    coefficients, so its denominators divide this one.
-    """
-    return math.lcm(*(c.denominator for d in p.differential.values() for c in d.values()))
+                    out[key] = out.get(key, 0) + (s if odd else -s) * c
+    return {w: v for w, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def _slot(p: CdgaPresentation, m) -> tuple:
-    """(parity of the desuspended degree, d(m) as integer numerators over D).
+    """(parity of the desuspended degree, d(m) as (monomial, coefficient) pairs).
 
     Every kernel reads each distinct slot here first, so a constant slot,
     or one with a generator the presentation does not have, is rejected
@@ -102,12 +95,7 @@ def _slot(p: CdgaPresentation, m) -> tuple:
             raise InvalidElementError(
                 f"bar slot {m!r} holds {g!r}, which is not a generator of {p.name}"
             )
-    d_den = _differential_denominator(p)
-    dm = tuple(
-        (m2, c.numerator * (d_den // c.denominator))
-        for m2, c in p.monomial_differential(m).items()
-    )
-    return (p.monomial_degree(m) - 1) % 2, dm
+    return (p.monomial_degree(m) - 1) % 2, tuple(p.monomial_differential(m).items())
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,10 @@ elements, their expansions and the alpha table are built with int
 coefficients.  The bracket of two basis elements is computed once, in the
 word algebra, and cached; ``lie_bracket`` is bilinear over those cached
 brackets.  The bracket expansion also serves Lyndon tuples over any
-ordered alphabet, such as the slot sequences of bar words.  Sums run on integer numerators over one common denominator, and
-every operation works in the ring of its inputs: int coefficients in give
-ints out, and a Fraction coefficient in gives Fractions out.  Zero
-coefficients are never stored.
+ordered alphabet, such as the slot sequences of bar words.  Every operation
+sums its inputs' coefficients directly and works in their ring: int
+coefficients in give ints out, and a Fraction coefficient in gives Fractions
+out.  Zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .linalg import add_term, combine, in_ring_of, to_numerators
+from .linalg import add_term, combine, in_ring_of
 from .words import is_lyndon, is_lyndon_sequence, lyndon_words, standard_factorization
 
 WordPoly = dict  # word -> int or Fraction
@@ -90,13 +90,12 @@ def word_commutator(p: WordPoly, q: WordPoly) -> WordPoly:
 
 
 def lie_to_word_poly(e: LieElement) -> WordPoly:
-    """The word polynomial of ``e``, summed in integers over one denominator."""
-    den, ints = to_numerators(e)
+    """The word polynomial of ``e``, in the ring of its coefficients."""
     out: WordPoly = {}
-    for w, c in ints.items():
+    for w, c in e.items():
         for wx, cx in _expand(w):
             out[wx] = out.get(wx, 0) + c * cx
-    return in_ring_of(out, den, e)
+    return in_ring_of(out, e)
 
 
 def rewrite_in_lyndon(p: WordPoly) -> LieElement:
@@ -105,13 +104,11 @@ def rewrite_in_lyndon(p: WordPoly) -> LieElement:
     The lex-smallest word of expand(W) is W itself with coefficient 1, so
     repeatedly stripping the smallest support word terminates.  A nonzero
     remainder whose smallest word is not Lyndon means ``p`` is not a Lie
-    element.  The elimination runs on integer numerators over one
-    denominator.
+    element.  The result is in the ring of ``p``'s coefficients.
     """
-    den, ints = to_numerators(p)
     out: LieElement = {}
     by_weight: dict[int, WordPoly] = {}
-    for w, c in ints.items():
+    for w, c in p.items():
         add_term(by_weight.setdefault(len(w), {}), w, c)
     for rest in by_weight.values():
         while rest:
@@ -122,7 +119,7 @@ def rewrite_in_lyndon(p: WordPoly) -> LieElement:
             out[w] = c
             for wx, cx in _expand(w):
                 add_term(rest, wx, -c * cx)
-    return in_ring_of(out, den, p)
+    return in_ring_of(out, p)
 
 
 @lru_cache(maxsize=None)
@@ -144,22 +141,20 @@ def _bilinear(f: LieElement, g: LieElement, on_basis) -> LieElement:
     """sum f_U g_V on_basis(U, V), for ``on_basis`` a map from pairs of Lyndon
     words to (Lyndon word, int) tuples.
 
-    Every key of ``f`` and ``g`` must be a Lyndon word.  The sum runs on
-    integer numerators over one denominator.
+    Every key of ``f`` and ``g`` must be a Lyndon word.  The result is in
+    the ring of their coefficients.
     """
     for w in (*f, *g):
         check_lyndon(w)
     if not f or not g:
         return {}
-    den_f, ints_f = to_numerators(f)
-    den_g, ints_g = to_numerators(g)
     out: LieElement = {}
-    for u, cu in ints_f.items():
-        for v, cv in ints_g.items():
+    for u, cu in f.items():
+        for v, cv in g.items():
             c = cu * cv
             for w, cw in on_basis(u, v):
                 out[w] = out.get(w, 0) + c * cw
-    return in_ring_of(out, den_f * den_g, f, g)
+    return in_ring_of(out, f, g)
 
 
 def lie_bracket(f: LieElement, g: LieElement) -> LieElement:

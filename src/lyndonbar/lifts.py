@@ -24,6 +24,7 @@ from .bar import (
     BarElement,
     BarTensor,
     InvalidElementError,
+    _lcm_upto,
     _slot,
     bar_differential,
     delta_Q,
@@ -174,7 +175,7 @@ def adjunction_unit(W: str, variant: str, constants=published_constants) -> BarE
             scale = cn.numerator * (den // cn.denominator)
             for word, d in _tree_sum(spec.model, gen, n):
                 total[word] = scale * d
-    denom = math.lcm(*range(1, len(W) + 1))
+    denom = _lcm_upto(len(W))
     return from_numerators(projector_numerators(total, model, denom), den * denom)
 
 
@@ -232,22 +233,22 @@ def _closedness_rows(parts, model: CdgaPresentation) -> list:
     """The rows of p(d_B(sum_k x_k part_k)) = 0, as pairings with Lyndon brackets.
 
     ``parts`` yields ``(k, part)`` pairs of integer elements of degree 0, and
-    each part's d_B is taken once, in integers.  Every word of it has one odd
-    slot, the one the differential or the product wrote, so p acts on it
-    without Koszul signs, as the dual of the ungraded first Eulerian
-    idempotent; its kernel is then the proper shuffles, the orthogonal
-    complement of the free Lie algebra on the slots (Ree).  So p(y) = 0 iff
-    <y, P_L> = 0 for the Lyndon brackets P_L of every content y has, and the
-    row of L maps k to <d_B(part_k), P_L>.  The rows are homogeneous, so the
-    differential's denominator drops; they come in the order their L first
-    appear, and a row that cancels to zero is left out.  Raises
-    :class:`ValueError` on a boundary word with more than one odd slot.
+    each part's d_B is taken once.  Every word of it has one odd slot, the
+    one the differential or the product wrote, so p acts on it without
+    Koszul signs, as the dual of the ungraded first Eulerian idempotent; its
+    kernel is then the proper shuffles, the orthogonal complement of the
+    free Lie algebra on the slots (Ree).  So p(y) = 0 iff <y, P_L> = 0 for
+    the Lyndon brackets P_L of every content y has, and the row of L maps k
+    to <d_B(part_k), P_L>, in the ring of d_B's coefficients (ints over an
+    integral model).  The rows come in the order their L first appear, and
+    a row that cancels to zero is left out.  Raises :class:`ValueError` on a
+    boundary word with more than one odd slot.
     """
     rows: dict = {}
     pairings: dict = {}  # boundary word -> ((row key, <word, P_L>), ...)
     odd: dict = {}  # slot -> the parity of its desuspended degree
     for k, part in parts:
-        for word, c in differential_numerators(part, model)[1].items():
+        for word, c in differential_numerators(part, model).items():
             entry = pairings.get(word)
             if entry is None:
                 for m in word:
@@ -495,7 +496,7 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     _, ints = to_numerators(b)
     slots = set().union(*ints)
     even = not any([_slot(model, m)[0] for m in slots])
-    denom = math.lcm(*range(1, max(map(len, ints), default=0) + 1))
+    denom = _lcm_upto(max(map(len, ints), default=0))
     # with every slot even, p through b's Lyndon coordinates x; else x is b
     x = _lyndon_coordinates(ints, model) if even else ints
     image = projector_numerators(x, model, denom)
@@ -508,7 +509,7 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
         # one odd slot: d_B(b) = 0 iff every pairing row of x is zero
         report.closed = not _closedness_rows([(0, x)], model)
     else:
-        report.closed = not differential_numerators(ints, model)[1]
+        report.closed = not differential_numerators(ints, model)
     # p keeps tensor length and fixes single slots, so only b's two-slot
     # words reach the (1,1) part of delta_Q(b)
     two_slot = {w: c for w, c in b.items() if len(w) == 2}
@@ -583,30 +584,23 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
 def bar_transport(b: BarElement, images: dict, target: CdgaPresentation) -> BarElement:
     """Slotwise application of a cdga morphism given by generator images.
 
-    Each distinct slot is transported once per call, and the slot products
-    are summed in integers: every slot image over one common denominator.
+    Each distinct slot is transported once per call, and the products of
+    the slot images are summed on b's integer numerators.
     """
     den, ints = to_numerators(b)
-    moved = {
-        m: to_numerators(transport({m: 1}, images, target))
+    slot_images = {
+        m: tuple(transport({m: 1}, images, target).items())
         for m in dict.fromkeys(m for word in ints for m in word)
     }
-    slot_den = math.lcm(*(d for d, _ in moved.values()))
-    slot_images = {
-        m: tuple((m2, v * (slot_den // d)) for m2, v in image.items())
-        for m, (d, image) in moved.items()
-    }
-    longest = max(map(len, ints), default=0)
     out: dict = {}
     for word, c in ints.items():
-        c *= slot_den ** (longest - len(word))
         for choice in product(*map(slot_images.__getitem__, word)):
             coeff = c
             for _, v in choice:
                 coeff *= v
             new_word = tuple(m for m, _ in choice)
             out[new_word] = out.get(new_word, 0) + coeff
-    return from_numerators(out, den * slot_den**longest)
+    return from_numerators(out, den)
 
 
 # ---------------------------------------------------------------------------

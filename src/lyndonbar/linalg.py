@@ -52,7 +52,7 @@ def to_numerators(vec: Mapping) -> tuple[int, dict]:
 
 
 def from_numerators(ints: Mapping, den: int) -> dict:
-    """Integer numerators over ``den`` as Fractions, dropping zeros.
+    """Numerators over ``den`` as Fractions, dropping zeros.
 
     One Fraction is built per distinct numerator and shared by its keys.
     """
@@ -60,15 +60,15 @@ def from_numerators(ints: Mapping, den: int) -> dict:
     return {k: fractions[v] for k, v in ints.items() if v}
 
 
-def in_ring_of(ints: Mapping, den: int, *inputs: Mapping) -> dict:
-    """Integer numerators over ``den`` in the ring of ``inputs``, dropping zeros.
+def in_ring_of(values: Mapping, *inputs: Mapping) -> dict:
+    """``values`` in the ring of ``inputs``, dropping zeros.
 
-    Ints when every coefficient of every input is an int (``den`` is then
-    1), and Fractions, through ``from_numerators``, when any is a Fraction.
+    Ints when every coefficient of every input is an int, and all Fractions
+    when any is a Fraction.
     """
     if all(type(c) is int for vec in inputs for c in vec.values()):
-        return {k: v for k, v in ints.items() if v}
-    return from_numerators(ints, den)
+        return {k: v for k, v in values.items() if v}
+    return {k: Fraction(v) for k, v in values.items() if v}
 
 
 def _primitive(row: dict, rhs: dict) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import bar, colie, dgcore, freelie, ihara, lifts, words
 from .dgcore import CdgaPresentation
@@ -492,6 +493,19 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _corrupted_model() -> CdgaPresentation:
+    """model_x(4) with one coefficient of d(L0_01) doubled, built once.
+
+    The oracle and the bar kernels cache their work on the presentation
+    object, so a fresh one per run would add to their caches every time.
+    """
+    base = dgcore.model_x(4)
+    diff = {k: dict(v) for k, v in base.differential.items()}
+    diff["L0_01"][("L0_1", "L1_0")] = 2
+    return CdgaPresentation(base.generators, diff, name="bad", validate=False)
+
+
 def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     out = []
     oracle_to = min(max_weight, 5)
@@ -513,12 +527,8 @@ def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     audit = lifts.audit_adjunction_unit(tuple(range(2, min(max_weight, 4) + 1)))
     ok = all(row["solved_unit_matches_unique_oracle"] for row in audit["weights"])
     out.append(_result("unit-matches-unique-oracle", ok, min(max_weight, 4)))
-    base = dgcore.model_x(4)
-    diff = {k: dict(v) for k, v in base.differential.items()}
-    diff["L0_01"][("L0_1", "L1_0")] = 2
-    bad = CdgaPresentation(base.generators, diff, name="bad", validate=False)
     try:
-        lifts.closed_lift_oracle("0011", "plain", bad)
+        lifts.closed_lift_oracle("0011", "plain", _corrupted_model())
         out.append(_result("corrupted-model-detected", False, 4))
     except lifts.InfeasibleLiftError:
         out.append(_result("corrupted-model-detected", True, 4))

@@ -32,7 +32,7 @@ from lyndonbar.bar import (
     tensor_swap,
     wedge_numerators,
 )
-from lyndonbar.dgcore import model_a1, model_geom, model_x
+from lyndonbar.dgcore import model_a1, model_geom, model_point, model_x
 from lyndonbar.lifts import VARIANTS, LiftReport, geometric_lift, lift_LB, verify_lift
 from lyndonbar.linalg import add_term, combine, from_numerators, to_numerators
 from lyndonbar.verify import random_bar_element
@@ -638,6 +638,25 @@ def test_kernels_match_the_fraction_references_in_degree_zero(b):
 @given(st.dictionaries(fractional_words, coeffs, min_size=1, max_size=3))
 def test_kernels_match_the_fraction_references_over_fractional_differentials(b):
     assert_kernels_match_references(b, Q4)
+
+
+@pytest.mark.parametrize(
+    "p", [model_x(5), model_a1(5), model_point(5), model_geom(5), Q4], ids=lambda p: p.name
+)
+def test_differential_numerators_hold_the_presentations_coefficients(p):
+    # ints over every integral model, and Fractions only where the
+    # presentation's own differential has a denominator
+    integral = all(type(c) is int for d in p.differential.values() for c in d.values())
+    assert integral == (p is not Q4)
+    fractional = False
+    for b in samples(p, n=60):
+        got = differential_numerators(b, p)
+        assert got == reference_bar_differential(b, p)
+        assert all(c for c in got.values())
+        if integral:
+            assert all(type(c) is int for c in got.values())
+        fractional |= any(type(c) is Fraction and c.denominator > 1 for c in got.values())
+    assert fractional == (p is Q4)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 So every memo is a ``functools.lru_cache``: those are found and cleared
 before each cold benchmark round, where a plain-dict memo would stay warm.
+And a repeated run adds no entry to them.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import lyndonbar
+from lyndonbar.verify import run_suites
 
 PACKAGE = Path(lyndonbar.__file__).resolve().parent
 
@@ -130,3 +133,25 @@ def test_package_writes_no_module_level_container():
     assert modules
     for path in modules:
         assert written_globals(path.read_text()) == [], path.name
+
+
+def package_caches() -> dict:
+    """Every ``lru_cache`` a package module defines, by qualified name."""
+    caches = {}
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        modname = f"lyndonbar.{path.stem}"
+        module = importlib.import_module(modname)
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)) and obj.__module__ == modname:
+                caches[f"{modname}.{name}"] = obj
+    return caches
+
+
+def test_a_repeated_lift_suite_grows_no_cache():
+    caches = package_caches()
+    assert "lyndonbar.bar._slot" in caches
+    run_suites(["lifts"], max_weight=4)
+    before = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    run_suites(["lifts"], max_weight=4)
+    after = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    assert after == before

@@ -753,7 +753,7 @@ def reference_closedness_rows(parts, model, denom) -> list:
     rows: dict = {}
     for k, part in parts:
         image = projector_numerators(part, model, denom)
-        for word, c in differential_numerators(image, model)[1].items():
+        for word, c in differential_numerators(image, model).items():
             rows.setdefault(word, {})[k] = c
     return list(rows.values())
 
@@ -762,7 +762,7 @@ def projected_closedness_rows(parts, model, denom) -> list:
     """The closedness rows as p of each part's d_B."""
     rows: dict = {}
     for k, part in parts:
-        boundary = differential_numerators(part, model)[1]
+        boundary = differential_numerators(part, model)
         for word, c in projector_numerators(boundary, model, denom).items():
             if c:
                 rows.setdefault(word, {})[k] = c
@@ -975,7 +975,7 @@ def closed_against_the_boundary(b, W, variant) -> LiftReport:
     """verify_lift's closedness verdict on ``b`` equals d_B(b) == 0 taken on b's words."""
     got = verify_lift(b, W, variant, LiftReport(W, variant, "oracle"))
     model = VARIANTS[variant].model(len(W))
-    assert got.closed == (not differential_numerators(to_numerators(b)[1], model)[1]), b
+    assert got.closed == (not differential_numerators(to_numerators(b)[1], model)), b
     return got
 
 

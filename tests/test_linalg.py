@@ -754,11 +754,14 @@ def test_from_numerators_builds_one_fraction_per_distinct_numerator(monkeypatch)
 
 def test_in_ring_of_gives_ints_only_for_int_inputs():
     ints = {"a": 3, "b": 0, "c": -2}
-    got = in_ring_of(ints, 1, {"x": 1}, {"y": -4, "z": 2})
+    got = in_ring_of(ints, {"x": 1}, {"y": -4, "z": 2})
     assert got == {"a": 3, "c": -2} and all(type(c) is int for c in got.values())
-    # a Fraction anywhere in the inputs, even one with denominator 1
+    # a Fraction anywhere in the inputs, even one with denominator 1; the
+    # values may mix ints and Fractions, as sums over such inputs do
+    mixed = {"a": 3, "b": Fraction(0), "c": Fraction(-1, 2)}
     for inputs in (({"x": Fraction(1)},), ({"x": 1}, {"y": Fraction(1, 2)})):
-        got = in_ring_of(ints, 2, *inputs)
-        assert got == {"a": Fraction(3, 2), "c": -1}
-        assert all(type(c) is Fraction for c in got.values())
-    assert in_ring_of({}, 1) == {} and in_ring_of({"a": 5}, 1) == {"a": 5}
+        for values, want in ((ints, {"a": 3, "c": -2}), (mixed, {"a": 3, "c": Fraction(-1, 2)})):
+            got = in_ring_of(values, *inputs)
+            assert got == want
+            assert all(type(c) is Fraction for c in got.values())
+    assert in_ring_of({}) == {} and in_ring_of({"a": 5}) == {"a": 5}
