@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .colie import TABLE_NAMES, TAG_PREFIX, basis_of, change_basis, cobracket, coefficient_table
@@ -212,7 +213,7 @@ def cmd_verify(args, parser) -> int:
         parser.error(str(exc))
     failures = [r for r in results if r.status == "fail"]
     if args.format == "json":
-        _emit(json.dumps([r.as_dict() for r in results], default=str), args.out)
+        _emit(json.dumps([asdict(r) for r in results], default=str), args.out)
     else:
         lines = [
             f"{r.status.upper():4s} {r.check}"

@@ -27,14 +27,6 @@ class CheckResult:
     status: str  # "pass" | "fail" | "info"
     witness: object = None
 
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "weight": self.weight,
-            "status": self.status,
-            "witness": self.witness,
-        }
-
 
 def _result(check: str, ok: bool, weight=None, witness=None) -> CheckResult:
     return CheckResult(check, weight, "pass" if ok else "fail", witness)
@@ -523,7 +515,8 @@ def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                 ok, witness = False, f"{w}: {exc}"
         out.append(_result(f"oracle-lift-{variant}", ok, oracle_to, witness))
     # the unit formula with solved constants against the unique oracle lifts,
-    # read from the audit: no fallback can make it pass
+    # read from the audit of the auto lifts: at weights 2 to 4 those are the
+    # unit formula's as it is, so a fault in the constants fails this check
     audit = lifts.audit_adjunction_unit(tuple(range(2, min(max_weight, 4) + 1)))
     ok = all(row["solved_unit_matches_unique_oracle"] for row in audit["weights"])
     out.append(_result("unit-matches-unique-oracle", ok, min(max_weight, 4)))

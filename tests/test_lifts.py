@@ -532,16 +532,30 @@ def test_integer_tree_sums_match_the_fraction_reference():
                 assert list(dict(got)) == list(ref)
 
 
-def test_tree_sums_reject_a_non_integral_differential():
-    # an isomorphic model whose d(L0_001) has non-integral coefficients: the
-    # integer sums must not truncate them
+def test_tree_sums_are_summed_in_the_models_ring():
+    # an isomorphic model, generator g scaled by s_g, whose differential has
+    # non-integral coefficients: each word's sum is the model_x sum times
+    # s_g / prod s_slot, exactly, and the model_x sums stay ints
     def builder(weight):
         return rescaled(model_x(weight), f"rescaled x@{weight}")
 
-    assert any(c.denominator > 1 for c in builder(3).differential["L0_001"].values())
-    assert lifts._tree_sum(builder, "L0_001", 1) == (((("L0_001",),), 1),)
-    with pytest.raises(ValueError, match=r"^d\(L0_001\) in rescaled x@3 has the non-integral"):
-        lifts._tree_sum(builder, "L0_001", 2)
+    big = model_x(4)
+    scale = {g.name: i + 2 for i, g in enumerate(big.generators)}
+    non_integral = False
+    for g in big.generators:
+        for n in range(1, g.weight + 1):
+            plain = lifts._tree_sum(model_x, g.name, n)
+            assert all(type(c) is int for _, c in plain)
+            expected = {}
+            for word, c in plain:
+                factor = Fraction(scale[g.name])
+                for (m,) in word:
+                    factor /= scale[m]
+                expected[word] = c * factor
+            got = dict(lifts._tree_sum(builder, g.name, n))
+            assert got == expected, (g.name, n)
+            non_integral |= any(Fraction(c).denominator > 1 for c in got.values())
+    assert non_integral
 
 
 def fraction_probe_rows(max_weight, boundary_first=False):
@@ -663,8 +677,9 @@ def test_auto_falls_back_to_the_oracle_at_weight_6():
     assert element == closed_lift_oracle("001011", "one")[0]
 
 
-def test_auto_falls_back_to_the_oracle_when_the_unit_formula_fails(monkeypatch):
-    # constants that exist but do not close the formula
+def test_auto_reports_a_failing_unit_lift_as_it_is(monkeypatch):
+    # constants that exist but do not close the formula: auto returns the
+    # unit formula's lift with its failing report, not the oracle's lift
     monkeypatch.setattr(
         lifts,
         "solve_unit_constants",
@@ -675,9 +690,50 @@ def test_auto_falls_back_to_the_oracle_when_the_unit_formula_fails(monkeypatch):
         element, report = lift_LB("0011", "plain")
     finally:
         lifts._lift_LB.cache_clear()
-    assert report.method == "oracle" and report.all_ok
-    assert report.notes == ["unit formula failed verification; oracle fallback"]
-    assert element == lift_LB("0011", "plain", "oracle")[0]
+    assert report.method == "unit" and not report.all_ok and not report.closed
+    assert report.notes == []
+    assert element == adjunction_unit("0011", "plain")
+    assert element != lift_LB("0011", "plain", "oracle")[0]
+
+
+def test_auto_gives_passing_unit_lifts_wherever_constants_exist():
+    # constants exist at weights 2 to 5 only, and there every auto lift of
+    # each of the five variants is the unit formula's and passes every property
+    assert len(lifts.VARIANTS) == 5
+    for W in lyndon_words(5):
+        if len(W) < 2:
+            continue
+        for variant in lifts.VARIANTS:
+            _, report = lift_LB(W, variant)
+            assert report.method == "unit" and report.all_ok, (W, variant, report)
+            assert report.notes == []
+    assert solve_unit_constants(5) is not None
+    assert solve_unit_constants(6) is None
+    assert solve_unit_constants(7) is None
+
+
+@pytest.mark.parametrize("order", [("auto", "oracle"), ("oracle", "auto")])
+def test_auto_and_oracle_share_one_lift_at_weight_6(monkeypatch, order):
+    calls = []
+    solve = lifts.closed_lift_oracle
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lifts, "closed_lift_oracle", counting)
+    lifts._lift_LB.cache_clear()
+    try:
+        got = {method: lift_LB("001011", "one", method) for method in order}
+    finally:
+        lifts._lift_LB.cache_clear()
+    assert calls == [("001011", "one")]
+    (auto, auto_report), (oracle, oracle_report) = got["auto"], got["oracle"]
+    assert auto == oracle
+    assert auto_report.method == oracle_report.method == "oracle" and auto_report.all_ok
+    assert oracle_report.notes == []
+    assert auto_report.notes == ["no per-degree unit constants at weight 6; oracle fallback"]
+    assert dataclasses.replace(auto_report, notes=[]) == oracle_report
 
 
 def test_unknown_lift_method_rejected():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lyndonbar
-from lyndonbar import bar, cli, freelie, ihara, lifts, verify, words
+from lyndonbar import bar, cli, freelie, ihara, lifts, verify
 from lyndonbar.cli import build_parser, main
 from lyndonbar.colie import TABLE_NAMES
 from lyndonbar.verify import run_suites
@@ -71,9 +71,9 @@ def test_the_jacobi_check_sees_one_negated_basis_bracket(monkeypatch):
     assert set(statuses().values()) == {"pass"}
 
 
-def test_the_unit_oracle_check_fails_with_perturbed_solved_constants(monkeypatch):
-    # c_2 doubled: the unit formula no longer gives the oracle lifts, while
-    # "auto" falls back to the oracle and still returns the oracle lift
+def test_the_unit_oracle_check_fails_with_perturbed_solved_constants(monkeypatch, capsys):
+    # c_2 doubled: the unit formula no longer gives the oracle lifts, and
+    # "auto" reports the failing unit lift rather than masking it
     solved = lifts.solve_unit_constants
 
     def doubled_c2(n):
@@ -83,12 +83,15 @@ def test_the_unit_oracle_check_fails_with_perturbed_solved_constants(monkeypatch
     lifts._lift_LB.cache_clear()
     try:
         statuses = {r.check: r.status for r in run_suites(["lifts"], max_weight=4)}
-        plain = [w for w in words.lyndon_words(4) if len(w) > 1]
-        auto = [lifts.lift_LB(w, "plain", "auto") for w in plain]
+        _, report = lifts.lift_LB("0011", "plain", "auto")
+        code, out = run_cli(capsys, "lift", "0011", "--check")
     finally:
         lifts._lift_LB.cache_clear()
-    assert all(report.method == "oracle" for _, report in auto)
-    assert [b for b, _ in auto] == [lifts.lift_LB(w, "plain", "oracle")[0] for w in plain]
+    assert report.method == "unit" and not report.all_ok and report.notes == []
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["method"] == "unit" and payload["properties"]["closed"] is False
+    assert payload["notes"] == []
     assert statuses["unit-matches-unique-oracle"] == "fail"
     assert statuses["unit-normalization-audit"] == "fail"
     assert statuses["oracle-lift-plain"] == "pass"
