@@ -765,8 +765,11 @@ def verify_fiber_identity(W: str) -> bool:
 def relate_families(W: str) -> dict:
     """The combination j*(diff) - plain + one: closed with zero degree-1 part.
 
-    Its exact vanishing is reported, not asserted; the three-term relation
-    between the families holds in cohomology modulo shuffles.
+    It is Hain-fixed too.  Where the oracle over ``model_x(|W|)`` reports no
+    free parameters (it does at every weight it has run to), the only closed,
+    Hain-fixed degree-0 element with zero degree-1 part is 0, so the
+    combination vanishes exactly: the ``verify`` check
+    ``family-relation-exact-vanishing`` gates on ``exactly_zero``.
     """
     n = len(W)
     model = model_x(n)

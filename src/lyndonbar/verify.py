@@ -2,8 +2,13 @@
 
 Each suite returns a list of check records; a record carries the check name,
 the weight it ran at (when meaningful), a pass/fail/info status, and a short
-witness.  Info records report findings that are not pass/fail gates (audit
-outcomes, exact-vanishing observations).
+witness.  Info records report findings that are not pass/fail gates.
+
+One weight rule holds for every check: it runs at the run's ``max_weight``
+(some at a fixed offset above it), a check whose inputs are fixed reports
+the weight of those inputs, and each remaining cap is named next to its
+check with its reason.  A sampled check spreads its draws evenly over the
+weights 2..max_weight, so a heavier run still samples every lower weight.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ def _result(check: str, ok: bool, weight=None, witness=None) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+def _spread(n: int, max_weight: int) -> list[int]:
+    """The weights of n draws: 2, 3, ..., max_weight, 2, 3, ... in turn."""
+    return [2 + i % (max_weight - 1) for i in range(n)]
 
 
 def random_monomial(p: CdgaPresentation, rng: random.Random, max_weight: int):
@@ -105,15 +115,14 @@ def suite_words(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
             witness=",".join(words.lyndon_words(4)),
         )
     )
-    scan_to = min(8, max(max_weight, 4))
     ok = all(
         words.is_lyndon(format(k, f"0{n}b"))
         == all(format(k, f"0{n}b") < format(k, f"0{n}b")[i:] for i in range(1, n))
-        for n in range(1, scan_to + 1)
+        for n in range(1, max_weight + 1)
         for k in range(2**n)
     )
-    out.append(_result("lyndon-recognition-brute-force", ok, scan_to))
-    members = set(words.lyndon_words(max(max_weight, 2)))
+    out.append(_result("lyndon-recognition-brute-force", ok, max_weight))
+    members = set(words.lyndon_words(max_weight))
     ok = True
     for w in sorted(members):
         if len(w) < 2:
@@ -138,29 +147,33 @@ def suite_lie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     out = []
     ok = all(words.standard_factorization(w) == uv for w, uv in _BRACKETINGS.items())
     out.append(_result("bracketings-weights-2-to-4", ok, 4))
-    mw = min(max_weight, 6)
     ok = all(
         freelie.rewrite_in_lyndon(freelie.expand(w)) == {w: 1}
-        for w in words.lyndon_words(mw)
+        for w in words.lyndon_words(max_weight)
     )
-    out.append(_result("expand-rewrite-round-trip", ok, mw))
+    out.append(_result("expand-rewrite-round-trip", ok, max_weight))
     ok = all(
         min(freelie.expand(w)) == w and freelie.expand(w)[w] == 1
-        for w in words.lyndon_words(min(max_weight + 1, 7))
+        for w in words.lyndon_words(max_weight + 1)
     )
-    out.append(_result("expansion-triangularity", ok, min(max_weight + 1, 7)))
+    out.append(_result("expansion-triangularity", ok, max_weight + 1))
     rng = random.Random(seed)
     ok = True
-    for _ in range(max(samples, 100)):
-        e = random_lie_element(rng, mw)
+    for weight in _spread(max(samples, 100), max_weight):
+        e = random_lie_element(rng, weight)
         ok &= freelie.rewrite_in_lyndon(freelie.lie_to_word_poly(e)) == e
-    out.append(_result("rewrite-random-round-trip", ok, mw))
+    out.append(_result("rewrite-random-round-trip", ok, max_weight))
+    # a cap: the triples are Lyndon words of length <= 4, so they reach
+    # weight 12 at most.  Triples of every Lyndon word to the run weight took
+    # suite_lie from 0.06 s to 0.33-0.41 s at weight 9, and from 0.011 s to
+    # 0.024 s at weight 6
     ws = words.lyndon_words(4)
+    jacobi_to = min(max_weight + 2, 12)
     ok = True
     for u in ws:
         for v in ws:
             for w in ws:
-                if len(u) + len(v) + len(w) > min(max_weight + 2, 6):
+                if len(u) + len(v) + len(w) > jacobi_to:
                     continue
                 eu, ev, ew = (freelie.basis_element(x) for x in (u, v, w))
                 total = combine(
@@ -169,7 +182,7 @@ def suite_lie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                     (1, freelie.lie_bracket(freelie.lie_bracket(ew, eu), ev)),
                 )
                 ok &= total == {}
-    out.append(_result("jacobi-identity", ok, min(max_weight + 2, 6)))
+    out.append(_result("jacobi-identity", ok, jacobi_to))
     try:
         freelie.alpha_table(max_weight)
         ihara.beta_gamma_tables(max_weight)
@@ -187,23 +200,24 @@ def suite_signs(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         and dgcore.koszul_sign((1, 0), (1, 2)) == 1
     )
     out.append(_result("koszul-sign-examples", ok))
-    p = dgcore.model_x(min(max_weight, 4))
+    p = dgcore.model_x(max_weight)
     rng = random.Random(seed)
+    # fixed inputs: L0_01 of weight 2 and L1_0
     g = p.generator_element("L0_01")
     h = p.generator_element("L1_0")
     ok = p.multiply(g, g) == {} and p.multiply(g, h) == {
         k: -v for k, v in p.multiply(h, g).items()
     }
-    out.append(_result("odd-generators-anticommute", ok))
+    out.append(_result("odd-generators-anticommute", ok, 2))
     ok = True
-    for _ in range(samples):
+    for weight in _spread(samples, max_weight):
         elems = []
         for _ in range(3):
-            m = random_monomial(p, rng, 3)
+            m = random_monomial(p, rng, weight)
             elems.append({m: rng.choice([-2, -1, 1, 2])} if m else {})
         a, b, c = elems
         ok &= p.multiply(p.multiply(a, b), c) == p.multiply(a, p.multiply(b, c))
-    out.append(_result("product-associative-samples", ok))
+    out.append(_result("product-associative-samples", ok, max_weight))
     basis = (
         dgcore.GradedGenerator("u", 1, 2),
         dgcore.GradedGenerator("w", 2, 2),
@@ -224,18 +238,18 @@ def suite_signs(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         ("w",): -2,
         ("a", "b"): -2,
     }
-    out.append(_result("suspension-differential-sign", ok))
+    # fixed inputs: a coLie basis of weights 1 and 2
+    out.append(_result("suspension-differential-sign", ok, 2))
     return out
 
 
 def suite_colie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     out = []
-    mw = min(max_weight, 6)
-    alpha = freelie.alpha_table(mw)
-    beta, gamma = ihara.beta_gamma_tables(mw)
+    alpha = freelie.alpha_table(max_weight)
+    beta, gamma = ihara.beta_gamma_tables(max_weight)
     ok = all(u != "0" and v != "1" for (_, u, v) in beta)
-    sub = words.lyndon_words(mw - 1)
-    for w in words.lyndon_words(mw):
+    sub = words.lyndon_words(max_weight - 1)
+    for w in words.lyndon_words(max_weight):
         if len(w) < 2:
             continue
         for u in sub:
@@ -248,7 +262,7 @@ def suite_colie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                     ok &= gamma.get((w, u, v), 0) == (
                         alpha.get((w, u, v), 0) + beta.get((w, u, v), 0) - beta.get((w, v, u), 0)
                     )
-    out.append(_result("derivation-table-identities", ok, mw))
+    out.append(_result("derivation-table-identities", ok, max_weight))
     ok = colie.cobracket({("x", "01"): 1}) == {
         (("x", "0"), ("x", "1")): 1,
         (("x", "1"), ("one", "0")): 1,
@@ -260,52 +274,52 @@ def suite_colie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     )
     out.append(_result("cobracket-low-weight-values", ok, 2))
     try:
-        a, b, ap, bp = colie.ab_tables(mw)
+        a, b, ap, bp = colie.ab_tables(max_weight)
         ok = a == gamma and ap == {k: -v for k, v in a.items()}
         ok &= all(u != "0" and v != "1" for (_, u, v) in list(a) + list(ap))
         ok &= all(u != "1" and v != "0" for (_, u, v) in list(b) + list(bp))
         ok &= all(len(u) + len(v) == len(w) for t in (a, b, ap, bp) for (w, u, v) in t)
-        out.append(_result("basis-change-tables-double-sourced", ok, mw))
+        out.append(_result("basis-change-tables-double-sourced", ok, max_weight))
     except freelie.TableInconsistencyError as exc:
-        out.append(_result("basis-change-tables-double-sourced", False, mw, str(exc)))
+        out.append(_result("basis-change-tables-double-sourced", False, max_weight, str(exc)))
     ok = all(
         colie.co_jacobi_defect({(fam, w): 1}) == {}
-        for w in words.lyndon_words(mw)
+        for w in words.lyndon_words(max_weight)
         for fam in ("x", "one")
     )
-    out.append(_result("co-jacobi-defect-zero", ok, mw))
+    out.append(_result("co-jacobi-defect-zero", ok, max_weight))
     ok = True
     basis_tags = [
-        (fam, u) for u in words.lyndon_words(mw - 1) for fam in ("x", "one")
+        (fam, u) for u in words.lyndon_words(max_weight - 1) for fam in ("x", "one")
     ]
     tensors = {
         (fam, w): colie.tensor_cobracket({(fam, w): 1})
-        for w in words.lyndon_words(mw)
+        for w in words.lyndon_words(max_weight)
         for fam in ("x", "one")
     }
     for ta in basis_tags:
         for tb in basis_tags:
-            if len(ta[1]) + len(tb[1]) > mw:
+            if len(ta[1]) + len(tb[1]) > max_weight:
                 continue
             sb = ihara.semidirect_bracket(_as_semidirect(ta), _as_semidirect(tb))
-            for w in words.lyndon_words(mw):
+            for w in words.lyndon_words(max_weight):
                 if len(w) != len(ta[1]) + len(tb[1]):
                     continue
                 ok &= sb.x_part.get(w, 0) == tensors[("x", w)].get((ta, tb), 0)
                 ok &= sb.one_part.get(w, 0) == tensors[("one", w)].get((ta, tb), 0)
-    out.append(_result("duality-pairing", ok, mw))
+    out.append(_result("duality-pairing", ok, max_weight))
     rng = random.Random(seed)
     ok = True
-    for _ in range(samples):
+    for weight in _spread(samples, max_weight):
         e = {
             ("x" if rng.random() < 0.5 else "one", w): rng.choice([-2, 1])
-            for w in rng.sample(words.lyndon_words(mw), k=2)
+            for w in rng.sample(words.lyndon_words(weight), k=2)
         }
         ok &= colie.change_basis(colie.change_basis(e, "t01"), "x1") == e
-    out.append(_result("basis-change-round-trip", ok, mw))
-    a_rows = colie.coefficient_rows("a", mw)
+    out.append(_result("basis-change-round-trip", ok, max_weight))
+    a_rows = colie.coefficient_rows("a", max_weight)
     ok = True
-    for w in words.lyndon_words(mw):
+    for w in words.lyndon_words(max_weight):
         if len(w) < 2:
             continue
         got = colie.cobracket({("t0", w): 1, ("t1", w): -1})
@@ -315,7 +329,7 @@ def suite_colie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                 for fv, sv in ((("t0", v), 1), (("t1", v), -1)):
                     colie.wedge_add(expected, fu, fv, c * su * sv)
         ok &= got == expected
-    out.append(_result("one-family-cobracket-pure-a-form", ok, mw))
+    out.append(_result("one-family-cobracket-pure-a-form", ok, max_weight))
     return out
 
 
@@ -337,9 +351,8 @@ def suite_models(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         out.append(
             _result("models-differential-squares-to-zero", False, max_weight, str(exc))
         )
-    mw = min(max_weight, 5)
-    cb = dgcore.cobar_colie(dgcore.colie_presentation(mw, "t01"))
-    mx = dgcore.model_x(mw)
+    cb = dgcore.cobar_colie(dgcore.colie_presentation(max_weight, "t01"))
+    mx = dgcore.model_x(max_weight)
     ok = True
     for g in cb.generators:
         fam, w = g.name.split(":")
@@ -356,8 +369,9 @@ def suite_models(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
             sign = 1 if tuple(names) == ordered else -1
             add_term(image, ordered, sign * c)
         ok &= image == mx.differential[target]
-    out.append(_result("cobar-reproduces-model", ok, mw))
-    # the corrupted tag has weight 4, whatever the run's weight
+    out.append(_result("cobar-reproduces-model", ok, max_weight))
+    # a fixed corrupted input: the weight-4 tag T0:0011 with its
+    # (T0:01, T1:01) coefficient negated
     cp = dgcore.colie_presentation(4, "t01")
     cobr = {n: dict(t) for n, t in cp.cobracket.items()}
     u, v = ("T0:01", "T1:01")
@@ -371,7 +385,7 @@ def suite_models(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     except dgcore.NotACoLieCoalgebraError:
         out.append(_result("corrupted-cobracket-detected", True, 4))
     ok = True
-    for mw2 in (2, min(max_weight, 6)):
+    for mw2 in (2, max_weight):
         ok &= dgcore.is_chain_map(
             dgcore.model_a1(mw2), dgcore.model_x(mw2), dgcore.j_restriction_images(mw2)
         )
@@ -388,33 +402,31 @@ def suite_models(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         ok &= dgcore.is_chain_map(
             dgcore.model_x(mw2), dgcore.model_geom(mw2), dgcore.geom_projection_images(mw2)
         )
-    out.append(_result("restriction-maps-are-chain-maps", ok, min(max_weight, 6)))
+    out.append(_result("restriction-maps-are-chain-maps", ok, max_weight))
     rng = random.Random(seed)
-    pa = dgcore.model_a1(min(max_weight, 4))
+    pa = dgcore.model_a1(max_weight)
     ok = True
-    for _ in range(samples // 2):
-        a = {random_monomial(pa, rng, 3): 1}
-        b = {random_monomial(pa, rng, 3): 1}
+    for weight in _spread(samples // 2, max_weight):
+        a = {random_monomial(pa, rng, weight): 1}
+        b = {random_monomial(pa, rng, weight): 1}
         if () in a or () in b:
             continue
-        lhs = dgcore.restrict_j(pa.multiply(a, b), min(max_weight, 4))
-        rhs = dgcore.model_x(min(max_weight, 4)).multiply(
-            dgcore.restrict_j(a, min(max_weight, 4)),
-            dgcore.restrict_j(b, min(max_weight, 4)),
+        lhs = dgcore.restrict_j(pa.multiply(a, b), max_weight)
+        rhs = dgcore.model_x(max_weight).multiply(
+            dgcore.restrict_j(a, max_weight), dgcore.restrict_j(b, max_weight)
         )
         ok &= lhs == rhs
-    out.append(_result("open-restriction-multiplicative", ok, min(max_weight, 4)))
+    out.append(_result("open-restriction-multiplicative", ok, max_weight))
     return out
 
 
 def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     out = []
-    mw = min(max_weight, 4)
-    p = dgcore.model_x(mw)
+    p = dgcore.model_x(max_weight)
     rng = random.Random(seed)
-    elems = [random_bar_element(p, rng, max_weight=mw) for _ in range(samples)]
+    elems = [random_bar_element(p, rng, max_weight=w) for w in _spread(samples, max_weight)]
     ok = all(bar.bar_differential(bar.bar_differential(b, p), p) == {} for b in elems)
-    out.append(_result("bar-differential-squares-to-zero", ok, mw))
+    out.append(_result("bar-differential-squares-to-zero", ok, max_weight))
     ok = True
     for b in elems[: samples // 2]:
         left: dict = {}
@@ -425,7 +437,8 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
             for (u1, u2), d in bar.coproduct({w2: 1}).items():
                 add_term(right, (w1, u1, u2), c * d)
         ok &= left == right
-    out.append(_result("coproduct-coassociative", ok, mw))
+    out.append(_result("coproduct-coassociative", ok, max_weight))
+    # fixed inputs: elements of weight <= 2, for the checks that shuffle them
     rng2 = random.Random(seed + 1)
     small = [random_bar_element(p, rng2, max_weight=2, n_terms=2) for _ in range(samples)]
     ok = True
@@ -438,8 +451,8 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         lhs = bar.coproduct(bar.shuffle(a, b, p))
         rhs = bar.tensor_shuffle(bar.coproduct(a), bar.coproduct(b), p)
         hopf &= lhs == rhs
-    out.append(_result("shuffle-associative", ok, 4))
-    out.append(_result("hopf-compatibility", hopf, 4))
+    out.append(_result("shuffle-associative", ok, 2))
+    out.append(_result("hopf-compatibility", hopf, 2))
     ok = True
     kills = True
     for b in elems[: samples // 2]:
@@ -450,15 +463,16 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         )
     for i in range(0, len(small) - 1, 2):
         kills &= bar.hain_projector(bar.shuffle(small[i], small[i + 1], p), p) == {}
-    out.append(_result("projector-idempotent-chain-map", ok, mw))
-    out.append(_result("projector-kills-shuffles", kills, mw))
+    out.append(_result("projector-idempotent-chain-map", ok, max_weight))
+    out.append(_result("projector-kills-shuffles", kills, 2))
     # delta_Q projects only the short right leg of each split and mirrors
     # the components with the longer left leg, because on a projected h the
     # tensor X = (p @ p)(red h) is antisymmetric and its raw left legs
     # already sum to projected ones: check it against X built over every
     # split with both legs projected, the right legs of each left leg
     # together.  These words have two or three slots: a generator of
-    # weight <= 2, or the product of two, which is odd in the bar
+    # weight <= 2, or the product of two, which is odd in the bar; so the
+    # inputs are fixed, words of weight <= 12
     gens = [(g.name,) for g in p.generators if g.weight <= 2]
     slots = gens + [a + b for i, a in enumerate(gens) for b in gens[i + 1 :]]
     rng3 = random.Random(seed + 2)
@@ -481,7 +495,7 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                     add_term(x, (v1, v2), c1 * c2)
         ok &= bar.tensor_swap(x, p) == {k: -v for k, v in x.items()}
         ok &= bar.delta_Q(h, p) == x
-    out.append(_result("cobracket-antisymmetric", ok, mw))
+    out.append(_result("cobracket-antisymmetric", ok, 12))
     return out
 
 
@@ -500,6 +514,10 @@ def _corrupted_model() -> CdgaPresentation:
 
 def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     out = []
+    # a cap: the oracle lifts, and the fiber and family identities, run to
+    # weight 5 at most.  Either uncapped took a cold in-process run of every
+    # suite from 0.15 s to 0.18 s at weight 6, from 0.46 s to 0.6 s at
+    # weight 7 and from 1.8 s to 2.5 s at weight 8
     oracle_to = min(max_weight, 5)
     for variant in ("plain", "one", "diff", "const"):
         ok = True
@@ -515,45 +533,47 @@ def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                 ok, witness = False, f"{w}: {exc}"
         out.append(_result(f"oracle-lift-{variant}", ok, oracle_to, witness))
     # the unit formula with solved constants against the unique oracle lifts,
-    # read from the audit of the auto lifts: at weights 2 to 4 those are the
-    # unit formula's as it is, so a fault in the constants fails this check
-    audit = lifts.audit_adjunction_unit(tuple(range(2, min(max_weight, 4) + 1)))
+    # read from the audit of the auto lifts: at the audit's weights those are
+    # the unit formula's as it is, so a fault in the constants fails this check.
+    # A cap: the audit runs at weights 2 to 4, those of the acceptance
+    # criterion it reports.  Constants exist at weight 5 too, where the audit
+    # cost 0.003 s more at weight 6, but a fifth row changes this witness
+    audit_to = min(max_weight, 4)
+    audit = lifts.audit_adjunction_unit(tuple(range(2, audit_to + 1)))
     ok = all(row["solved_unit_matches_unique_oracle"] for row in audit["weights"])
-    out.append(_result("unit-matches-unique-oracle", ok, min(max_weight, 4)))
+    out.append(_result("unit-matches-unique-oracle", ok, audit_to))
+    # a fixed corrupted input: model_x(4) with one coefficient doubled
     try:
         lifts.closed_lift_oracle("0011", "plain", _corrupted_model())
         out.append(_result("corrupted-model-detected", False, 4))
     except lifts.InfeasibleLiftError:
         out.append(_result("corrupted-model-detected", True, 4))
     ok = True
-    exact = True
+    nonzero = []
     for w in words.lyndon_words(oracle_to):
         if len(w) < 2:
             continue
         ok &= lifts.verify_fiber_identity(w)
-        rel = lifts.relate_families(w)
-        ok &= rel["closed"] and rel["degree_one_part_zero"]
-        exact &= rel["exactly_zero"]
+        if not lifts.relate_families(w)["exactly_zero"]:
+            nonzero.append(w)
     out.append(_result("fiber-at-one-slotwise-identity", ok, oracle_to))
+    # j*(diff) - plain + one is closed and Hain-fixed with zero degree-1 part,
+    # and the oracle reports no free parameters, so the only such element is 0
+    exact = "True" if not nonzero else f"False at {', '.join(nonzero)}"
     out.append(
-        CheckResult(
+        _result(
             "family-relation-exact-vanishing",
+            not nonzero,
             oracle_to,
-            "info",
             f"j-restricted difference minus plain plus one vanishes exactly: {exact}",
         )
     )
     # the match with the oracle lifts is unit-matches-unique-oracle's gate;
     # this one gates on the solved constants closing the unit formula
     ok = all(row["closed_with_solved_constants"] for row in audit["weights"])
-    out.append(
-        CheckResult(
-            "unit-normalization-audit",
-            min(max_weight, 4),
-            "pass" if ok else "fail",
-            audit,
-        )
-    )
+    out.append(_result("unit-normalization-audit", ok, audit_to, audit))
+    # a mathematical bound: the constants for weight n must close every
+    # weight up to n, so none at 6 means none at any weight above it
     if max_weight >= 6:
         feasible = lifts.solve_unit_constants(6) is not None
         out.append(

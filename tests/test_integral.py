@@ -154,18 +154,18 @@ def test_samplers_draw_the_pinned_ints():
 
 
 # sha256 of canonical(...) of the elements each sampled suite hands the
-# kernel named, in call order, at seed 42, max_weight 4 and 50 samples,
-# recorded while the samples were Fractions; the sampled checks' draws are
-# among them
+# kernel named, in call order, at seed 42, max_weight 4 and 50 samples; the
+# sampled checks' draws are among them
 GOLDEN_SUITE_DRAWS = {
-    "signs: multiply": "2836b41a29fe4df271e808288a73b84d58bf67d9bb2e531acd5c61a5f816d9c5",
-    "models: restrict_j": "93e4e210ef93e6d01e9044ff1be3bb9da2a2c622af74a28e3430617b21dfe5c3",
-    "bar: coproduct": "7d903526452a61625a075655a01f5c0c0c0918cf19f382e565594624f8de20b0",
-    "bar: hain_projector": "f5c2380b5eab7f044ba416510d68f49853461fe8f0619623299253e8b6842a3c",
+    "signs: multiply": "79d0ecc0093084758dd8d8b07d2c788497166451db136c1d8a4993117615e1aa",
+    "models: restrict_j": "db1979c6a000b7ce49ec7d540afd9c21a662ed9da4d8cb7f651b160215ae8984",
+    "bar: bar_differential": "765554950fe953f79ff67f86c8e89dc05beecf8023532631426271434733be4e",
+    "bar: coproduct": "418becd4df1059d14b6b97b58b4456a20d6d28d8eb9dac10f765b5f8079dc70c",
+    "bar: hain_projector": "39d65a5fcb72f77bdacdb436e88e0efd5119fcfa0963719b71670360c29f6c86",
 }
 
 
-def record_suite_draws(monkeypatch) -> dict:
+def record_suite_draws(monkeypatch, max_weight: int = 4) -> dict:
     """The elements that suite_signs, suite_models and suite_bar hand their kernels."""
     drawn: dict = {name: [] for name in GOLDEN_SUITE_DRAWS}
 
@@ -179,14 +179,15 @@ def record_suite_draws(monkeypatch) -> dict:
         monkeypatch.setattr(owner, attr, recorded)
 
     patch(CdgaPresentation, "multiply", "signs: multiply")
-    verify.suite_signs(4, 42, 50)
+    verify.suite_signs(max_weight, 42, 50)
     monkeypatch.undo()
     patch(dgcore, "restrict_j", "models: restrict_j")
-    verify.suite_models(4, 42, 50)
+    verify.suite_models(max_weight, 42, 50)
     monkeypatch.undo()
+    patch(bar, "bar_differential", "bar: bar_differential")
     patch(bar, "coproduct", "bar: coproduct")
     patch(bar, "hain_projector", "bar: hain_projector")
-    verify.suite_bar(4, 42, 50)
+    verify.suite_bar(max_weight, 42, 50)
     monkeypatch.undo()
     return drawn
 
@@ -195,3 +196,10 @@ def test_sampled_suites_draw_the_pinned_values(monkeypatch):
     for name, elements in record_suite_draws(monkeypatch).items():
         assert elements, name
         assert digest(elements) == GOLDEN_SUITE_DRAWS[name], name
+
+
+def test_the_sampled_bar_checks_draw_every_weight_up_to_the_run_weight(monkeypatch):
+    p = model_x(7)
+    drawn = record_suite_draws(monkeypatch, max_weight=7)["bar: bar_differential"]
+    weights = {sum(map(p.monomial_weight, word)) for b in drawn for word in b}
+    assert set(range(2, 8)) <= weights <= set(range(1, 8))

@@ -30,9 +30,10 @@ def test_verify_small_suites_pass():
     assert results and all(r.status != "fail" for r in results)
 
 
-def test_the_antisymmetry_check_sees_a_cobracket_without_its_mirror(monkeypatch):
+@pytest.mark.parametrize("max_weight", [4, 7])
+def test_the_antisymmetry_check_sees_a_cobracket_without_its_mirror(monkeypatch, max_weight):
     def status():
-        results = run_suites(["bar"], max_weight=4)
+        results = run_suites(["bar"], max_weight=max_weight)
         return next(r.status for r in results if r.check == "cobracket-antisymmetric")
 
     assert status() == "pass"
@@ -45,11 +46,12 @@ def test_the_antisymmetry_check_sees_a_cobracket_without_its_mirror(monkeypatch)
     assert status() == "fail"
 
 
-def test_the_jacobi_check_sees_one_negated_basis_bracket(monkeypatch):
+@pytest.mark.parametrize("max_weight", [6, 7])
+def test_the_jacobi_check_sees_one_negated_basis_bracket(monkeypatch, max_weight):
     # [[0], [01]] = [001], and with it [[01], [0]], is read by the check's
     # (0, 01, 1) triple; every other check stays as it was
     def statuses():
-        return {r.check: r.status for r in run_suites(["lie"], max_weight=6)}
+        return {r.check: r.status for r in run_suites(["lie"], max_weight=max_weight)}
 
     assert set(statuses().values()) == {"pass"}
     cached = freelie._basis_bracket
@@ -69,6 +71,54 @@ def test_the_jacobi_check_sees_one_negated_basis_bracket(monkeypatch):
         ihara.beta_gamma_tables.cache_clear()
     assert [check for check, status in got.items() if status != "pass"] == ["jacobi-identity"]
     assert set(statuses().values()) == {"pass"}
+
+
+# the checks whose inputs do not grow with the run weight, and the weight of
+# those inputs; every other check of these suites runs at the run weight or
+# at an offset above it
+FIXED_INPUT_WEIGHTS = {
+    "lyndon-enumeration-order": 4,
+    "bracketings-weights-2-to-4": 4,
+    "koszul-sign-examples": None,
+    "odd-generators-anticommute": 2,
+    "suspension-differential-sign": 2,
+    "cobracket-low-weight-values": 2,
+    "corrupted-cobracket-detected": 4,
+    "shuffle-associative": 2,
+    "hopf-compatibility": 2,
+    "projector-kills-shuffles": 2,
+    "cobracket-antisymmetric": 12,
+}
+RUN_WEIGHT_OFFSETS = {"expansion-triangularity": 1, "jacobi-identity": 2}
+
+
+def test_every_cheap_check_runs_at_the_run_weight():
+    suites = ["words", "lie", "signs", "colie", "models", "bar"]
+    results = run_suites(suites, max_weight=7)
+    assert [r.check for r in results if r.status != "pass"] == []
+    got = {r.check: r.weight for r in results}
+    fixed = {check: got[check] for check in FIXED_INPUT_WEIGHTS}
+    assert fixed == FIXED_INPUT_WEIGHTS
+    grown = {check: w - 7 for check, w in got.items() if check not in FIXED_INPUT_WEIGHTS}
+    assert {check: d for check, d in grown.items() if d} == RUN_WEIGHT_OFFSETS
+
+
+def test_the_family_relation_check_sees_one_changed_coefficient_of_a_one_lift(monkeypatch):
+    # the cached auto lift of 0011 in the one-family is read by the family
+    # relation of 0011 alone; at weight 4 it is the unit formula's lift, not
+    # the oracle lift the oracle-lift-one check reads
+    def results():
+        return {r.check: r for r in run_suites(["lifts"], max_weight=5)}
+
+    assert {r.status for r in results().values()} == {"pass"}
+    element, _ = lifts._lift_LB("0011", "one", "auto")
+    word = next(iter(element))
+    monkeypatch.setitem(element, word, element[word] + 1)
+    got = results()
+    assert [check for check, r in got.items() if r.status != "pass"] == [
+        "family-relation-exact-vanishing"
+    ]
+    assert got["family-relation-exact-vanishing"].witness.endswith("vanishes exactly: False at 0011")
 
 
 def test_the_unit_oracle_check_fails_with_perturbed_solved_constants(monkeypatch, capsys):
@@ -390,8 +440,8 @@ def test_seed_variable_is_the_default_seed(monkeypatch, capsys):
 
 
 # sha256 of the stdout of `verify --suite all --max-weight 6 --format json`,
-# recorded before the suites lost their `method` argument
-GOLDEN_VERIFY_W6 = "1becc46b4a8cfa2989b7a94d7c62f7e7aa1d7442297b5280dc383b67d15bb74d"
+# recorded when every cheap check came to run at the run weight
+GOLDEN_VERIFY_W6 = "3a332bfdfe923b580ad4711b496b4716615ad8649e07881b7a0125d4ec980288"
 
 
 def test_verify_all_weight_6_matches_golden_digest(capsys):
@@ -403,7 +453,7 @@ def test_verify_all_weight_6_matches_golden_digest(capsys):
 
 
 # the same at the default weight, 5: no --max-weight flag
-GOLDEN_VERIFY_W5 = "bc45d344df86661ef20b6b89ca98b14f0cc1325b56a889a1e06310f66d43830c"
+GOLDEN_VERIFY_W5 = "79c889696a7a569e68e6a3b2c0be53477d36570b14f2d2ed2e140758d0254292"
 
 
 def test_verify_all_at_the_default_weight_matches_golden_digest(monkeypatch, capsys):
@@ -415,7 +465,7 @@ def test_verify_all_at_the_default_weight_matches_golden_digest(monkeypatch, cap
 
 # the same at weight 7, where the lift systems are largest: 1,920 equations
 # over model_x(7), 6 of them repeats
-GOLDEN_VERIFY_W7 = "8e59cbb94f59442605bfd122be6bd0c3b3ef9e6ff0ba545e15d1086e5fd93ccf"
+GOLDEN_VERIFY_W7 = "49707604e91a1bc26d6baa219d819100187970d121f9a06f3796b0c2847a0b5b"
 
 
 def test_verify_all_weight_7_matches_golden_digest():
