@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, takewhile
 from types import MappingProxyType
 
 from .bar import (
@@ -437,7 +437,7 @@ def closed_lift_oracle(
 # lift production and the four defining properties
 
 
-@dataclass
+@dataclass(frozen=True)
 class LiftReport:
     word: str
     variant: str
@@ -448,7 +448,7 @@ class LiftReport:
     closed: bool = False
     cobracket_ok: bool = False
     affine_dim: int | None = None
-    notes: list = field(default_factory=list)
+    notes: tuple = ()
 
     @property
     def all_ok(self) -> bool:
@@ -484,12 +484,12 @@ def table_wedge(W: str, prefix: str, model: CdgaPresentation, slot) -> BarTensor
     return from_numerators(out, 2 * den)
 
 
-def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> LiftReport:
+def verify_lift(b: BarElement, W: str, variant: str, method: str) -> LiftReport:
     spec = _variant(variant)
     model = spec.model(len(W))
     # a zero term is no term, as in the kernels, which skip it unread
     b = {w: c for w, c in b.items() if c}
-    report.pi1_ok = pi1(b) == {(f"{spec.prefix}_{W}",): 1}
+    pi1_ok = pi1(b) == {(f"{spec.prefix}_{W}",): 1}
     # p(b) == b and d_B(b) == 0 as integer equalities on b's numerators;
     # each distinct slot is read through _slot first, so a bad one is
     # rejected before its degree is read
@@ -501,20 +501,20 @@ def verify_lift(b: BarElement, W: str, variant: str, report: LiftReport) -> Lift
     x = _lyndon_coordinates(ints, model) if even else ints
     image = projector_numerators(x, model, denom)
     degree = {m: model.monomial_degree(m) - 1 for m in slots}
-    report.degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
+    degree_zero = all(sum(map(degree.__getitem__, w)) == 0 for w in b)
     scaled = {w: denom * c for w, c in ints.items()}
-    report.hain_fixed = {w: c for w, c in image.items() if c} == scaled
-    if even and report.hain_fixed:
+    hain_fixed = {w: c for w, c in image.items() if c} == scaled
+    if even and hain_fixed:
         # b = p(x), so d_B(b) = p(d_B(x)), and every boundary word of x has
         # one odd slot: d_B(b) = 0 iff every pairing row of x is zero
-        report.closed = not _closedness_rows([(0, x)], model)
+        closed = not _closedness_rows([(0, x)], model)
     else:
-        report.closed = not differential_numerators(ints, model)
+        closed = not differential_numerators(ints, model)
     # p keeps tensor length and fixes single slots, so only b's two-slot
     # words reach the (1,1) part of delta_Q(b)
     two_slot = {w: c for w, c in b.items() if len(w) == 2}
-    report.cobracket_ok = delta_Q(two_slot, model) == _prescribed_cobracket(W, variant)
-    return report
+    cobracket_ok = delta_Q(two_slot, model) == _prescribed_cobracket(W, variant)
+    return LiftReport(W, variant, method, pi1_ok, hain_fixed, degree_zero, closed, cobracket_ok)
 
 
 @lru_cache(maxsize=None)
@@ -543,11 +543,11 @@ def lift_LB(W: str, variant: str, method: str = "auto") -> tuple:
       as-is (it is not expected to be closed);
     * ``"oracle"`` -- the exact linear solve.
 
-    Returns ``(element, report)``, both new on every call, so a caller may
-    change them without touching the cached lift.
+    Returns ``(element, report)``: a new element on every call, which a caller
+    may change without touching the cached lift, and the frozen report.
     """
     element, report = _lift_LB(W, variant, method)
-    return dict(element), replace(report, notes=list(report.notes))
+    return dict(element), report
 
 
 @lru_cache(maxsize=None)
@@ -557,24 +557,21 @@ def _lift_LB(W: str, variant: str, method: str) -> tuple:
         raise InvalidWordError(f"{W!r} is not a Lyndon word of weight >= 2")
     if method == "claim":
         element = adjunction_unit(W, variant)
-        report = verify_lift(element, W, variant, LiftReport(W, variant, "claim"))
-        if not report.closed:
-            report.notes.append("NON-CLOSED with published constants")
-        return element, report
+        report = verify_lift(element, W, variant, "claim")
+        notes = () if report.closed else ("NON-CLOSED with published constants",)
+        return element, replace(report, notes=notes)
     if method == "auto":
         consts = solve_unit_constants(len(W))
         if consts is None:
             element, report = _lift_LB(W, variant, "oracle")
             note = f"no per-degree unit constants at weight {len(W)}; oracle fallback"
-            return element, replace(report, notes=[*report.notes, note])
+            return element, replace(report, notes=(*report.notes, note))
         element = adjunction_unit(W, variant, constants=lambda n: consts[n - 1])
-        return element, verify_lift(element, W, variant, LiftReport(W, variant, "unit"))
+        return element, verify_lift(element, W, variant, "unit")
     if method != "oracle":
         raise ValueError(f"unknown method {method!r}")
     element, dim = closed_lift_oracle(W, variant)
-    report = verify_lift(element, W, variant, LiftReport(W, variant, "oracle"))
-    report.affine_dim = dim
-    return element, report
+    return element, replace(verify_lift(element, W, variant, "oracle"), affine_dim=dim)
 
 
 def bar_transport(b: BarElement, images: dict, target: CdgaPresentation) -> BarElement:
@@ -697,28 +694,29 @@ def verify_geom_basis(max_weight: int) -> dict:
     }
 
 
-def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
+def audit_adjunction_unit(max_weight: int) -> dict:
     """Compare the published unit normalization against solved constants.
 
-    For each requested weight, reports whether the unit formula is closed and
-    has the stated degree-1 part (a) with the published constants
-    1/(n C(n-1) 2^n), read from the ``claim`` lifts, and (b) with the
-    exactly solved constants, read from the ``auto`` lifts, which at these
-    weights are the unit formula's whatever their verification says; solved
-    constants are cross-checked against the solver lifts where those are
-    unique.
+    At each weight 2..max_weight with solved constants, where ``auto``
+    builds the unit formula, reports whether it is closed and has the stated
+    degree-1 part (a) with the published constants 1/(n C(n-1) 2^n), read
+    from the ``claim`` lifts, and (b) with the exactly solved constants, read
+    from the ``auto`` lifts, which are the unit formula's whatever their
+    verification says; solved constants are cross-checked against the
+    solver lifts where those are unique.
     """
-    if not weights or min(weights) < 2:
-        raise ValueError(f"the audit takes one or more weights >= 2, not {weights!r}")
-    max_w = max(weights)
-    solved = solve_unit_constants(max_w)
-    if solved is None:
-        raise InfeasibleLiftError(
-            f"no per-degree constants close the unit formula at weight {max_w}"
-        )
+    if max_weight < 2:
+        raise ValueError(f"the audit takes max_weight >= 2, not {max_weight}")
+    # constants for weight n close every weight up to n, so none at n means
+    # none above it: the probe stops at the first weight without them
+    probes = (solve_unit_constants(p) for p in range(2, max_weight + 1))
+    found = list(takewhile(lambda c: c is not None, probes))
+    if not found:
+        raise InfeasibleLiftError("no per-degree constants close the unit formula at weight 2")
+    solved = found[-1]
+    max_w = len(solved)
     per_weight = []
-    for p in weights:
-        model = model_x(p)
+    for p in range(2, max_w + 1):
         closed_published = True
         pi1_published = True
         closed_solved = True
@@ -727,10 +725,10 @@ def audit_adjunction_unit(weights=(2, 3, 4)) -> dict:
             _, claim = lift_LB(W, "plain", "claim")
             closed_published &= claim.closed
             pi1_published &= claim.pi1_ok
-            # the unit lift, as constants exist to max_w; closedness from
+            # the unit lift, as constants exist at p; closedness from
             # the full d_B, not from verify_lift's pairing rows
             unit, _ = lift_LB(W, "plain", "auto")
-            closed_solved &= bar_differential(unit, model) == {}
+            closed_solved &= bar_differential(unit, model_x(p)) == {}
             oracle, report = lift_LB(W, "plain", "oracle")
             if report.affine_dim == 0:
                 matches_oracle &= unit == oracle

@@ -175,7 +175,7 @@ def test_criterion_10_geometric_basis():
 
 def test_criterion_11_unit_audit():
     def body():
-        audit = lifts.audit_adjunction_unit((2, 3, 4))
+        audit = lifts.audit_adjunction_unit(4)
         for row in audit["weights"]:
             assert isinstance(row["closed_with_published_constants"], bool)
         assert audit["solved_equal_reciprocal_n_catalan"]

@@ -33,7 +33,7 @@ from lyndonbar.bar import (
     wedge_numerators,
 )
 from lyndonbar.dgcore import model_a1, model_geom, model_point, model_x
-from lyndonbar.lifts import VARIANTS, LiftReport, geometric_lift, lift_LB, verify_lift
+from lyndonbar.lifts import VARIANTS, geometric_lift, lift_LB, verify_lift
 from lyndonbar.linalg import add_term, combine, from_numerators, to_numerators
 from lyndonbar.verify import random_bar_element
 from lyndonbar.words import lyndon_words
@@ -283,7 +283,7 @@ def test_hain_projector_rejects_an_unknown_generator(word):
         hain_projector({word: ONE}, P4)
     # verify_lift projects before it reads the slots' degrees
     with pytest.raises(InvalidElementError, match=UNKNOWN_SLOT):
-        verify_lift({word: ONE}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+        verify_lift({word: ONE}, "0011", "plain", "oracle")
 
 
 @pytest.mark.parametrize("word", UNKNOWN_SLOT_WORDS)

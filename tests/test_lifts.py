@@ -310,7 +310,7 @@ def test_unknown_variant_is_a_value_error_naming_the_variants():
     calls = (
         lambda: lift_LB("01", "bogus"),
         lambda: closed_lift_oracle("01", "bogus"),
-        lambda: verify_lift({}, "01", "bogus", LiftReport("01", "bogus", "oracle")),
+        lambda: verify_lift({}, "01", "bogus", "oracle"),
         lambda: adjunction_unit("01", "bogus"),
     )
     message = "unknown variant 'bogus'; expected one of plain, one, diff, const, point"
@@ -673,7 +673,7 @@ def test_oracle_feasible_all_variants_weights_2_to_5():
 def test_auto_falls_back_to_the_oracle_at_weight_6():
     element, report = lift_LB("001011", "one")
     assert report.method == "oracle" and report.affine_dim == 0 and report.all_ok
-    assert report.notes == ["no per-degree unit constants at weight 6; oracle fallback"]
+    assert report.notes == ("no per-degree unit constants at weight 6; oracle fallback",)
     assert element == closed_lift_oracle("001011", "one")[0]
 
 
@@ -691,7 +691,7 @@ def test_auto_reports_a_failing_unit_lift_as_it_is(monkeypatch):
     finally:
         lifts._lift_LB.cache_clear()
     assert report.method == "unit" and not report.all_ok and not report.closed
-    assert report.notes == []
+    assert report.notes == ()
     assert element == adjunction_unit("0011", "plain")
     assert element != lift_LB("0011", "plain", "oracle")[0]
 
@@ -706,7 +706,7 @@ def test_auto_gives_passing_unit_lifts_wherever_constants_exist():
         for variant in lifts.VARIANTS:
             _, report = lift_LB(W, variant)
             assert report.method == "unit" and report.all_ok, (W, variant, report)
-            assert report.notes == []
+            assert report.notes == ()
     assert solve_unit_constants(5) is not None
     assert solve_unit_constants(6) is None
     assert solve_unit_constants(7) is None
@@ -731,9 +731,9 @@ def test_auto_and_oracle_share_one_lift_at_weight_6(monkeypatch, order):
     (auto, auto_report), (oracle, oracle_report) = got["auto"], got["oracle"]
     assert auto == oracle
     assert auto_report.method == oracle_report.method == "oracle" and auto_report.all_ok
-    assert oracle_report.notes == []
-    assert auto_report.notes == ["no per-degree unit constants at weight 6; oracle fallback"]
-    assert dataclasses.replace(auto_report, notes=[]) == oracle_report
+    assert oracle_report.notes == ()
+    assert auto_report.notes == ("no per-degree unit constants at weight 6; oracle fallback",)
+    assert dataclasses.replace(auto_report, notes=()) == oracle_report
 
 
 def test_unknown_lift_method_rejected():
@@ -760,9 +760,9 @@ def test_a_lift_with_one_word_off_degree_zero_is_flagged():
     # the slot L0_1 L1_0 has desuspended degree 1; the word is added last
     word = (("L0_1", "L1_0"), ("L0_01",))
     bad = {**element, word: ONE}
-    got = verify_lift(bad, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    got = verify_lift(bad, "0011", "plain", "oracle")
     assert not got.degree_zero and not got.all_ok
-    got = verify_lift(element, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    got = verify_lift(element, "0011", "plain", "oracle")
     assert got.degree_zero
 
 
@@ -775,7 +775,7 @@ def test_a_lift_with_one_coefficient_changed_is_not_hain_fixed(delta):
     bad = {**element, word: element[word] + delta}
     assert (to_numerators(bad)[0] % 7 == 0) == (delta == Fraction(1, 7))
     assert to_numerators(element)[0] % 7
-    got = verify_lift(bad, "00101", "plain", LiftReport("00101", "plain", "oracle"))
+    got = verify_lift(bad, "00101", "plain", "oracle")
     assert not got.hain_fixed and not got.all_ok
     assert got.pi1_ok and got.degree_zero
 
@@ -790,7 +790,7 @@ def test_a_lift_with_one_extra_degree_zero_word_is_not_closed():
         for w in degree_zero_words(model, 4)
         if len(w) > 1 and w not in element and bar_differential({w: ONE}, model)
     )
-    got = verify_lift({**element, word: ONE}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    got = verify_lift({**element, word: ONE}, "0011", "plain", "oracle")
     assert not got.closed and not got.all_ok
     assert got.pi1_ok and got.degree_zero
 
@@ -799,7 +799,7 @@ def test_a_lift_with_one_extra_degree_zero_word_is_not_closed():
     "W, variant", [("01", "plain"), ("0011", "plain"), ("00101", "diff"), ("001011", "point")]
 )
 def test_the_empty_element_reads_closed_and_hain_fixed_only(W, variant):
-    got = verify_lift({}, W, variant, LiftReport(W, variant, "oracle"))
+    got = verify_lift({}, W, variant, "oracle")
     flags = (got.pi1_ok, got.hain_fixed, got.degree_zero, got.closed, got.cobracket_ok)
     assert flags == (False, True, True, True, False)
 
@@ -1019,7 +1019,7 @@ def test_hain_fixed_agrees_with_the_descent_on_every_perturbed_plain_lift(W):
     verdicts = Counter()
     for word in element:
         bad = {**element, word: element[word] + 1}
-        got = verify_lift(bad, W, "plain", LiftReport(W, "plain", "oracle"))
+        got = verify_lift(bad, W, "plain", "oracle")
         assert got.hain_fixed == (hain_projector(bad, model) == bad), word
         verdicts[got.hain_fixed, len(word)] += 1
     # only the changed single slot stays Hain-fixed
@@ -1029,7 +1029,7 @@ def test_hain_fixed_agrees_with_the_descent_on_every_perturbed_plain_lift(W):
 
 def closed_against_the_boundary(b, W, variant) -> LiftReport:
     """verify_lift's closedness verdict on ``b`` equals d_B(b) == 0 taken on b's words."""
-    got = verify_lift(b, W, variant, LiftReport(W, variant, "oracle"))
+    got = verify_lift(b, W, variant, "oracle")
     model = VARIANTS[variant].model(len(W))
     assert got.closed == (not differential_numerators(to_numerators(b)[1], model)), b
     return got
@@ -1100,7 +1100,7 @@ def test_a_hain_fixed_lift_is_closed_from_its_oracle_coordinates(monkeypatch, W,
 
     monkeypatch.setattr(lifts, "_closedness_rows", recording_rows)
     monkeypatch.setattr(lifts, "differential_numerators", recording_boundary)
-    got = verify_lift(element, W, variant, LiftReport(W, variant, "oracle"))
+    got = verify_lift(element, W, variant, "oracle")
     assert got.all_ok
     assert boundaries == [coordinates] and len(coordinates) < len(element)
     assert seen == [[(0, coordinates)]]
@@ -1122,12 +1122,12 @@ def test_the_lyndon_route_refuses_an_odd_slot():
 def test_a_zero_term_is_skipped_before_its_slots_are_read(word):
     model = model_x(4)
     assert lifts._lyndon_coordinates({word: 0}, model) == {}
-    want = verify_lift({}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
-    got = verify_lift({word: 0}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    want = verify_lift({}, "0011", "plain", "oracle")
+    got = verify_lift({word: 0}, "0011", "plain", "oracle")
     assert got == want
     # and beside a lift, the zero term changes no flag
     element, _ = lift_LB("0011", "plain", "oracle")
-    got = verify_lift({**element, word: 0}, "0011", "plain", LiftReport("0011", "plain", "oracle"))
+    got = verify_lift({**element, word: 0}, "0011", "plain", "oracle")
     assert got.all_ok
 
 
@@ -1257,15 +1257,18 @@ def test_oracle_returns_a_fresh_lift_each_call():
 
 def test_lifts_are_fresh_each_call():
     element, report = lift_LB("001", "plain", "claim")
-    expected, notes = dict(element), list(report.notes)
-    assert notes and not report.closed
+    expected = dict(element)
+    assert report.notes == ("NON-CLOSED with published constants",) and not report.closed
     element[(("L0_1",),)] = ONE
     element.pop(next(iter(expected)))
-    report.notes.append("changed by the caller")
-    report.closed = True
+    # the report is the cached one, and no caller can change it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.closed = True
+    with pytest.raises(AttributeError):
+        report.notes.append("changed by the caller")
     again, report_again = lift_LB("001", "plain", "claim")
     assert again == expected
-    assert report_again.notes == notes and not report_again.closed
+    assert report_again is report and not report_again.closed
     assert again is not lift_LB("001", "plain", "claim")[0]
 
     geom = geometric_lift("0011")
@@ -1491,13 +1494,32 @@ def test_audit_rejects_its_weights_up_front(monkeypatch):
         raise AssertionError("work started")
 
     monkeypatch.setattr(lifts, "solve_unit_constants", no_work)
-    for weights in ((), (1,), (1, 2), (0, 3)):
-        with pytest.raises(ValueError, match="one or more weights >= 2"):
-            audit_adjunction_unit(weights)
+    for max_weight in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"the audit takes max_weight >= 2, not {max_weight}$"):
+            audit_adjunction_unit(max_weight)
+
+
+def test_the_audit_probes_no_weight_above_the_first_without_constants(monkeypatch):
+    # constants for weight n close every weight up to n, so none at 6 means
+    # none above it, and the tree sums of weights 7 to 9 are never built
+    calls = []
+    solve = lifts.solve_unit_constants
+
+    def recording(n):
+        calls.append(n)
+        return solve(n)
+
+    monkeypatch.setattr(lifts, "solve_unit_constants", recording)
+    report = audit_adjunction_unit(9)
+    assert calls[:5] == [2, 3, 4, 5, 6] and set(calls) == {2, 3, 4, 5, 6}
+    assert [row["weight"] for row in report["weights"]] == [2, 3, 4, 5]
+    assert report["solved_constants"] == ["1", "1/2", "1/6", "1/20", "1/70"]
+    assert report["published_constants"][-1] == "1/2240"
+    assert all(row["closed_with_solved_constants"] for row in report["weights"])
 
 
 def test_adjunction_audit():
-    report = audit_adjunction_unit((2, 3))
+    report = audit_adjunction_unit(3)
     assert report["solved_equal_reciprocal_n_catalan"]
     for row in report["weights"]:
         assert not row["closed_with_published_constants"]

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from test_caches import package_caches
 import lyndonbar
-from lyndonbar import bar, cli, freelie, ihara, lifts, verify
+from lyndonbar import bar, cli, colie, dgcore, freelie, ihara, lifts, verify
 from lyndonbar.cli import build_parser, main
 from lyndonbar.colie import TABLE_NAMES
+from lyndonbar.dgcore import CdgaPresentation
 from lyndonbar.verify import run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,7 +139,7 @@ def test_the_unit_oracle_check_fails_with_perturbed_solved_constants(monkeypatch
         code, out = run_cli(capsys, "lift", "0011", "--check")
     finally:
         lifts._lift_LB.cache_clear()
-    assert report.method == "unit" and not report.all_ok and report.notes == []
+    assert report.method == "unit" and not report.all_ok and report.notes == ()
     payload = json.loads(out)
     assert code == 1
     assert payload["method"] == "unit" and payload["properties"]["closed"] is False
@@ -165,16 +167,40 @@ def test_each_audit_column_fails_only_its_own_check(monkeypatch, column):
         witness = next(r.witness for r in results if r.check == "unit-normalization-audit")
         return [r.check for r in results if r.status == "fail"], witness
 
-    assert run() == ([], audit((2, 3, 4)))
+    assert run() == ([], audit(4))
 
-    def flipped(weights):
-        report = audit(weights)
+    def flipped(max_weight):
+        report = audit(max_weight)
         report["weights"] = [{**row, column: not row[column]} for row in report["weights"]]
         return report
 
     monkeypatch.setattr(lifts, "audit_adjunction_unit", flipped)
     # the whole audit stays the witness, flipped column and all
-    assert run() == (AUDIT_GATES[column], flipped((2, 3, 4)))
+    assert run() == (AUDIT_GATES[column], flipped(4))
+
+
+def test_the_unit_checks_see_a_changed_c5_at_weight_5_alone(monkeypatch):
+    # c_5 doubled, and still no constants at 6: only the audit's weight-5 row
+    # reads c_5, and the audit ends at 5 whatever the run weight above it
+    solved = lifts.solve_unit_constants
+
+    def doubled_c5(n):
+        consts = solved(n)
+        if consts is None:
+            return None
+        return tuple(2 * c if k == 5 else c for k, c in enumerate(consts, start=1))
+
+    monkeypatch.setattr(lifts, "solve_unit_constants", doubled_c5)
+    lifts._lift_LB.cache_clear()
+    try:
+        failed = {
+            w: [(r.check, r.weight) for r in run_suites(["lifts"], max_weight=w) if r.status == "fail"]
+            for w in (4, 5, 6)
+        }
+    finally:
+        lifts._lift_LB.cache_clear()
+    unit_checks = [("unit-matches-unique-oracle", 5), ("unit-normalization-audit", 5)]
+    assert failed == {4: [], 5: unit_checks, 6: unit_checks}
 
 
 def test_verify_weight_6_keeps_the_benchmark_check_names():
@@ -233,6 +259,122 @@ def test_three_samples_draw_in_every_sampled_check(capsys):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(["nonsense"], max_weight=4)
+
+
+def flipped_rows(family, word, pair):
+    """colie.coefficient_rows with the entry (word; pair) of ``family`` negated."""
+    rows = colie.coefficient_rows
+
+    def flipped(name, max_weight):
+        table = rows(name, max_weight)
+        if name != family or word not in table:
+            return table
+        return {**table, word: tuple((u, v, -c if (u, v) == pair else c) for u, v, c in table[word])}
+
+    return flipped
+
+
+def test_an_inconsistency_met_while_building_fails_its_suites_and_the_rest_still_run(
+    monkeypatch, capsys
+):
+    # alpha(00001; 0, 0001) flipped as the models and the lifts read it,
+    # before anything is built: each suite that builds from it reports one
+    # failing record, and the words and lie suites report their checks
+    caches = package_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            for module in (colie, dgcore, lifts):
+                m.setattr(module, "coefficient_rows", flipped_rows("alpha", "00001", ("0", "0001")))
+            code, out = run_cli(
+                capsys, "verify", "--suite", "all", "--max-weight", "5", "--format", "json"
+            )
+    finally:
+        for cache in caches.values():
+            cache.cache_clear()
+    assert code == 1 and capsys.readouterr().err == ""
+    results = json.loads(out)
+    clean = [r.check for r in run_suites(["words", "lie"], max_weight=5)]
+    built = [name for name in verify.SUITES if name not in ("words", "lie")]
+    assert [r["check"] for r in results] == clean + [f"suite-{name}" for name in built]
+    assert all(r["status"] == "pass" for r in results[: len(clean)])
+    for r in results[len(clean) :]:
+        assert r["status"] == "fail" and r["weight"] == 5
+        assert r["witness"].startswith("TableInconsistencyError: "), r
+
+
+# the basis-change check reads b against beta, and b' against b and a: one
+# entry of b, of b' with U > V and of b' with U < V, negated in ab_tables'
+# output after a clean run
+AB_FLIPS = [
+    ("b", 1, ("00001", "0", "0001")),
+    ("b'", 3, ("00101", "01", "001")),
+    ("b'", 3, ("01011", "01", "011")),
+]
+
+
+@pytest.mark.parametrize("name, index, key", AB_FLIPS)
+def test_the_basis_change_check_sees_one_negated_b_or_b_prime_entry(monkeypatch, name, index, key):
+    def statuses():
+        return {r.check: r.status for r in run_suites(["colie"], max_weight=7)}
+
+    assert set(statuses().values()) == {"pass"}
+    tables = colie.ab_tables
+
+    def negated(max_weight):
+        out = [dict(t) for t in tables(max_weight)]
+        assert out[index][key]
+        out[index][key] = -out[index][key]
+        return tuple(out)
+
+    monkeypatch.setattr(colie, "ab_tables", negated)
+    got = statuses()
+    assert [check for check, status in got.items() if status != "pass"] == [
+        "basis-change-tables-double-sourced"
+    ]
+
+
+def hand_sorted_cobar_matches(cb, mx) -> bool:
+    """The cobar check before it went through transport: each cobar term of
+    a generator model_x has, renamed, sorted and signed by hand."""
+    ok = True
+    for g in cb.generators:
+        fam, w = g.name.split(":")
+        target = {"T0": "L0", "T1": "L1"}[fam] + "_" + w
+        if target not in mx.index:
+            continue
+        image: dict = {}
+        for m, c in cb.differential[g.name].items():
+            names = [{"T0": "L0", "T1": "L1"}[x.split(":")[0]] + "_" + x.split(":")[1] for x in m]
+            if any(x not in mx.index for x in names):
+                ok = False
+                continue
+            ordered = tuple(sorted(names, key=mx.index.__getitem__))
+            sign = 1 if tuple(names) == ordered else -1
+            image[ordered] = image.get(ordered, 0) + sign * c
+        ok &= {k: v for k, v in image.items() if v} == mx.differential[target]
+    return ok
+
+
+@pytest.mark.parametrize("gen", ["L0_00101", "L1_00111"])
+def test_cobar_reproduces_model_sees_one_negated_model_coefficient(monkeypatch, gen):
+    clean = dgcore.model_x(5)
+    diff = {g: dict(image) for g, image in clean.differential.items()}
+    term = min(diff[gen])
+    diff[gen][term] = -diff[gen][term]
+    bad = CdgaPresentation(clean.generators, diff, name="bad", validate=False)
+    cb = dgcore.cobar_colie(dgcore.colie_presentation(5, "t01"))
+    assert hand_sorted_cobar_matches(cb, clean) and not hand_sorted_cobar_matches(cb, bad)
+
+    def status():
+        results = run_suites(["models"], max_weight=5)
+        return next(r.status for r in results if r.check == "cobar-reproduces-model")
+
+    assert status() == "pass"
+    model_x = dgcore.model_x
+    monkeypatch.setattr(dgcore, "model_x", lambda mw: bad if mw == 5 else model_x(mw))
+    assert status() == "fail"
 
 
 def test_lyndon_lines_and_json(capsys):
@@ -404,6 +546,8 @@ USAGE_ERRORS = [
     ["verify", "--suite", "bar", "--samples", "0"],
     ["verify", "--suite", "bar", "--samples", "2"],
     ["verify", "--suite", "bar", "--samples", "1001"],
+    ["verify", "--suite", "nonsense"],
+    ["verify", "--suite", "words", "nonsense", "--max-weight", "3"],
 ]
 
 
@@ -440,8 +584,8 @@ def test_seed_variable_is_the_default_seed(monkeypatch, capsys):
 
 
 # sha256 of the stdout of `verify --suite all --max-weight 6 --format json`,
-# recorded when every cheap check came to run at the run weight
-GOLDEN_VERIFY_W6 = "3a332bfdfe923b580ad4711b496b4716615ad8649e07881b7a0125d4ec980288"
+# recorded when the unit audit came to run at every weight with unit constants
+GOLDEN_VERIFY_W6 = "5a05ef2debd1e24147a97d540377dd00761860f56f7d3c80f1b1d9ecf7f55ec0"
 
 
 def test_verify_all_weight_6_matches_golden_digest(capsys):
@@ -453,7 +597,7 @@ def test_verify_all_weight_6_matches_golden_digest(capsys):
 
 
 # the same at the default weight, 5: no --max-weight flag
-GOLDEN_VERIFY_W5 = "79c889696a7a569e68e6a3b2c0be53477d36570b14f2d2ed2e140758d0254292"
+GOLDEN_VERIFY_W5 = "c852954cbef469344c4d78de2d3de347e7e8d443e916329a8864ebd32f24b63f"
 
 
 def test_verify_all_at_the_default_weight_matches_golden_digest(monkeypatch, capsys):
@@ -465,7 +609,7 @@ def test_verify_all_at_the_default_weight_matches_golden_digest(monkeypatch, cap
 
 # the same at weight 7, where the lift systems are largest: 1,920 equations
 # over model_x(7), 6 of them repeats
-GOLDEN_VERIFY_W7 = "49707604e91a1bc26d6baa219d819100187970d121f9a06f3796b0c2847a0b5b"
+GOLDEN_VERIFY_W7 = "c32a150b90baa1001631fd15acaf2d268e4f877b6fa97e204925a773a433b7e6"
 
 
 def test_verify_all_weight_7_matches_golden_digest():
