@@ -1,8 +1,9 @@
 """Verification suites with machine-readable reports, and seeded samplers.
 
-Each suite returns a list of check records; a record carries the check name,
-the weight it ran at (when meaningful), a pass/fail/info status, and a short
-witness.  Info records report findings that are not pass/fail gates.
+Each suite appends its check records to the run's list; a record carries the
+check name, the weight it ran at (when meaningful), a pass/fail/info status,
+and a short witness.  Info records report findings that are not pass/fail
+gates.
 
 One weight rule holds for every check: it runs at the run's ``max_weight``
 (some at a fixed offset above it), a check whose inputs are fixed reports
@@ -104,8 +105,7 @@ def random_lie_element(rng: random.Random, max_weight: int) -> dict:
 # suites
 
 
-def suite_words(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_words(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     expected = ["0", "0001", "001", "0011", "01", "011", "0111", "1"]
     out.append(
         _result(
@@ -130,7 +130,6 @@ def suite_words(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         u, v = words.standard_factorization(w)
         ok &= u + v == w and u in members and v in members and u < v
     out.append(_result("standard-factorization-recombines", ok, max_weight))
-    return out
 
 
 _BRACKETINGS = {
@@ -143,8 +142,7 @@ _BRACKETINGS = {
 }
 
 
-def suite_lie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_lie(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     ok = all(words.standard_factorization(w) == uv for w, uv in _BRACKETINGS.items())
     out.append(_result("bracketings-weights-2-to-4", ok, 4))
     ok = all(
@@ -189,11 +187,9 @@ def suite_lie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         out.append(_result("tables-integral", True, max_weight))
     except freelie.TableInconsistencyError as exc:
         out.append(_result("tables-integral", False, max_weight, str(exc)))
-    return out
 
 
-def suite_signs(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_signs(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     ok = (
         dgcore.koszul_sign((0, 1, 2), (3, 4, 5)) == 1
         and dgcore.koszul_sign((1, 0), (1, 1)) == -1
@@ -240,11 +236,9 @@ def suite_signs(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
     }
     # fixed inputs: a coLie basis of weights 1 and 2
     out.append(_result("suspension-differential-sign", ok, 2))
-    return out
 
 
-def suite_colie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_colie(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     alpha = freelie.alpha_table(max_weight)
     beta, gamma = ihara.beta_gamma_tables(max_weight)
     ok = all(u != "0" and v != "1" for (_, u, v) in beta)
@@ -335,7 +329,6 @@ def suite_colie(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                     colie.wedge_add(expected, fu, fv, c * su * sv)
         ok &= got == expected
     out.append(_result("one-family-cobracket-pure-a-form", ok, max_weight))
-    return out
 
 
 def _as_semidirect(tag):
@@ -346,8 +339,7 @@ def _as_semidirect(tag):
     return ihara.SemidirectElement(one_part=e)
 
 
-def suite_models(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_models(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     # a model that fails its own checks raises here, and run_suites fails the suite
     for mw in range(2, max_weight + 1):
         dgcore.model_x(mw), dgcore.model_a1(mw), dgcore.model_point(mw)
@@ -413,11 +405,9 @@ def suite_models(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         )
         ok &= lhs == rhs
     out.append(_result("open-restriction-multiplicative", ok, max_weight))
-    return out
 
 
-def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_bar(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     p = dgcore.model_x(max_weight)
     rng = random.Random(seed)
     elems = [random_bar_element(p, rng, max_weight=w) for w in _spread(samples, max_weight)]
@@ -492,7 +482,6 @@ def suite_bar(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
         ok &= bar.tensor_swap(x, p) == {k: -v for k, v in x.items()}
         ok &= bar.delta_Q(h, p) == x
     out.append(_result("cobracket-antisymmetric", ok, 12))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -508,8 +497,7 @@ def _corrupted_model() -> CdgaPresentation:
     return CdgaPresentation(base.generators, diff, name="bad", validate=False)
 
 
-def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_lifts(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     # a cap: the oracle lifts, and the fiber and family identities, run to
     # weight 5 at most.  Either uncapped took a cold in-process run of every
     # suite from 0.15 s to 0.18 s at weight 6, from 0.46 s to 0.6 s at
@@ -577,11 +565,9 @@ def suite_lifts(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
                 f"per-degree unit constants exist: {audited >= 6}; lifts fall back to the exact solver",
             )
         )
-    return out
 
 
-def suite_edqx(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
-    out = []
+def suite_edqx(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     for w in words.lyndon_words(max_weight):
         if len(w) < 2:
             continue
@@ -592,24 +578,14 @@ def suite_edqx(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
             else None
         )
         out.append(_result(f"cobracket-structure-form-{w}", r["ok"], len(w), witness))
-    return out
 
 
-def suite_basis(max_weight: int, seed: int, samples: int) -> list[CheckResult]:
+def suite_basis(out: list[CheckResult], max_weight: int, seed: int, samples: int) -> None:
     r = lifts.verify_geom_basis(max_weight)
-    out = [
-        _result(
-            "projected-cobracket-alpha-form",
-            all(r["cobracket_alpha_form"].values()),
-            max_weight,
-        ),
-        _result(
-            "projected-family-triangular-unital",
-            all(r["triangular_unital"].values()),
-            max_weight,
-        ),
-    ]
-    return out
+    ok = all(r["cobracket_alpha_form"].values())
+    out.append(_result("projected-cobracket-alpha-form", ok, max_weight))
+    ok = all(r["triangular_unital"].values())
+    out.append(_result("projected-family-triangular-unital", ok, max_weight))
 
 
 SUITES = {
@@ -643,9 +619,10 @@ def run_suites(
         raise ValueError(f"unknown suites: {unknown}")
     results: list[CheckResult] = []
     for name in selected:
-        # an inconsistency met while building fails the suite; the rest still run
+        # an inconsistency met while building stops the suite: its records so
+        # far stay, a failing suite-NAME record marks the stop, the rest still run
         try:
-            results.extend(SUITES[name](max_weight, seed, samples))
+            SUITES[name](results, max_weight, seed, samples)
         except (
             freelie.TableInconsistencyError,
             dgcore.NotACoLieCoalgebraError,

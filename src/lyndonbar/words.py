@@ -9,6 +9,7 @@ generator slots; one builder, :func:`lyndon_words_by_weight`, lists them all.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
@@ -51,19 +52,25 @@ def lyndon_words_by_weight(letters: Mapping, max_weight: int) -> dict:
     ``letters`` maps each one-letter word (a string or a tuple) to its weight.
     The Lyndon words of two or more letters are the uv for Lyndon u < v with
     u one letter or u's right factor at least v, each arising once (standard
-    factorization; Lothaire, *Combinatorics on Words*, 5.1).  Lists unsorted.
+    factorization; Lothaire, *Combinatorics on Words*, 5.1).  Each list sorted.
     """
-    # weight -> [(Lyndon word, its right factor v, None for one letter)]
-    weights = range(1, max_weight + 1)
-    built = {n: [(a, None) for a, m in letters.items() if m == n] for n in weights}
-    for total in weights[1:]:
-        out = built[total]
+    right: dict = {}  # each Lyndon word of two or more letters -> its v
+    by_weight: dict = {}
+    for total in range(1, max_weight + 1):
+        out = [a for a, m in letters.items() if m == total]
         for n in range(1, total):
-            for u, right in built[n]:
-                for v, _ in built[total - n]:
-                    if u < v and (right is None or right >= v):
-                        out.append((u + v, v))
-    return {n: [w for w, _ in words] for n, words in built.items()}
+            # the v for a u are one slice of the sorted list: u < v <= right(u)
+            vs = by_weight[total - n]
+            for u in by_weight[n]:
+                lo = bisect_right(vs, u)
+                hi = bisect_right(vs, right[u], lo) if u in right else len(vs)
+                for v in vs[lo:hi]:
+                    w = u + v
+                    right[w] = v
+                    out.append(w)
+        out.sort()
+        by_weight[total] = out
+    return by_weight
 
 
 @lru_cache(maxsize=None)

@@ -179,15 +179,15 @@ def record_suite_draws(monkeypatch, max_weight: int = 4) -> dict:
         monkeypatch.setattr(owner, attr, recorded)
 
     patch(CdgaPresentation, "multiply", "signs: multiply")
-    verify.suite_signs(max_weight, 42, 50)
+    verify.suite_signs([], max_weight, 42, 50)
     monkeypatch.undo()
     patch(dgcore, "restrict_j", "models: restrict_j")
-    verify.suite_models(max_weight, 42, 50)
+    verify.suite_models([], max_weight, 42, 50)
     monkeypatch.undo()
     patch(bar, "bar_differential", "bar: bar_differential")
     patch(bar, "coproduct", "bar: coproduct")
     patch(bar, "hain_projector", "bar: hain_projector")
-    verify.suite_bar(max_weight, 42, 50)
+    verify.suite_bar([], max_weight, 42, 50)
     monkeypatch.undo()
     return drawn
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -274,34 +275,140 @@ def flipped_rows(family, word, pair):
     return flipped
 
 
-def test_an_inconsistency_met_while_building_fails_its_suites_and_the_rest_still_run(
-    monkeypatch, capsys
-):
-    # alpha(00001; 0, 0001) flipped as the models and the lifts read it,
-    # before anything is built: each suite that builds from it reports one
-    # failing record, and the words and lie suites report their checks
+def cold_flipped_verify(monkeypatch, capsys, family, word, pair, max_weight) -> tuple[int, list]:
+    """verify --suite all as JSON with one entry flipped through
+    coefficient_rows before anything is built, every package cache cleared
+    before and after: the exit status and the records."""
     caches = package_caches()
     for cache in caches.values():
         cache.cache_clear()
+    # one flipped view for every reader: a second one made after the first
+    # is patched in would wrap it and flip the entry back
+    flipped = flipped_rows(family, word, pair)
     try:
         with monkeypatch.context() as m:
             for module in (colie, dgcore, lifts):
-                m.setattr(module, "coefficient_rows", flipped_rows("alpha", "00001", ("0", "0001")))
+                m.setattr(module, "coefficient_rows", flipped)
             code, out = run_cli(
-                capsys, "verify", "--suite", "all", "--max-weight", "5", "--format", "json"
+                capsys, "verify", "--suite", "all", "--max-weight", str(max_weight), "--format", "json"
             )
     finally:
         for cache in caches.values():
             cache.cache_clear()
-    assert code == 1 and capsys.readouterr().err == ""
-    results = json.loads(out)
-    clean = [r.check for r in run_suites(["words", "lie"], max_weight=5)]
-    built = [name for name in verify.SUITES if name not in ("words", "lie")]
-    assert [r["check"] for r in results] == clean + [f"suite-{name}" for name in built]
-    assert all(r["status"] == "pass" for r in results[: len(clean)])
-    for r in results[len(clean) :]:
+    assert capsys.readouterr().err == ""
+    return code, json.loads(out)
+
+
+def split_by_suite(records, clean) -> dict:
+    """A run's records by suite, for ``clean`` mapping each suite, in run
+    order, to its check names: a suite that stopped ends with its suite-NAME
+    record, and any other has as many records as in ``clean``."""
+    split = {}
+    for name, checks in clean.items():
+        head = [r["check"] for r in records[: len(checks) + 1]]
+        n = head.index(f"suite-{name}") + 1 if f"suite-{name}" in head else len(checks)
+        split[name], records = records[:n], records[n:]
+    assert records == []
+    return split
+
+
+def test_an_inconsistency_met_while_building_fails_its_suites_and_the_rest_still_run(
+    monkeypatch, capsys
+):
+    # alpha(00001; 0, 0001) flipped as the models and the lifts read it,
+    # before anything is built: each suite that builds from it keeps the
+    # records it made, then reports one failing record, and the words and
+    # lie suites report their checks
+    code, results = cold_flipped_verify(monkeypatch, capsys, "alpha", "00001", ("0", "0001"), 5)
+    assert code == 1 and len(results) == 23
+    clean = {name: [r.check for r in run_suites([name], max_weight=5)] for name in verify.SUITES}
+    for name, records in split_by_suite(results, clean).items():
+        checks = [r["check"] for r in records]
+        if name in ("words", "lie"):
+            assert checks == clean[name] and all(r["status"] == "pass" for r in records)
+            continue
+        assert checks == clean[name][: len(checks) - 1] + [f"suite-{name}"]
+        r = records[-1]
         assert r["status"] == "fail" and r["weight"] == 5
         assert r["witness"].startswith("TableInconsistencyError: "), r
+
+
+INCONSISTENCIES = [
+    freelie.TableInconsistencyError,
+    dgcore.NotACoLieCoalgebraError,
+    dgcore.PresentationError,
+    lifts.InfeasibleLiftError,
+]
+
+
+@pytest.mark.parametrize("error", INCONSISTENCIES + [ZeroDivisionError], ids=lambda e: e.__name__)
+def test_a_suite_stopped_by_an_inconsistency_keeps_the_records_it_made(monkeypatch, error):
+    def stub(out, max_weight, seed, samples):
+        out.append(verify.CheckResult("stub-first", max_weight, "pass"))
+        out.append(verify.CheckResult("stub-second", 2, "fail", "a witness"))
+        raise error("met while building")
+
+    monkeypatch.setitem(verify.SUITES, "stub", stub)
+    if error not in INCONSISTENCIES:
+        with pytest.raises(error):
+            run_suites(["stub", "words"], max_weight=3)
+        return
+    assert run_suites(["stub", "words"], max_weight=3) == [
+        verify.CheckResult("stub-first", 3, "pass"),
+        verify.CheckResult("stub-second", 2, "fail", "a witness"),
+        verify.CheckResult("suite-stub", 3, "fail", f"{error.__name__}: met while building"),
+    ] + run_suites(["words"], max_weight=3)
+
+
+# one weight-5 entry of each table the models read, flipped through
+# coefficient_rows before anything is built, in a weight-6 run of every
+# suite: the number of records (65 in a clean run) and the failing ones
+STOPPED = ["suite-models", "suite-bar", "suite-lifts", "suite-edqx", "suite-basis"]
+COLD_FLIPS = [
+    (
+        "alpha", "00001", ("0", "0001"), 23,
+        ["suite-signs", "basis-change-tables-double-sourced", "co-jacobi-defect-zero",
+         "duality-pairing", "suite-colie"] + STOPPED,
+    ),
+    (
+        "beta", "00001", ("0001", "0"), 23,
+        ["suite-signs", "basis-change-tables-double-sourced", "co-jacobi-defect-zero",
+         "duality-pairing", "suite-colie"] + STOPPED,
+    ),
+    ("a", "00101", ("001", "01"), 23, ["suite-signs", "one-family-cobracket-pure-a-form"] + STOPPED),
+    (
+        "b", "00001", ("0", "0001"), 65,
+        ["cobar-reproduces-model", "restriction-maps-are-chain-maps",
+         "family-relation-exact-vanishing", "cobracket-structure-form-00001",
+         "projected-cobracket-alpha-form"],
+    ),
+    ("aprime", "00101", ("001", "01"), 23, ["suite-signs"] + STOPPED),
+    ("bprime", "00101", ("01", "001"), 23, ["suite-signs"] + STOPPED),
+]
+
+
+@pytest.mark.parametrize("family, word, pair, n_records, failing", COLD_FLIPS)
+def test_a_cold_flipped_entry_fails_its_pinned_checks_and_keeps_every_record_before(
+    monkeypatch, capsys, family, word, pair, n_records, failing
+):
+    code, results = cold_flipped_verify(monkeypatch, capsys, family, word, pair, 6)
+    assert code == 1
+    assert len(results) == n_records
+    assert [r["check"] for r in results if r["status"] == "fail"] == failing
+    clean = {
+        name: json.loads(json.dumps([asdict(r) for r in run_suites([name], max_weight=6)], default=str))
+        for name in verify.SUITES
+    }
+    split = split_by_suite(results, {name: [r["check"] for r in rs] for name, rs in clean.items()})
+    for name, records in split.items():
+        if records and records[-1]["check"] == f"suite-{name}":
+            stop = records.pop()
+            assert stop["weight"] == 6 and stop["witness"].startswith("TableInconsistencyError: ")
+        # the records before a stop are the clean run's first ones, each as
+        # it is there unless it fails
+        assert [r["check"] for r in records] == [r["check"] for r in clean[name][: len(records)]]
+        for r, want in zip(records, clean[name]):
+            assert r == want or r["check"] in failing, r
 
 
 # the basis-change check reads b against beta, and b' against b and a: one
