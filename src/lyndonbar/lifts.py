@@ -366,7 +366,8 @@ def _lyndon_coordinates(b, model: CdgaPresentation) -> dict:
 def _lyndon_slot_words(model: CdgaPresentation, weight: int) -> list:
     """The Lyndon bar words of the given weight over one-generator slots, by :func:`_slice_order`."""
     letters = {((g.name,),): g.weight for g in model.generators}
-    return sorted(lyndon_words_by_weight(letters, weight)[weight], key=_slice_order)
+    # the builder's list is sorted, so a stable sort by length gives that order
+    return sorted(lyndon_words_by_weight(letters, weight)[weight], key=len)
 
 
 def _slice_order(word) -> tuple:

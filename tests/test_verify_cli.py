@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -275,62 +276,41 @@ def flipped_rows(family, word, pair):
     return flipped
 
 
+@contextmanager
+def cold(monkeypatch, patches):
+    """``patches``, (module, name, value) triples, set with every package
+    cache cleared before and after."""
+    caches = package_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            for module, name, value in patches:
+                m.setattr(module, name, value)
+            yield
+    finally:
+        for cache in caches.values():
+            cache.cache_clear()
+
+
 def cold_flipped_verify(monkeypatch, capsys, family, word, pair, max_weight) -> tuple[int, list]:
     """verify --suite all as JSON with one entry flipped through
     coefficient_rows before anything is built, every package cache cleared
     before and after: the exit status and the records."""
-    caches = package_caches()
-    for cache in caches.values():
-        cache.cache_clear()
     # one flipped view for every reader: a second one made after the first
     # is patched in would wrap it and flip the entry back
     flipped = flipped_rows(family, word, pair)
-    try:
-        with monkeypatch.context() as m:
-            for module in (colie, dgcore, lifts):
-                m.setattr(module, "coefficient_rows", flipped)
-            code, out = run_cli(
-                capsys, "verify", "--suite", "all", "--max-weight", str(max_weight), "--format", "json"
-            )
-    finally:
-        for cache in caches.values():
-            cache.cache_clear()
+    with cold(monkeypatch, [(module, "coefficient_rows", flipped) for module in (colie, dgcore, lifts)]):
+        code, out = run_cli(
+            capsys, "verify", "--suite", "all", "--max-weight", str(max_weight), "--format", "json"
+        )
     assert capsys.readouterr().err == ""
     return code, json.loads(out)
 
 
-def split_by_suite(records, clean) -> dict:
-    """A run's records by suite, for ``clean`` mapping each suite, in run
-    order, to its check names: a suite that stopped ends with its suite-NAME
-    record, and any other has as many records as in ``clean``."""
-    split = {}
-    for name, checks in clean.items():
-        head = [r["check"] for r in records[: len(checks) + 1]]
-        n = head.index(f"suite-{name}") + 1 if f"suite-{name}" in head else len(checks)
-        split[name], records = records[:n], records[n:]
-    assert records == []
-    return split
-
-
-def test_an_inconsistency_met_while_building_fails_its_suites_and_the_rest_still_run(
-    monkeypatch, capsys
-):
-    # alpha(00001; 0, 0001) flipped as the models and the lifts read it,
-    # before anything is built: each suite that builds from it keeps the
-    # records it made, then reports one failing record, and the words and
-    # lie suites report their checks
-    code, results = cold_flipped_verify(monkeypatch, capsys, "alpha", "00001", ("0", "0001"), 5)
-    assert code == 1 and len(results) == 23
-    clean = {name: [r.check for r in run_suites([name], max_weight=5)] for name in verify.SUITES}
-    for name, records in split_by_suite(results, clean).items():
-        checks = [r["check"] for r in records]
-        if name in ("words", "lie"):
-            assert checks == clean[name] and all(r["status"] == "pass" for r in records)
-            continue
-        assert checks == clean[name][: len(checks) - 1] + [f"suite-{name}"]
-        r = records[-1]
-        assert r["status"] == "fail" and r["weight"] == 5
-        assert r["witness"].startswith("TableInconsistencyError: "), r
+def clean_records(max_weight) -> list:
+    """A clean run of every suite, each record as the JSON output has it."""
+    return json.loads(json.dumps([asdict(r) for r in run_suites(["all"], max_weight)], default=str))
 
 
 INCONSISTENCIES = [
@@ -341,12 +321,37 @@ INCONSISTENCIES = [
 ]
 
 
-@pytest.mark.parametrize("error", INCONSISTENCIES + [ZeroDivisionError], ids=lambda e: e.__name__)
-def test_a_suite_stopped_by_an_inconsistency_keeps_the_records_it_made(monkeypatch, error):
+def test_an_inconsistency_met_while_building_fails_only_the_checks_that_meet_it(
+    monkeypatch, capsys
+):
+    # alpha(00001; 0, 0001) flipped as the models and the lifts read it,
+    # before anything is built: every check still reports under its own
+    # name, each one that builds from the flipped row fails with the error
+    # as its witness, and every other check is as in a clean run
+    code, results = cold_flipped_verify(monkeypatch, capsys, "alpha", "00001", ("0", "0001"), 5)
+    clean = clean_records(5)
+    assert code == 1 and len(results) == len(clean) == 55
+    assert [r["check"] for r in results] == [r["check"] for r in clean]
+    raised = [r for r in results if r["status"] == "fail" and r["witness"] is not None]
+    assert len(raised) == 31
+    assert all(r["witness"].split(":")[0] in {e.__name__ for e in INCONSISTENCIES} for r in raised)
+    assert [r["check"] for r in results if r["status"] == "fail" and r["witness"] is None] == [
+        "co-jacobi-defect-zero", "duality-pairing"
+    ]
+    for r, want in zip(results, clean):
+        assert r == want or r["status"] == "fail", r
+
+
+@pytest.mark.parametrize(
+    "error", INCONSISTENCIES + [ZeroDivisionError, KeyError], ids=lambda e: e.__name__
+)
+def test_a_check_that_meets_an_inconsistency_fails_alone(monkeypatch, error):
     def stub(out, max_weight, seed, samples):
-        out.append(verify.CheckResult("stub-first", max_weight, "pass"))
-        out.append(verify.CheckResult("stub-second", 2, "fail", "a witness"))
-        raise error("met while building")
+        with verify._check(out, "stub-raises", max_weight) as r:
+            r.witness = "not reached"
+            raise error("met while building")
+        with verify._check(out, "stub-next", 2) as r:
+            r.witness = "reached"
 
     monkeypatch.setitem(verify.SUITES, "stub", stub)
     if error not in INCONSISTENCIES:
@@ -354,61 +359,108 @@ def test_a_suite_stopped_by_an_inconsistency_keeps_the_records_it_made(monkeypat
             run_suites(["stub", "words"], max_weight=3)
         return
     assert run_suites(["stub", "words"], max_weight=3) == [
-        verify.CheckResult("stub-first", 3, "pass"),
-        verify.CheckResult("stub-second", 2, "fail", "a witness"),
-        verify.CheckResult("suite-stub", 3, "fail", f"{error.__name__}: met while building"),
+        verify.CheckResult("stub-raises", 3, "fail", f"{error.__name__}: met while building"),
+        verify.CheckResult("stub-next", 2, "pass", "reached"),
     ] + run_suites(["words"], max_weight=3)
 
 
+# a builder that raises, and the number of checks that fail at weight 6
+RAISING_BUILDERS = [
+    (dgcore, "model_x", dgcore.PresentationError, 17),
+    (colie, "ab_tables", freelie.TableInconsistencyError, 48),
+    (freelie, "alpha_table", freelie.TableInconsistencyError, 2),
+    (lifts, "closed_lift_oracle", lifts.InfeasibleLiftError, 18),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, error, n_failing", RAISING_BUILDERS, ids=[b[1] for b in RAISING_BUILDERS]
+)
+def test_a_builder_that_raises_fails_the_checks_that_read_it_and_every_check_reports(
+    monkeypatch, module, name, error, n_failing
+):
+    def raising(*args, **kwargs):
+        raise error(f"{name} patched to raise")
+
+    with cold(monkeypatch, [(module, name, raising)]):
+        results = run_suites(["all"], 6)
+    clean = run_suites(["all"], 6)
+    assert [r.check for r in results] == [r.check for r in clean] and len(clean) == 65
+    failing = [r for r in results if r.status == "fail"]
+    assert len(failing) == n_failing
+    assert any(r.witness == f"{error.__name__}: {name} patched to raise" for r in failing)
+
+
+def test_the_audit_records_fail_under_their_own_names_when_the_audit_raises(monkeypatch):
+    def raising(max_weight):
+        raise lifts.InfeasibleLiftError("no constants")
+
+    clean = run_suites(["lifts"], max_weight=6)
+    monkeypatch.setattr(lifts, "audit_adjunction_unit", raising)
+    results = run_suites(["lifts"], max_weight=6)
+    assert [r.check for r in results] == [r.check for r in clean]
+    assert [r for r in results if r.status == "fail"] == [
+        verify.CheckResult(check, 6, "fail", "InfeasibleLiftError: no constants")
+        for check in (
+            "unit-matches-unique-oracle",
+            "unit-normalization-audit",
+            "per-degree-constants-at-weight-6",
+        )
+    ]
+
+
+# the checks that read model_x(6), or a model of weight 5 or 6 built from
+# the same rows, so that a flipped entry the model builders reject fails them
+MODEL_CHECKS = [
+    "odd-generators-anticommute", "product-associative-samples",
+    "models-differential-squares-to-zero", "cobar-reproduces-model",
+    "restriction-maps-are-chain-maps", "open-restriction-multiplicative",
+    "bar-differential-squares-to-zero", "coproduct-coassociative", "shuffle-associative",
+    "hopf-compatibility", "projector-idempotent-chain-map", "projector-kills-shuffles",
+    "cobracket-antisymmetric",
+    "oracle-lift-plain", "oracle-lift-one", "oracle-lift-const", "unit-matches-unique-oracle",
+    "fiber-at-one-slotwise-identity", "family-relation-exact-vanishing",
+    "unit-normalization-audit", "per-degree-constants-at-weight-6",
+    *(f"cobracket-structure-form-{w}" for w in lyndonbar.words.lyndon_words(6) if len(w) >= 5),
+    "projected-cobracket-alpha-form", "projected-family-triangular-unital",
+]
+TABLE_CHECKS = [
+    "basis-change-tables-double-sourced", "co-jacobi-defect-zero", "duality-pairing",
+    "one-family-cobracket-pure-a-form", "oracle-lift-diff",
+]
 # one weight-5 entry of each table the models read, flipped through
 # coefficient_rows before anything is built, in a weight-6 run of every
-# suite: the number of records (65 in a clean run) and the failing ones
-STOPPED = ["suite-models", "suite-bar", "suite-lifts", "suite-edqx", "suite-basis"]
+# suite: the number of failing checks, and which
 COLD_FLIPS = [
+    ("alpha", "00001", ("0", "0001"), 43, MODEL_CHECKS + TABLE_CHECKS),
+    ("beta", "00001", ("0001", "0"), 43, MODEL_CHECKS + TABLE_CHECKS),
+    ("a", "00101", ("001", "01"), 39, MODEL_CHECKS + ["one-family-cobracket-pure-a-form"]),
     (
-        "alpha", "00001", ("0", "0001"), 23,
-        ["suite-signs", "basis-change-tables-double-sourced", "co-jacobi-defect-zero",
-         "duality-pairing", "suite-colie"] + STOPPED,
-    ),
-    (
-        "beta", "00001", ("0001", "0"), 23,
-        ["suite-signs", "basis-change-tables-double-sourced", "co-jacobi-defect-zero",
-         "duality-pairing", "suite-colie"] + STOPPED,
-    ),
-    ("a", "00101", ("001", "01"), 23, ["suite-signs", "one-family-cobracket-pure-a-form"] + STOPPED),
-    (
-        "b", "00001", ("0", "0001"), 65,
+        "b", "00001", ("0", "0001"), 5,
         ["cobar-reproduces-model", "restriction-maps-are-chain-maps",
          "family-relation-exact-vanishing", "cobracket-structure-form-00001",
          "projected-cobracket-alpha-form"],
     ),
-    ("aprime", "00101", ("001", "01"), 23, ["suite-signs"] + STOPPED),
-    ("bprime", "00101", ("01", "001"), 23, ["suite-signs"] + STOPPED),
+    ("aprime", "00101", ("001", "01"), 38, MODEL_CHECKS),
+    ("bprime", "00101", ("01", "001"), 38, MODEL_CHECKS),
 ]
 
 
-@pytest.mark.parametrize("family, word, pair, n_records, failing", COLD_FLIPS)
-def test_a_cold_flipped_entry_fails_its_pinned_checks_and_keeps_every_record_before(
-    monkeypatch, capsys, family, word, pair, n_records, failing
+@pytest.mark.parametrize("family, word, pair, n_failing, failing", COLD_FLIPS)
+def test_a_cold_flipped_entry_fails_its_pinned_checks_and_every_check_reports(
+    monkeypatch, capsys, family, word, pair, n_failing, failing
 ):
     code, results = cold_flipped_verify(monkeypatch, capsys, family, word, pair, 6)
+    clean = clean_records(6)
     assert code == 1
-    assert len(results) == n_records
-    assert [r["check"] for r in results if r["status"] == "fail"] == failing
-    clean = {
-        name: json.loads(json.dumps([asdict(r) for r in run_suites([name], max_weight=6)], default=str))
-        for name in verify.SUITES
-    }
-    split = split_by_suite(results, {name: [r["check"] for r in rs] for name, rs in clean.items()})
-    for name, records in split.items():
-        if records and records[-1]["check"] == f"suite-{name}":
-            stop = records.pop()
-            assert stop["weight"] == 6 and stop["witness"].startswith("TableInconsistencyError: ")
-        # the records before a stop are the clean run's first ones, each as
-        # it is there unless it fails
-        assert [r["check"] for r in records] == [r["check"] for r in clean[name][: len(records)]]
-        for r, want in zip(records, clean[name]):
-            assert r == want or r["check"] in failing, r
+    assert [r["check"] for r in results] == [r["check"] for r in clean] and len(clean) == 65
+    assert len(set(failing)) == n_failing
+    assert [r["check"] for r in results if r["status"] == "fail"] == [
+        r["check"] for r in clean if r["check"] in failing
+    ]
+    # every other record is as in the clean run
+    for r, want in zip(results, clean):
+        assert r == want or r["check"] in failing, r
 
 
 # the basis-change check reads b against beta, and b' against b and a: one
